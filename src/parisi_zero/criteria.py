@@ -155,12 +155,6 @@ def _tau(m, x):
     return _d1(m, x) ** 2 + a * (_d1r(m, x) - _d12(m, x) - xi_deriv(m, x, 2))
 
 
-def _windows(m, x):
-    wa = xi_deriv(m, 1.0, 1) * x / xi_deriv(m, x, 1)
-    wb = _d1(m, x) / xi_deriv(m, x, 2)
-    return wa, wb
-
-
 # ---------------------------------------------------------------------------
 # tilt equation
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ than return a measure that cannot be certified.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -311,10 +310,3 @@ def from_json_dict(d: dict) -> ParisiMeasure:
         raise ValueError(f"atom must be positive, got {atom}")
     return ParisiMeasure(segs, atom)
 
-
-def loads(text: str) -> ParisiMeasure:
-    return from_json_dict(json.loads(text))
-
-
-def dumps(nu: ParisiMeasure) -> str:
-    return json.dumps(to_json_dict(nu), indent=2)

@@ -357,14 +357,18 @@ def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
     m = make_mixture(p, s, lam)
     if m.is_pure:
         return _classify_pure(m, tol)
-    b = boundaries(p, s)
+    low_s = p == 2 and s == 3
+    try:
+        b = boundaries(p, s)
+    except RuntimeError as exc:
+        return Classification("Unresolved", {}, None, None, None,
+                              low_s_unproven=low_s, detail=str(exc))
     lam_eff, near = lam, False
     for lb in boundary_lambdas(b):
         if abs(lam - lb) <= _OWN_EPS:
             lam_eff, near = lb - 1e-10, True
             break
     m_eff = make_mixture(p, s, lam_eff)
-    low_s = p == 2 and s == 3
     try:
         cl = (_classify_p2(m_eff, b, tol) if p == 2
               else _classify_general(m_eff, tol))

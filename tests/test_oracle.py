@@ -1,9 +1,11 @@
 """Variational oracle over step measures: exactness, chains, saturation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from parisi_zero import oracle
 from parisi_zero import (
     ParisiMeasure,
     Segment,
@@ -109,3 +111,74 @@ def test_validation_errors():
         minimize_k(m, 7)
     with pytest.raises(ValueError):
         minimize_k(m, -1)
+
+
+def vector_energy(m, v, k):
+    """step_energy of the measure a search vector stands for."""
+    qs, adds, atom = oracle._unpack(v, k)
+    return step_energy(m, StepMeasure(tuple(zip(qs, adds)), atom))
+
+
+def test_gradient_matches_central_differences():
+    rng = np.random.default_rng(17)
+    h = 1e-6
+    for p, s, lam in [(4, 18, 0.5), (2, 5, 0.6)]:
+        m = make_mixture(p, s, lam)
+        terms, xi1 = oracle._xi_terms(m), xi_deriv(m, 1.0, 1)
+        for k in range(5):
+            for trial in range(3):
+                v = rng.normal(0.0, 1.5, size=2 * k + 1)
+                clipped = set()
+                if trial == 1:
+                    # past every clip bound the parameter is inert
+                    v[2 * k] = 7.0
+                    clipped.add(2 * k)
+                    if k >= 1:
+                        v[k] = -60.0
+                        clipped.add(k)
+                    if k >= 2:
+                        v[k + 1] = 12.0
+                        clipped.add(k + 1)
+                elif trial == 2:
+                    v[2 * k] = -60.0
+                    clipped.add(2 * k)
+                e, g = oracle._objective(v, k, terms, xi1)
+                assert e == vector_energy(m, v, k)
+                for i in range(2 * k + 1):
+                    step = np.zeros_like(v)
+                    step[i] = h
+                    fd = (vector_energy(m, v + step, k)
+                          - vector_energy(m, v - step, k)) / (2 * h)
+                    if i in clipped:
+                        assert g[i] == 0.0 and fd == 0.0, (k, i)
+                    else:
+                        assert abs(g[i] - fd) <= 1e-6 * (1 + abs(fd)), (k, i)
+
+
+def test_vanishing_atom_neither_raises_nor_warns():
+    m = make_mixture(4, 18, 0.5)
+    terms, xi1 = oracle._xi_terms(m), xi_deriv(m, 1.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(4):
+            v = np.zeros(2 * k + 1)
+            v[-1] = -800.0
+            e, g = oracle._objective(v, k, terms, xi1)
+            assert math.isfinite(e) and np.all(np.isfinite(g))
+            assert g[-1] == 0.0
+        # a tiny atom given directly is a huge energy, not an overflow
+        assert step_energy(m, StepMeasure((), 1e-200)) == pytest.approx(5e199)
+
+
+def test_profiles_raise_no_warnings():
+    # one point inside each phase: (4, 38) boundaries 0.6094 / 0.9817 /
+    # 0.9871 / 0.9900, (2, 4) full above 12/13
+    points = [(2, 5, 1.0, 1), (4, 18, 0.5, 2), (4, 38, 0.8, 3),
+              (4, 38, 0.9844, 2), (4, 38, 0.9886, 2), (2, 4, 0.96, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, s, lam, kmax in points:
+            prof = oracle_profile(make_mixture(p, s, lam), kmax=kmax,
+                                  restarts=4, seed=1)
+            es = prof.energies
+            assert all(b <= a + 1e-12 for a, b in zip(es, es[1:]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from parisi_zero import phases
 from parisi_zero import (
     boundaries,
     classify,
@@ -189,3 +190,14 @@ def test_zeta_sign_matches_h11_at_critical_points():
                 assert np.sign(zv[i]) == np.sign(h11), (p, s, lam, xs[i])
                 checked += 1
         assert checked >= 1
+
+
+def test_boundary_solve_failure_comes_back_unresolved(monkeypatch):
+    def failing(p, s):
+        raise RuntimeError(f"no two-step window found for ({p}, {s})")
+
+    monkeypatch.setattr(phases, "boundaries", failing)
+    c = classify(4, 38, 0.8)
+    assert c.phase == "Unresolved"
+    assert c.detail == "no two-step window found for (4, 38)"
+    assert c.measure is None and c.energy is None
