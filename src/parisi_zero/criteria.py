@@ -160,21 +160,37 @@ def _tau(m, x):
 # ---------------------------------------------------------------------------
 
 
+# c(z) = sum_n (-1)^n z^n / ((n+1)(n+2)), highest power first for Horner
+_C_SERIES = [(-1) ** n / ((n + 1) * (n + 2)) for n in range(16, -1, -1)]
+
+
+def _c_series(z):
+    acc = 0.0 * z
+    for coef in _C_SERIES:
+        acc = acc * z + coef
+    return acc
+
+
 def c_log(z):
     """c(z) = (1+z) log(1+z) / z^2 - 1/z, the strictly decreasing tilt map.
 
-    Defined on z > -1 with c(-1+) = 1, c(0) = 1/2, c(inf) = 0. Where |z| is
-    below 1e-4 the direct form cancels, so a degree-4 series takes over
-    (both branches agree to ~1e-11 at the seam).
+    Defined on z > -1 with c(-1+) = 1, c(0) = 1/2, c(inf) = 0. The direct
+    form loses about eps/|z| to cancellation, so below |z| = 0.1 a degree-16
+    series takes over (truncation under 1e-19); both branches then hold c
+    to a few ulps, which the sign of h22 near x = 1 depends on.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z <= -1):
         raise ValueError("c_log requires z > -1")
-    series = 0.5 - z / 6 + z * z / 12 - z ** 3 / 20 + z ** 4 / 30
+    if z.ndim == 0 and abs(float(z)) < 0.1:
+        return _c_series(float(z))
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (1 + z) * np.log1p(z) / (z * z) - 1 / z
-    out = np.where(np.abs(z) < 1e-4, series, direct)
-    return float(out) if out.ndim == 0 else out
+        out = (1 + z) * np.log1p(z) / (z * z) - 1 / z
+    if z.ndim == 0:
+        return float(out)
+    small = np.abs(z) < 0.1
+    out[small] = _c_series(z[small])
+    return out
 
 
 def _c_prime(z):
@@ -332,6 +348,17 @@ def eval_h2(m: Mixture, x):
     return f1 / (x * x), f2
 
 
+def _h22_floor(m: Mixture, x):
+    """A bound on the rounding error of eval_h2's h22 at x.
+
+    h22 = (1-x)^2 (D1 c(z2) - B) with c held to a few ulps; against a
+    60-digit transcription the error stayed below 7 eps (1-x)^2 (|D1|+|B|)
+    on p = 2 families near the plateau edge, so this allows 32.
+    """
+    scale = np.abs(_d1(m, x)) + np.abs(_bfun(m, x))
+    return 32 * np.finfo(float).eps * (1 - x) ** 2 * scale
+
+
 def eval_aux(m: Mixture, x):
     """The auxiliary polynomials (t, m_cubic, t12), evaluated exactly.
 
@@ -356,7 +383,17 @@ def eval_aux(m: Mixture, x):
 
 
 def _sign_roots(f, lo, hi, n=4096):
-    """Roots of f on [lo, hi] by sign scan + bracket refinement.
+    """Roots of f on [lo, hi], ascending, scanned on linspace(lo, hi, n)."""
+    xs = np.linspace(lo, hi, n)
+    return _grid_roots(f, xs, np.asarray(f(xs), dtype=float))
+
+
+def _grid_roots(f, xs, vs):
+    """Roots of f from its values vs on the ascending grid xs, ascending.
+
+    Each bracket is a pair of neighbouring firm grid values of opposite
+    sign, refined by brentq on f; a caller that already holds f on a grid
+    passes it here directly.
 
     Tangency rule: a sign change counts only between grid values that both
     clear a noise floor tied to the function's scale; sub-floor values are
@@ -364,25 +401,22 @@ def _sign_roots(f, lo, hi, n=4096):
     rounding noise (several criteria cancel identically at 0) cannot
     fabricate one. Tangential touches therefore resolve to "absent".
     """
-    xs = np.linspace(lo, hi, n)
-    vs = np.asarray(f(xs), dtype=float)
     eps = 1e-14 * max(1.0, float(np.abs(vs).max()))
     firm = np.nonzero(np.abs(vs) > eps)[0]
-    roots = []
-    for a, b in zip(firm[:-1], firm[1:]):
-        if vs[a] * vs[b] < 0.0:
-            roots.append(brentq(lambda t: float(f(t)), xs[a], xs[b],
-                                xtol=1e-14, rtol=8.9e-16))
-    return roots
+    a, b = firm[:-1], firm[1:]
+    flips = np.nonzero(vs[a] * vs[b] < 0.0)[0]
+    return [brentq(lambda t: float(f(t)), xs[a[i]], xs[b[i]],
+                   xtol=1e-14, rtol=8.9e-16) for i in flips]
 
 
 def _edge_root(f, lo):
     """A root collapsed against x = 1, below the sign scan's firmness floor.
 
     Within ~4e-4 of the collapse every value past the root is smaller than
-    the scan floor, but the criteria evaluate cancellation-free near 1, so
-    the sign stays exact down to ~1e-30; walk a geometric ladder toward 1
-    and hand the first sign disagreement to brentq.
+    the scan floor; walk a geometric ladder toward 1 and hand the first
+    sign disagreement to brentq. The values there can sit at their own
+    rounding floor (for h22 see _h22_floor), where the sign is noise, so
+    the root is a candidate that the caller still has to certify.
     """
     a, fa = lo, float(f(lo))
     for k in range(2, 9):
@@ -417,30 +451,38 @@ def landmarks(m: Mixture, eps: float = 1e-12) -> Landmarks:
     h12 = lambda x: eval_h2(m, x)[0]
     h22 = lambda x: eval_h2(m, x)[1]
     hi_in = qbar2 - eps if qbar2 < 1 else 1 - 1e-9
+    lo = qbar1 + eps
+    scan_h11 = h11(hi_in if qbar2 == 1.0 else qbar2) > 0
+    scan_h21 = h21(qbar1) > 0
+    # every scan below but h22's run to 1 - 1e-7 reads this one grid, so
+    # each window pair is evaluated on it once
+    if scan_h11 or (scan_h21 and qbar2 < 1):
+        xs = np.linspace(lo, hi_in, 4096)
+        (v11, v21), (v12, v22) = eval_h1(m, xs), eval_h2(m, xs)
     q11 = q12 = q21 = q22 = None
-    if h11(hi_in if qbar2 == 1.0 else qbar2) > 0:
-        r = _sign_roots(h11, qbar1 + eps, hi_in)
+    if scan_h11:
+        r = _grid_roots(h11, xs, v11)
         if r:
             q11 = r[0]
-        r = _sign_roots(h12, qbar1 + eps, hi_in)
+        r = _grid_roots(h12, xs, v12)
         if r:
             q12 = r[0]
-    if h21(qbar1) > 0:
+    if scan_h21:
         if qbar2 < 1:
-            r = _sign_roots(h21, qbar1 + eps, qbar2 - eps)
+            r = _grid_roots(h21, xs, v21)
             if r:
                 q21 = r[-1]
-            r = _sign_roots(h22, qbar1 + eps, qbar2 - eps)
+            r = _grid_roots(h22, xs, v22)
             if r:
                 q22 = r[-1]
         else:
             q21 = 1.0
             if s_of(m.p, m.s, m.lam) > 0:
-                r = _sign_roots(h22, qbar1 + eps, 1 - 1e-7)
+                r = _sign_roots(h22, lo, 1 - 1e-7)
                 if r:
                     q22 = r[-1]
                 else:
-                    q22 = _edge_root(h22, qbar1 + eps)
+                    q22 = _edge_root(h22, lo)
                     if q22 is None:
                         q22 = 1.0
             else:

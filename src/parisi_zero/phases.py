@@ -35,8 +35,9 @@ __all__ = ["Regime", "PhaseBoundaries", "Classification", "regime",
 _ZETA_FLOOR = 1e-11  # zeta vanishes identically at both endpoints; the
 # interior maximum is tested against this, never against strict negativity
 _OWN_EPS = 1e-9
-_BISECT_TOL = 1e-10
+_BISECT_TOL = 1e-6
 _SYSTEM_TOL = 1e-7
+_PLATEAU_TOL = 1e-6  # half-width of the bracket certifying a plateau point
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,9 @@ def _full_window(lm: criteria.Landmarks) -> bool:
 
 
 def _bisect_flip(pred, lo, hi):
-    # pred is False at lo and True at hi; shrink to _BISECT_TOL and return
-    # the certified-True side together with the bracket
+    # pred is False at lo and True at hi; shrink the bracket to _BISECT_TOL.
+    # That only has to land hi in the Newton polish's basin: the polished
+    # residual, checked against _SYSTEM_TOL, decides whether the solve holds
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if pred(mid):
@@ -170,8 +172,10 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
     """All phase-boundary lambdas of the family, solved and certified.
 
     Cached per (p, s): sweeps and repeated classifications reuse the
-    solve. Bisections run to 1e-10 in lambda; the two system boundaries
-    are then Newton-polished and their pair residuals checked below 1e-7.
+    solve. Bisections on the landmark predicates run to 1e-6 in lambda,
+    only far enough to seed the Newton polish of the two system
+    boundaries; the polished pair residuals are then checked below 1e-7,
+    and that check alone certifies them.
     """
     reg = regime(p, s)
     if reg.tag == "Pure" or reg.tag == "AllOneRSB":
@@ -247,9 +251,10 @@ def _zeta_max(m: Mixture, z: float) -> float:
     # coarse grid, then bounded refinement around the top three local maxima
     xs = np.linspace(0.0, 1.0, 1025)
     vals = criteria._zeta_at(m, xs, z)
-    peaks = [i for i in range(1, len(xs) - 1)
-             if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
-    peaks.sort(key=lambda i: vals[i], reverse=True)
+    inner = vals[1:-1]
+    peaks = np.nonzero((inner >= vals[:-2]) & (inner >= vals[2:]))[0] + 1
+    # highest first; a stable sort keeps equal peaks in ascending x
+    peaks = peaks[np.argsort(-vals[peaks], kind="stable")]
     best = float(vals.max())
     windows = [(xs[i - 1], xs[i + 1]) for i in peaks[:3]]
     # both endpoints are exact zeros, so a bump hiding inside the first or
@@ -304,16 +309,33 @@ def _classify_pure(m: Mixture, tol: float) -> Classification:
     return cl
 
 
+def _plateau_point(m: Mixture):
+    # first root of h22 in (0, 1), certified to _PLATEAU_TOL; else None
+    h22 = lambda x: criteria.eval_h2(m, x)[1]
+    roots = criteria._sign_roots(h22, 1e-9, 1 - 1e-9)
+    # a plateau point pressed against 1 leaves every value past it below
+    # the scan's firmness floor, so walk the edge ladder toward 1
+    q = roots[0] if roots else criteria._edge_root(h22, 1e-9)
+    if q is None:
+        return None
+    # near 1, h22 sits only a few orders above its rounding floor, so the
+    # root counts only where h22 reads firm opposite signs either side,
+    # within _PLATEAU_TOL of it and inside (0, 1)
+    xs = np.array([max(q - _PLATEAU_TOL, 0.5 * q),
+                   min(q + _PLATEAU_TOL, 0.5 * (1.0 + q))])
+    vs = h22(xs)
+    firm = np.abs(vs) > criteria._h22_floor(m, xs)
+    return q if vs[0] * vs[1] < 0 and firm.all() else None
+
+
 def _classify_p2(m: Mixture, b: PhaseBoundaries, tol: float) -> Classification:
     z = criteria.solve_z(m)
     if 2 * m.lam * z < m.s * (1 - m.lam):
         return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
     if m.lam < b.p2["lambda_1Fto1"]:
-        roots = criteria._sign_roots(
-            lambda x: criteria.eval_h2(m, x)[1], 1e-9, 1 - 1e-9)
-        if not roots:
+        q_p = _plateau_point(m)
+        if q_p is None:
             raise ValueError("no plateau point found for the mixed measure")
-        q_p = roots[0]
         nu = build_1frsb(m, variant="below", q_P=q_p)
         return _certify(m, nu, "OneFRSB",
                         {"q1": q_p, "q_P": q_p, "variant": "density-below"}, tol)

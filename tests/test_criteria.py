@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from parisi_zero import criteria
 from parisi_zero import (
     c_log,
     eval_aux,
@@ -102,6 +103,26 @@ def test_h_family_stable_at_the_right_edge():
     assert eval_h1(m, 1e-8)[1] == pytest.approx(-1.0, abs=1e-6)  # h21(0) = -1
 
 
+def test_h22_stays_within_its_rounding_floor_near_one():
+    # h22 at 1 - u just below lambda_1Fto1 of (2, 4) and (2, 8), where it
+    # cancels down to ~1e-25; references from a 60-digit mpmath
+    # transcription of (1-x)^2 (D1 c(z2) - B)
+    refs = {
+        (4, 0.923066923077): [1.811419408305458e-17, 3.035651812990708e-20,
+                              -3.559634999616682e-23, -1.4516369693185464e-24,
+                              -2.2024715485285304e-26],
+        (8, 0.957254957265): [1.4855727260984856e-15, 2.999099162793899e-18,
+                              5.1230446186617834e-21, -4.8979205624672263e-23,
+                              -9.238571131972727e-25],
+    }
+    us = [1e-3, 3e-4, 1e-4, 3e-5, 1e-5]
+    for (s, lam), want in refs.items():
+        m = make_mixture(2, s, lam)
+        for u, w in zip(us, want):
+            x = 1 - u
+            assert abs(eval_h2(m, x)[1] - w) <= criteria._h22_floor(m, x)
+
+
 def test_h22_nonnegative_at_zero_past_entry():
     # p=2 with 2*lam*z >= s*(1-lam): the entry criterion says h22(0+) >= 0
     m = make_mixture(2, 4, 0.93)
@@ -116,6 +137,18 @@ def test_c_log_values_and_seam():
     direct = (1 + z) * math.log1p(z) / z**2 - 1 / z
     assert c_log(z) == pytest.approx(direct, abs=1e-11)
     assert c_log(1e-9) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_c_log_holds_a_few_ulps_on_both_sides_of_the_series_seam():
+    # reference values from a 50-digit mpmath evaluation of the direct form
+    refs = {1.0001e-4: 0.4999833325001167, 1e-3: 0.4998334166167,
+            0.05: 0.4918689511614413, 0.0999: 0.48413491693587546,
+            0.1: 0.4841197784757346, 0.25: 0.46287102628419513,
+            -0.05: 0.5085481327307974, -0.0999: 0.5175350938265946,
+            -0.3: 0.559194880476526}
+    for z, want in refs.items():
+        assert c_log(z) == pytest.approx(want, abs=1e-15), z
+        assert c_log(np.array([z]))[0] == c_log(z)
 
 
 def test_c_log_strictly_decreasing():
@@ -340,6 +373,62 @@ def test_landmarks_above_the_2to1F_root():
     lm = landmarks(make_mixture(4, 38, b["lambda_2to1F"] + 2e-4))
     assert lm.q22 == 1.0
     assert lm.q12 is not None and lm.q12 < 1.0
+
+
+def _sign_roots_loop(f, lo, hi, n=4096):
+    # the element-by-element scan the vectorised one replaced, kept as the
+    # reference it must match bit for bit
+    xs = np.linspace(lo, hi, n)
+    vs = np.asarray(f(xs), dtype=float)
+    eps = 1e-14 * max(1.0, float(np.abs(vs).max()))
+    firm = np.nonzero(np.abs(vs) > eps)[0]
+    roots = []
+    for a, b in zip(firm[:-1], firm[1:]):
+        if vs[a] * vs[b] < 0.0:
+            roots.append(brentq(lambda t: float(f(t)), xs[a], xs[b],
+                                xtol=1e-14, rtol=8.9e-16))
+    return roots
+
+
+def test_sign_roots_catches_a_root_on_a_grid_point():
+    x0 = np.linspace(0.0, 1.0, 4096)[1000]
+    # an exact zero or sub-floor noise of either sign there is bridged over
+    for off in (0.0, 1e-16, -1e-16):
+        roots = criteria._sign_roots(lambda x: x - x0 - off, 0.0, 1.0)
+        assert roots == [pytest.approx(x0, abs=1e-14)], off
+    assert criteria._sign_roots(lambda x: 0.5 - x, 0.0, 1.0, n=5) == [0.5]
+
+
+def test_sign_roots_ignores_a_tangential_touch():
+    touch = lambda x: (x - 0.5) ** 2
+    assert criteria._sign_roots(touch, 0.0, 1.0) == []
+    assert criteria._sign_roots(touch, 0.0, 1.0, n=5) == []  # 0.5 on the grid
+
+
+def test_sign_roots_come_back_ascending():
+    roots = criteria._sign_roots(lambda x: np.sin(10 * x), 0.1, 3.0)
+    assert roots == sorted(roots)
+    assert roots == pytest.approx([k * math.pi / 10 for k in range(1, 10)],
+                                  abs=1e-13)
+
+
+def test_sign_roots_match_the_loop_scan_and_the_grid_path():
+    cases = [(lambda x: np.sin(10 * x), 0.1, 3.0),
+             (lambda x: np.cos(3 * x) * (x - 0.25), 0.0, 2.0)]
+    for p, s, lam in [(4, 38, 0.8), (4, 38, 0.985), (3, 20, 0.9), (2, 8, 0.9)]:
+        m = make_mixture(p, s, lam)
+        cases += [(lambda x, m=m: criteria._tau(m, x), 1e-9, 1 - 1e-9),
+                  (lambda x, m=m: eval_h1(m, x)[0], 0.05, 1 - 1e-9),
+                  (lambda x, m=m: eval_h1(m, x)[1], 0.05, 1 - 1e-9),
+                  (lambda x, m=m: eval_h2(m, x)[1], 1e-9, 1 - 1e-9)]
+    found = 0
+    for f, lo, hi in cases:
+        want = _sign_roots_loop(f, lo, hi)
+        assert criteria._sign_roots(f, lo, hi) == want
+        xs = np.linspace(lo, hi, 4096)
+        assert criteria._grid_roots(f, xs, f(xs)) == want
+        found += len(want)
+    assert found >= 20
 
 
 # ------------------------------------------- slope relations (used by c9 too)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from parisi_zero import phases
+from parisi_zero import criteria, phases
 from parisi_zero import (
     boundaries,
     classify,
@@ -87,6 +87,56 @@ def test_boundary_defining_equations_hold():
     assert lo < g["lambda_2to1"] < hi
 
 
+def test_cold_four_phase_solve_stays_within_its_landmark_budget(monkeypatch):
+    # the bisections stop once the Newton polish has a basin to start from
+    calls = []
+    real = criteria.landmarks
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.lam)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(criteria, "landmarks", counted)
+    boundaries.cache_clear()
+    g = boundaries(4, 38).general
+    assert 0 < len(calls) <= 45
+    assert g["lambda_1to2"] == pytest.approx(0.6093645164854334, abs=1e-9)
+    assert g["lambda_2to2F"] == pytest.approx(0.9816846324246461, abs=1e-9)
+    assert g["lambda_2to1F"] == pytest.approx(0.9871482060395593, abs=1e-9)
+    assert g["lambda_2to1"] == pytest.approx(0.9899796410415966, abs=1e-9)
+
+
+# a fixed spread of both system-solving regimes over p = 3..6
+SOLVED_FAMILIES = [(3, 13), (4, 25), (5, 36), (5, 47), (5, 56), (6, 52),
+                   (3, 16), (3, 27), (3, 60), (4, 33), (4, 45), (5, 58)]
+
+
+def test_boundaries_hold_their_defining_equations_across_families():
+    for p, s in SOLVED_FAMILIES:
+        b = boundaries(p, s)
+        g, d = b.general, b.diagnostics
+        four = b.regime.tag == "FourPhase"
+        assert d["residual_1to2"] <= 1e-7, (p, s)
+        h11, h21 = eval_h1(make_mixture(p, s, g["lambda_1to2"]),
+                           d["x_star_1to2"])
+        assert abs(h11) + abs(h21) <= 1e-7, (p, s)
+        assert abs(psi(p, s, g["lambda_2to1"])) <= 1e-10, (p, s)
+        if four:
+            assert d["residual_2to2F"] <= 1e-7, (p, s)
+            h12, h22 = eval_h2(make_mixture(p, s, g["lambda_2to2F"]),
+                               d["x_star_2to2F"])
+            assert abs(h12) + abs(h22) <= 1e-7, (p, s)
+            assert g["lambda_2to1F"] == pytest.approx(min(s_roots(p, s).roots),
+                                                      abs=1e-12)
+            assert (0 < g["lambda_1to2"] < g["lambda_2to2F"]
+                    < g["lambda_2to1F"] < g["lambda_2to1"] < 1), (p, s)
+        else:
+            assert set(g) == {"lambda_1to2", "lambda_2to1"}, (p, s)
+            assert 0 < g["lambda_1to2"] < g["lambda_2to1"] < 1, (p, s)
+    assert {boundaries(*f).regime.tag for f in SOLVED_FAMILIES} == {
+        "TwoPhase", "FourPhase"}
+
+
 def test_boundary_orderings():
     g = boundaries(4, 38).general
     assert 0 < g["lambda_1to2"] < g["lambda_2to2F"] < g["lambda_2to1F"] \
@@ -105,6 +155,60 @@ def test_p2_monotone_entry():
         for lam in np.linspace(lo + 1e-3, 0.999, 25):
             z = solve_z(make_mixture(2, s, lam))
             assert 2 * lam * z - s * (1 - lam) > 0
+
+
+# plateau points q_P at lambda_1Fto1 - d, the first root of h22 found by a
+# 60-digit mpmath transcription of h22 = (1-x)^2 (D1 c(z2) - B)
+_PLATEAU_REF = {
+    (4, 1e-3): 0.988379994281544,
+    (8, 1e-4): 0.999321857493345,
+    (30, 1e-5): 0.999855127929423,
+    (60, 1e-5): 0.999732907517575,
+    (60, 1e-6): 0.999973184828707,
+    # h22 sits too close to its rounding floor to certify these yet
+    (4, 1e-4): 0.998827561312822,
+    (4, 1e-5): 0.999882650624628,
+    (8, 1e-5): 0.999932106980943,
+    (8, 1e-6): 0.999993209909108,
+    (30, 1e-6): 0.999985497488643,
+}
+_PLATEAU_CERTIFIED = [(4, 1e-3), (8, 1e-4), (30, 1e-5), (60, 1e-5), (60, 1e-6)]
+
+
+@pytest.mark.parametrize("s, d", sorted(_PLATEAU_REF))
+def test_p2_plateau_point_pressed_against_one(s, d):
+    # as d shrinks the plateau point of h22 moves past the sign scan's
+    # firmness floor (from d = 1e-4 here), so the edge ladder has to find
+    # it; a q_P that comes back must match the reference, else the point
+    # stays Unresolved
+    lam = boundaries(2, s).p2["lambda_1Fto1"] - d
+    c = classify(2, s, lam)
+    if c.phase == "Unresolved":
+        assert (s, d) not in _PLATEAU_CERTIFIED, c.detail
+        return
+    assert c.phase == "OneFRSB", c.detail
+    assert c.report.passed and not c.on_boundary
+    assert c.params["variant"] == "density-below"
+    assert c.params["q_P"] == pytest.approx(_PLATEAU_REF[s, d],
+                                            abs=phases._PLATEAU_TOL)
+
+
+def test_p2_plateau_point_near_zero_just_past_entry():
+    # just above lambda_1to1F the plateau point sits within 1e-6 of 0, so
+    # the bracket that certifies it must stay inside (0, 1)
+    for d in (1e-8, 1e-7):
+        c = classify(2, 8, boundaries(2, 8).p2["lambda_1to1F"] + d)
+        assert c.phase == "OneFRSB", c.detail
+        assert 0.0 < c.params["q_P"] < 1e-6
+
+
+def test_plateau_point_rejects_an_edge_root_in_rounding_noise():
+    # h22 < 0 on all of (0, 1) here (-3.7e-25 at 1 - 1e-4 by the 60-digit
+    # transcription) but reads +2e-24 there in floats, so the edge ladder
+    # brackets rounding noise; the certificate must turn that root down
+    m = make_mixture(2, 3, 1 - 1e-4)
+    assert criteria._edge_root(lambda x: eval_h2(m, x)[1], 1e-9) is not None
+    assert phases._plateau_point(m) is None
 
 
 def _expected_phase(family, lam):
