@@ -30,6 +30,7 @@ SWEEP_COLUMNS = ("p", "s", "lambda", "phase", "energy", "boundary_flags",
                  "z", "q", "z1", "z2", "q1", "q2", "q_P",
                  "normalization_error", "min_g", "support_residual")
 _NEAR_FLAG = 1e-6  # rows this close to a boundary are flagged, never dropped
+_MAX_GRID = 1_000_000  # sweep points; at a few ms a point, hours of work
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,6 +139,7 @@ def _cmd_boundaries(args, tol) -> int:
 
 
 def _parse_grid(spec: str, count):
+    # (lo, hi, number of points), or None when malformed; allocates nothing
     parts = spec.split(":")
     try:
         if len(parts) == 3:
@@ -152,9 +154,9 @@ def _parse_grid(spec: str, count):
                 return None
         else:
             return None
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
-    return np.linspace(lo, hi, n)
+    return lo, hi, n
 
 
 def _sweep_point(job):
@@ -164,10 +166,19 @@ def _sweep_point(job):
 
 
 def _cmd_sweep(args, tol) -> int:
-    grid = _parse_grid(args.lambda_grid, args.count)
-    if grid is None or grid.size == 0:
+    if args.jobs < 1:
+        print(f"sweep: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return 1
+    spec = _parse_grid(args.lambda_grid, args.count)
+    if spec is None:
         print("sweep: empty or malformed lambda grid", file=sys.stderr)
         return 1
+    if spec[2] > _MAX_GRID:
+        print(f"sweep: lambda grid of {spec[2]} points exceeds the "
+              f"{_MAX_GRID}-point limit", file=sys.stderr)
+        return 1
+    grid = np.linspace(*spec)
     blams = boundary_lambdas(boundaries(args.p, args.s))
     jobs = [(args.p, args.s, float(l), tol, blams) for l in grid]
     if args.jobs > 1:

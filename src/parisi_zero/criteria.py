@@ -18,6 +18,7 @@ All functions accept scalars or ndarrays in x and are pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,9 @@ class Landmarks:
 
     qbar1/qbar2 bound the interval where the first window function
     decreases; the four q's are the zeros of h11, h12, h21, h22 used by
-    the two-level and full-type constructions.
+    the two-level and full-type constructions. q22_edge holds an h22 root
+    that the edge ladder found pressed against 1 but that h22's rounding
+    floor leaves uncertified; q22 is None then.
     """
 
     qbar1: float | None = None
@@ -57,6 +60,7 @@ class Landmarks:
     q12: float | None = None
     q21: float | None = None
     q22: float | None = None
+    q22_edge: float | None = None
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,12 @@ def c_log(z):
     series takes over (truncation under 1e-19); both branches then hold c
     to a few ulps, which the sign of h22 near x = 1 depends on.
     """
+    if isinstance(z, float) and -1.0 < z < math.inf:
+        # plain-float path, same operations and bits as a 0-d array;
+        # NaN, inf and z <= -1 go on to the array path
+        if abs(z) < 0.1:
+            return _c_series(float(z))
+        return float((1 + z) * np.log1p(z) / (z * z) - 1 / z)
     z = np.asarray(z, dtype=float)
     if np.any(z <= -1):
         raise ValueError("c_log requires z > -1")
@@ -194,6 +204,11 @@ def c_log(z):
 
 
 def _c_prime(z):
+    if isinstance(z, float) and -1.0 < z < math.inf:
+        if abs(z) < 1e-4:
+            return float(-1.0 / 6 + z / 6 - 3 * z * z / 20
+                         + 2 * np.power(z, 3) / 15)
+        return float((2 * z - (2 + z) * np.log1p(z)) / np.power(z, 3))
     z = np.asarray(z, dtype=float)
     series = -1.0 / 6 + z / 6 - 3 * z * z / 20 + 2 * z ** 3 / 15
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -228,8 +243,8 @@ def solve_z(m: Mixture) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_at(m: Mixture, x, z: float):
-    a = xi_deriv(m, 1.0, 1)
+def _zeta_at(m: Mixture, x, z: float, a: float):
+    # a = xi'(1), passed in so a scan over x computes it once
     x1 = xi_deriv(m, x, 1)
     return (xi_deriv(m, x) + x1 * (1 - x) + x1 / z
             - (1 + z) * a / z ** 2 * np.log1p(z * x1 / a))
@@ -245,7 +260,7 @@ def zeta(m: Mixture, x):
     z = solve_z(m)
     if z == 0.0:
         raise ValueError("zeta degenerates at z = 0 (replica-symmetric model)")
-    return _zeta_at(m, x, z)
+    return _zeta_at(m, x, z, xi_deriv(m, 1.0, 1))
 
 
 def psi(p: int, s: int, lam: float) -> float:
@@ -316,9 +331,14 @@ def f12(m: Mixture, q, z2):
     f2's z2-dependence enters only through c_log, so its z2 -> 0 limit is
     finite and the strict monotonicity of c transfers to f2.
     """
-    if np.any(np.asarray(q) <= 0.0) or np.any(np.asarray(q) >= 1.0):
+    if isinstance(q, float) and isinstance(z2, float):
+        bad_q, bad_z2 = q <= 0.0 or q >= 1.0, z2 <= -1.0
+    else:
+        bad_q = np.any(np.asarray(q) <= 0.0) or np.any(np.asarray(q) >= 1.0)
+        bad_z2 = np.any(np.asarray(z2) <= -1.0)
+    if bad_q:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    if np.any(np.asarray(z2) <= -1.0):
+    if bad_z2:
         raise ValueError(f"z2 must exceed -1, got {z2}")
     xq = xi_deriv(m, q)
     x1 = xi_deriv(m, q, 1)
@@ -357,6 +377,24 @@ def _h22_floor(m: Mixture, x):
     """
     scale = np.abs(_d1(m, x)) + np.abs(_bfun(m, x))
     return 32 * np.finfo(float).eps * (1 - x) ** 2 * scale
+
+
+_PLATEAU_TOL = 1e-6  # half-width of the bracket certifying an h22 root
+
+
+def _h22_root_certified(m: Mixture, q: float) -> bool:
+    """Whether h22 reads firm opposite signs either side of its root q.
+
+    Near 1, h22 sits only a few orders above its rounding floor, so a
+    root found there (by the edge ladder above all) counts only where
+    h22 clears _h22_floor at both ends of a bracket within _PLATEAU_TOL
+    of q and inside (0, 1), with opposite signs.
+    """
+    xs = np.array([max(q - _PLATEAU_TOL, 0.5 * q),
+                   min(q + _PLATEAU_TOL, 0.5 * (1.0 + q))])
+    vs = eval_h2(m, xs)[1]
+    firm = np.abs(vs) > _h22_floor(m, xs)
+    return bool(vs[0] * vs[1] < 0 and firm.all())
 
 
 def eval_aux(m: Mixture, x):
@@ -416,7 +454,8 @@ def _edge_root(f, lo):
     the scan floor; walk a geometric ladder toward 1 and hand the first
     sign disagreement to brentq. The values there can sit at their own
     rounding floor (for h22 see _h22_floor), where the sign is noise, so
-    the root is a candidate that the caller still has to certify.
+    the root is a candidate that the caller still has to certify with
+    _h22_root_certified.
     """
     a, fa = lo, float(f(lo))
     for k in range(2, 9):
@@ -439,7 +478,8 @@ def landmarks(m: Mixture, eps: float = 1e-12) -> Landmarks:
     read as +noise at the knife edge where the lambda-quadratic has a
     root). The h-roots are then isolated inside (qbar1, qbar2) following
     the case split on qbar2 and, for h22 with qbar2 = 1, on the sign of
-    the full-type onset quadratic.
+    the full-type onset quadratic. An h22 root from the edge ladder that
+    fails its certificate is reported as q22_edge, with q22 None.
     """
     tb = _sign_roots(lambda x: _tau(m, x), 1e-9, 1 - 1e-9)
     if not tb:
@@ -459,7 +499,7 @@ def landmarks(m: Mixture, eps: float = 1e-12) -> Landmarks:
     if scan_h11 or (scan_h21 and qbar2 < 1):
         xs = np.linspace(lo, hi_in, 4096)
         (v11, v21), (v12, v22) = eval_h1(m, xs), eval_h2(m, xs)
-    q11 = q12 = q21 = q22 = None
+    q11 = q12 = q21 = q22 = q22_edge = None
     if scan_h11:
         r = _grid_roots(h11, xs, v11)
         if r:
@@ -485,6 +525,9 @@ def landmarks(m: Mixture, eps: float = 1e-12) -> Landmarks:
                     q22 = _edge_root(h22, lo)
                     if q22 is None:
                         q22 = 1.0
+                    elif not _h22_root_certified(m, q22):
+                        q22, q22_edge = None, q22
             else:
                 q22 = 1.0
-    return Landmarks(qbar1=qbar1, qbar2=qbar2, q11=q11, q12=q12, q21=q21, q22=q22)
+    return Landmarks(qbar1=qbar1, qbar2=qbar2, q11=q11, q12=q12, q21=q21,
+                     q22=q22, q22_edge=q22_edge)

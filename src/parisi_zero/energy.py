@@ -23,8 +23,10 @@ product instead, so pieces with arbitrarily small jumps stay accurate
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -61,12 +63,39 @@ class VerificationReport:
 
 def _phi(y):
     """(-log(1-y) - y) / y^2, elementwise, stable through y = 0."""
+    if isinstance(y, float) and -math.inf < y < 1.0:
+        # plain-float path, same operations and bits as a 0-d array;
+        # NaN and y >= 1 go on to the array path
+        if abs(y) < 1e-4:
+            return float(0.5 + y / 3 + y * y / 4 + np.power(y, 3) / 5)
+        return float((-np.log1p(-y) - y) / (y * y))
     y = np.asarray(y, dtype=float)
     series = 0.5 + y / 3 + y * y / 4 + y ** 3 / 5
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = (-np.log1p(-y) - y) / (y * y)
     out = np.where(np.abs(y) < 1e-4, series, direct)
     return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=4)
+def _tails(m: Mixture, nu: ParisiMeasure) -> tuple[float, ...]:
+    """nu((lo_i, 1]) at the left edge of each segment i, then the atom.
+
+    Cached on the (mixture, measure) pair, so a certification, which runs
+    the verifier and then the energy on one measure, builds it once.
+    """
+    segs = nu.segments
+    n = len(segs)
+    T = [0.0] * (n + 1)
+    T[n] = nu.atom
+    for i in range(n - 1, -1, -1):
+        seg = segs[i]
+        if seg.kind == "const":
+            T[i] = T[i + 1] + seg.value * (seg.hi - seg.lo)
+        else:
+            T[i] = T[i + 1] + (xi_deriv(m, seg.lo, 2) ** -0.5
+                               - xi_deriv(m, seg.hi, 2) ** -0.5)
+    return tuple(T)
 
 
 class _Tables:
@@ -83,15 +112,8 @@ class _Tables:
         self.nu = nu
         segs = nu.segments
         n = len(segs)
-        T = [0.0] * (n + 1)
-        T[n] = nu.atom
-        for i in range(n - 1, -1, -1):
-            seg = segs[i]
-            if seg.kind == "const":
-                T[i] = T[i + 1] + seg.value * (seg.hi - seg.lo)
-            else:
-                T[i] = T[i + 1] + (xi_deriv(m, seg.lo, 2) ** -0.5
-                                   - xi_deriv(m, seg.hi, 2) ** -0.5)
+        self.his = [seg.hi for seg in segs]
+        T = _tails(m, nu)
         C = [0.0] * n
         I = [0.0] * (n + 1)
         J = [0.0] * (n + 1)
@@ -124,8 +146,10 @@ class _Tables:
         self.T, self.I, self.J, self.C = T, I, J, C
 
     def seg_index(self, x):
-        bounds = [seg.hi for seg in self.nu.segments]
-        return int(np.searchsorted(bounds, x, side="left").clip(0, len(bounds) - 1))
+        # np.searchsorted(his, x, side="left") clipped to the last segment,
+        # which is where x past the end or NaN lands
+        his = self.his
+        return bisect.bisect_left(his, x) if x <= his[-1] else len(his) - 1
 
     def J_at(self, x: float) -> float:
         m, segs = self.m, self.nu.segments
@@ -149,7 +173,7 @@ class _Tables:
     def J_grid(self, us: np.ndarray) -> np.ndarray:
         """Vectorized J over a sorted or unsorted array of points."""
         m, segs = self.m, self.nu.segments
-        bounds = np.array([seg.hi for seg in segs])
+        bounds = np.array(self.his)
         idx = np.searchsorted(bounds, us, side="left").clip(0, len(segs) - 1)
         out = np.empty_like(us)
         for i, seg in enumerate(segs):
@@ -180,11 +204,11 @@ class _Tables:
 def g_of(m: Mixture, nu: ParisiMeasure, u):
     """The optimality gap g(u); g(1) = 0 identically."""
     tab = _Tables(m, nu)
-    j1 = tab.J[-1]
+    x1, j1 = xi_deriv(m, 1.0), tab.J[-1]
     if np.ndim(u) == 0:
-        return (xi_deriv(m, 1.0) - xi_deriv(m, float(u))) - (j1 - tab.J_at(float(u)))
+        return (x1 - xi_deriv(m, float(u))) - (j1 - tab.J_at(float(u)))
     us = np.asarray(u, dtype=float)
-    return (xi_deriv(m, 1.0) - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
+    return (x1 - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
 
 
 def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
@@ -194,18 +218,9 @@ def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
     int sqrt(xi'') needs quadrature, and the same number is reused for the
     tail integral when the segment is calibrated.
     """
-    segs = nu.segments
-    T = [0.0] * (len(segs) + 1)
-    T[len(segs)] = nu.atom
-    for i in range(len(segs) - 1, -1, -1):
-        seg = segs[i]
-        if seg.kind == "const":
-            T[i] = T[i + 1] + seg.value * (seg.hi - seg.lo)
-        else:
-            T[i] = T[i + 1] + (xi_deriv(m, seg.lo, 2) ** -0.5
-                               - xi_deriv(m, seg.hi, 2) ** -0.5)
+    T = _tails(m, nu)
     total = xi_deriv(m, 1.0, 1) * nu.atom
-    for i, seg in enumerate(segs):
+    for i, seg in enumerate(nu.segments):
         w = seg.hi - seg.lo
         if seg.kind == "const":
             total += seg.value * (xi_deriv(m, seg.hi) - xi_deriv(m, seg.lo))
@@ -254,18 +269,18 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure, tol: float = 1e-7,
     """
     tab = _Tables(m, nu)
     nerr = abs(tab.norm - xi_deriv(m, 1.0, 1))
-    j1 = tab.J[-1]
+    x1, j1 = xi_deriv(m, 1.0), tab.J[-1]
     us = np.linspace(0.0, 1.0, ngrid)
-    gv = (xi_deriv(m, 1.0) - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
+    gv = (x1 - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
     i0 = int(np.argmin(gv))
     lo, hi = us[max(0, i0 - 1)], us[min(ngrid - 1, i0 + 1)]
     refine = minimize_scalar(
-        lambda x: (xi_deriv(m, 1.0) - xi_deriv(m, x)) - (j1 - tab.J_at(x)),
+        lambda x: (x1 - xi_deriv(m, x)) - (j1 - tab.J_at(x)),
         bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     min_g = min(float(gv.min()), float(refine.fun))
     sup_pts = _support_points(m, nu)
     if sup_pts:
-        gs = (xi_deriv(m, 1.0) - xi_deriv(m, np.asarray(sup_pts))) \
+        gs = (x1 - xi_deriv(m, np.asarray(sup_pts))) \
             - (j1 - tab.J_grid(np.asarray(sup_pts)))
         sres = float(np.abs(gs).max())
     else:

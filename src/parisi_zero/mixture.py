@@ -7,9 +7,15 @@ The whole package works with the one-parameter family
 normalized so xi(1) = 1. Everything downstream (criterion functions,
 measure constructions, energies) consumes xi and its first four
 derivatives through :func:`xi_deriv`, which evaluates the exact
-polynomial with falling-factorial coefficients. No floating-point
-`pow` of non-integer exponents is ever involved, so values are
-bit-reproducible across platforms.
+polynomial with falling-factorial coefficients and integer exponents.
+
+Reproducibility: the powers are numpy ``power`` calls, whose float64
+loop numpy dispatches to CPU-specific SIMD code; on this path it differs
+from the C library's ``pow`` (Python's ``**``) in the last bit for a few
+percent of inputs. So values are not bit-reproducible across CPUs or
+numpy builds. What holds is that a scalar input and the same value in an
+array give the same bits on one numpy build and one CPU: the plain-float
+path for scalars calls ``np.power`` too, never ``**``.
 """
 from __future__ import annotations
 
@@ -68,26 +74,45 @@ def make_mixture(p, s, lam) -> Mixture:
     return Mixture(p, s, lam)
 
 
-def xi_deriv(m: Mixture, x, order: int = 0):
-    """d^order xi / dx^order at x, exactly.
-
-    x may be a scalar or an ndarray; the result matches its shape.
-    Orders 0..4 only (that is all the theory ever uses). x must be
-    nonnegative; the criteria probe slightly above 1, so no upper cap.
-    """
-    if order not in (0, 1, 2, 3, 4):
-        raise ValueError(f"order must be in 0..4, got {order}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be >= 0")
-    out = np.zeros_like(x)
+def _terms(m: Mixture, order: int):
+    # (coefficient, exponent) of each nonzero term of the order-th derivative
+    out = []
     for n, w in ((m.p, m.lam), (m.s, 1.0 - m.lam)):
         if w == 0.0 or n - order < 0:
             continue
         c = w
         for i in range(order):
             c *= n - i
-        out = out + c * x ** (n - order)
+        out.append((c, n - order))
+    return out
+
+
+def xi_deriv(m: Mixture, x, order: int = 0):
+    """d^order xi / dx^order at x, exactly.
+
+    x may be a scalar or an ndarray; the result matches its shape, and a
+    scalar comes back as a Python float. Orders 0..4 only (that is all the
+    theory ever uses). x must be nonnegative; the criteria probe slightly
+    above 1, so no upper cap.
+    """
+    if order not in (0, 1, 2, 3, 4):
+        raise ValueError(f"order must be in 0..4, got {order}")
+    if isinstance(x, float):
+        # plain-float path (np.float64 is a float too): the same operations
+        # as on a 0-d array, without its overhead; np.power, not **, keeps
+        # the array path's bits
+        if x < 0:
+            raise ValueError("x must be >= 0")
+        out = 0.0
+        for c, k in _terms(m, order):
+            out = out + c * np.power(x, k)
+        return float(out)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("x must be >= 0")
+    out = np.zeros_like(x)
+    for c, k in _terms(m, order):
+        out = out + c * x ** k
     if out.ndim == 0:
         return float(out)
     return out

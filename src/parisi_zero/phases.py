@@ -37,7 +37,6 @@ _ZETA_FLOOR = 1e-11  # zeta vanishes identically at both endpoints; the
 _OWN_EPS = 1e-9
 _BISECT_TOL = 1e-6
 _SYSTEM_TOL = 1e-7
-_PLATEAU_TOL = 1e-6  # half-width of the bracket certifying a plateau point
 
 
 @dataclass(frozen=True)
@@ -249,8 +248,9 @@ def boundary_lambdas(b: PhaseBoundaries) -> tuple[float, ...]:
 
 def _zeta_max(m: Mixture, z: float) -> float:
     # coarse grid, then bounded refinement around the top three local maxima
+    a = xi_deriv(m, 1.0, 1)
     xs = np.linspace(0.0, 1.0, 1025)
-    vals = criteria._zeta_at(m, xs, z)
+    vals = criteria._zeta_at(m, xs, z, a)
     inner = vals[1:-1]
     peaks = np.nonzero((inner >= vals[:-2]) & (inner >= vals[2:]))[0] + 1
     # highest first; a stable sort keeps equal peaks in ascending x
@@ -262,7 +262,7 @@ def _zeta_max(m: Mixture, z: float) -> float:
     # upper phase boundary the whole positive part lives there
     windows += [(xs[0], xs[1]), (xs[-2], xs[-1])]
     for lo, hi in windows:
-        r = minimize_scalar(lambda x: -criteria._zeta_at(m, x, z),
+        r = minimize_scalar(lambda x: -criteria._zeta_at(m, x, z, a),
                             bounds=(lo, hi), method="bounded",
                             options={"xatol": 1e-11})
         best = max(best, -float(r.fun))
@@ -310,22 +310,16 @@ def _classify_pure(m: Mixture, tol: float) -> Classification:
 
 
 def _plateau_point(m: Mixture):
-    # first root of h22 in (0, 1), certified to _PLATEAU_TOL; else None
+    # first root of h22 in (0, 1), certified against h22's rounding
+    # floor; else None
     h22 = lambda x: criteria.eval_h2(m, x)[1]
     roots = criteria._sign_roots(h22, 1e-9, 1 - 1e-9)
     # a plateau point pressed against 1 leaves every value past it below
     # the scan's firmness floor, so walk the edge ladder toward 1
     q = roots[0] if roots else criteria._edge_root(h22, 1e-9)
-    if q is None:
+    if q is None or not criteria._h22_root_certified(m, q):
         return None
-    # near 1, h22 sits only a few orders above its rounding floor, so the
-    # root counts only where h22 reads firm opposite signs either side,
-    # within _PLATEAU_TOL of it and inside (0, 1)
-    xs = np.array([max(q - _PLATEAU_TOL, 0.5 * q),
-                   min(q + _PLATEAU_TOL, 0.5 * (1.0 + q))])
-    vs = h22(xs)
-    firm = np.abs(vs) > criteria._h22_floor(m, xs)
-    return q if vs[0] * vs[1] < 0 and firm.all() else None
+    return q
 
 
 def _classify_p2(m: Mixture, b: PhaseBoundaries, tol: float) -> Classification:
@@ -348,6 +342,9 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
     if zmax <= _ZETA_FLOOR:
         return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
     lm = criteria.landmarks(m)
+    if lm.q22_edge is not None:
+        raise ValueError(f"uncertified h22 edge root q22 = {lm.q22_edge!r}: "
+                         f"h22 is at its rounding floor around it")
     if _two_step_window(lm):
         q, z1, z2 = _solve_two_step(m, lm)
         return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",

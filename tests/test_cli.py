@@ -119,6 +119,23 @@ def test_sweep_count_form_and_bad_grids(tmp_path, capsys):
         assert "grid" in err
 
 
+def test_sweep_rejects_huge_grids_and_bad_jobs(tmp_path, capsys):
+    # rejected as usage errors before any grid is allocated: one line on
+    # stderr, exit 1, no output files
+    out = tmp_path / "h.csv"
+    for extra in (("--lambda-grid", "0:1:1e-12"),
+                  ("--lambda-grid", "0:1", "--count", str(10 ** 12)),
+                  ("--lambda-grid", "0:1:1e-320"),
+                  ("--lambda-grid", "0:1:0.5", "--jobs", "0"),
+                  ("--lambda-grid", "0:1:0.5", "--jobs", "-3")):
+        rc, _, err = run(capsys, "sweep", "--p", "4", "--s", "18",
+                         "--out", str(out), *extra)
+        assert rc == 1, extra
+        assert len(err.splitlines()) == 1, err
+        assert ("grid" in err) != ("--jobs" in err), err
+    assert not out.exists()
+
+
 def test_verify_round_trip(tmp_path, capsys):
     rc, out, _ = run(capsys, "classify", "--p", "4", "--s", "18",
                      "--lambda", "0.5")

@@ -287,11 +287,14 @@ def test_f2_z_to_zero_limit():
 
 
 def test_f12_rejects_bad_domain():
+    # scalars take plain-float checks, arrays the elementwise ones
     m = make_mixture(4, 38, 0.7)
-    with pytest.raises(ValueError):
-        f12(m, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        f12(m, 1.5, 0.5)
+    for q, z2 in ((0.5, -1.0), (1.5, 0.5), (0.0, 0.5), (1.0, 0.5),
+                  (np.float64(0.5), np.float64(-1.5)),
+                  (np.array([0.5, 1.0]), np.array([0.5, 0.5])),
+                  (np.array([0.5]), np.array([-1.0]))):
+        with pytest.raises(ValueError):
+            f12(m, q, z2)
 
 
 # ------------------------------------------------------ auxiliary polynomials

@@ -190,7 +190,7 @@ def test_p2_plateau_point_pressed_against_one(s, d):
     assert c.report.passed and not c.on_boundary
     assert c.params["variant"] == "density-below"
     assert c.params["q_P"] == pytest.approx(_PLATEAU_REF[s, d],
-                                            abs=phases._PLATEAU_TOL)
+                                            abs=criteria._PLATEAU_TOL)
 
 
 def test_p2_plateau_point_near_zero_just_past_entry():
@@ -209,6 +209,21 @@ def test_plateau_point_rejects_an_edge_root_in_rounding_noise():
     m = make_mixture(2, 3, 1 - 1e-4)
     assert criteria._edge_root(lambda x: eval_h2(m, x)[1], 1e-9) is not None
     assert phases._plateau_point(m) is None
+
+
+def test_landmarks_turn_down_an_uncertified_edge_root():
+    # 1e-7 below lambda_2to1F in (4, 38) the edge ladder brackets h22 at
+    # 0.9999999874, but h22 1e-6 either side of it reads 1.8e-27 and
+    # -1.4e-31, under its rounding floor (the 60-digit root is
+    # 0.9999996136); landmarks must not pass that root on as q22, and
+    # classify must name it as the reason the point stays Unresolved
+    lam = boundaries(4, 38).general["lambda_2to1F"] - 1e-7
+    lm = criteria.landmarks(make_mixture(4, 38, lam))
+    assert lm.q22 is None
+    assert lm.q22_edge == pytest.approx(0.9999999874, abs=1e-9)
+    c = classify(4, 38, lam)
+    assert c.phase == "Unresolved"
+    assert "uncertified h22 edge root" in c.detail
 
 
 def _expected_phase(family, lam):

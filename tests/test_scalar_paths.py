@@ -1,0 +1,88 @@
+"""Plain-float fast paths against the array paths they stand in for.
+
+Scalar calls (a Python float or an np.float64) skip numpy's 0-d array
+machinery, but must give the same bits as the same value in an array:
+compared with ==, never with a tolerance. numpy's SIMD power and the C
+library's pow (Python's **) differ in the last bit for a few percent of
+inputs, so a fast path that used ** would fail here.
+"""
+import numpy as np
+import pytest
+
+from parisi_zero import criteria, energy, make_mixture, xi_deriv
+from parisi_zero.measure import ParisiMeasure, Segment
+
+FAMILIES = [(2, 3, 0.4), (2, 4, 0.7), (2, 30, 0.2), (3, 20, 0.8),
+            (4, 38, 0.61), (4, 28, 0.9), (8, 60, 0.3), (5, 5, 1.0)]
+
+
+def _xs():
+    rng = np.random.default_rng(11)
+    return [0.0, 1.0, 1.0 + 1e-12,
+            *map(float, rng.uniform(0.0, 1.0, 200)),
+            *map(float, rng.uniform(0.999, 1.0001, 60))]
+
+
+def _same_as_array(f, x):
+    # value, type and np.float64 input against the one-element array path
+    want = f(np.array([x]))[0]
+    got = f(x)
+    assert type(got) is float, (x, type(got))
+    assert got == want, (x, got, want)
+    got64 = f(np.float64(x))
+    assert type(got64) is float and got64 == want, x
+
+
+@pytest.mark.parametrize("p, s, lam", FAMILIES)
+def test_xi_deriv_scalar_path_matches_array_path(p, s, lam):
+    m = make_mixture(p, s, lam)
+    for order in range(5):
+        for x in _xs():
+            _same_as_array(lambda v: xi_deriv(m, v, order), x)
+
+
+def test_xi_deriv_scalar_path_rejects_negative_x():
+    m = make_mixture(4, 38, 0.61)
+    for x in (-1e-300, -0.5, np.float64(-0.01)):
+        with pytest.raises(ValueError):
+            xi_deriv(m, x)
+
+
+def test_c_log_scalar_path_matches_array_path():
+    rng = np.random.default_rng(12)
+    seam = [sg * (0.1 + d) for sg in (1, -1) for d in (-1e-12, 0.0, 1e-12)]
+    zs = [*seam, 1e-9, -0.999, *map(float, rng.uniform(-0.999, 10.0, 300)),
+          *map(float, rng.uniform(-0.15, 0.15, 100))]
+    for z in zs:
+        _same_as_array(criteria.c_log, z)
+    with pytest.raises(ValueError):
+        criteria.c_log(-1.0)
+
+
+def test_c_prime_scalar_path_matches_array_path():
+    rng = np.random.default_rng(13)
+    seam = [sg * (1e-4 + d) for sg in (1, -1) for d in (-1e-12, 0.0, 1e-12)]
+    zs = [*seam, 0.0, *map(float, rng.uniform(-0.999, 10.0, 300)),
+          *map(float, rng.uniform(-2e-4, 2e-4, 100))]
+    for z in zs:
+        _same_as_array(criteria._c_prime, z)
+
+
+def test_phi_scalar_path_matches_array_path():
+    rng = np.random.default_rng(14)
+    seam = [sg * (1e-4 + d) for sg in (1, -1) for d in (-1e-12, 0.0, 1e-12)]
+    ys = [*seam, 0.0, 0.999999, *map(float, rng.uniform(-5.0, 0.9999, 300)),
+          *map(float, rng.uniform(-2e-4, 2e-4, 100))]
+    for y in ys:
+        _same_as_array(energy._phi, y)
+
+
+def test_seg_index_matches_searchsorted():
+    segs = (Segment(0.0, 0.3, "const", 0.1), Segment(0.3, 0.7, "const", 0.2),
+            Segment(0.7, 1.0, "const", 0.4))
+    tab = energy._Tables(make_mixture(4, 38, 0.61), ParisiMeasure(segs, 0.5))
+    his = np.array([seg.hi for seg in segs])
+    for x in (0.0, 0.3, np.nextafter(0.3, 1.0), 0.5, 0.7, 1.0, 1.5, -0.1,
+              float("nan")):
+        want = int(np.searchsorted(his, x, side="left").clip(0, len(his) - 1))
+        assert tab.seg_index(x) == want, x
