@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -182,6 +181,11 @@ def _cmd_sweep(args, tol) -> int:
     blams = boundary_lambdas(boundaries(args.p, args.s))
     jobs = [(args.p, args.s, float(l), tol, blams) for l in grid]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # full-phase energies need quad; importing it here, before the
+        # fork, lets the workers share one import instead of each paying
+        import scipy.integrate  # noqa: F401
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, jobs,
                                  chunksize=max(1, len(jobs) // (4 * args.jobs))))

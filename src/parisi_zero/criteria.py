@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._solve import brentq
 from .mixture import Mixture, xi_deriv
 
 __all__ = [
@@ -443,8 +443,8 @@ def _grid_roots(f, xs, vs):
     firm = np.nonzero(np.abs(vs) > eps)[0]
     a, b = firm[:-1], firm[1:]
     flips = np.nonzero(vs[a] * vs[b] < 0.0)[0]
-    return [brentq(lambda t: float(f(t)), xs[a[i]], xs[b[i]],
-                   xtol=1e-14, rtol=8.9e-16) for i in flips]
+    return [brentq(f, xs[a[i]], xs[b[i]], xtol=1e-14, rtol=8.9e-16)
+            for i in flips]
 
 
 def _edge_root(f, lo):
@@ -464,8 +464,7 @@ def _edge_root(f, lo):
             continue
         fx = float(f(x))
         if fa != 0.0 and fx != 0.0 and (fa > 0.0) != (fx > 0.0):
-            return brentq(lambda t: float(f(t)), a, x,
-                          xtol=1e-14, rtol=8.9e-16)
+            return brentq(f, a, x, xtol=1e-14, rtol=8.9e-16)
         a, fa = x, fx
     return None
 

@@ -5,8 +5,10 @@ functional
 
     Q(nu) = 1/2 * ( int_0^1 xi'(x) nu(dx) + int_0^1 dx / nu((x,1]) )
 
-in closed form on constant segments and by quadrature (abs tol 1e-10) on
-full ones. ``g_of`` evaluates the optimality gap
+in closed form on constant segments and by quadrature (scipy's ``quad``,
+abs tol 1e-12) on full ones; ``quad`` is imported on the first full
+segment, so step measures never load scipy. ``g_of`` evaluates the
+optimality gap
 
     g(u) = int_u^1 ( xi'(t) - int_0^t dr / nu((r,1])^2 ) dt,
 
@@ -29,9 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
+from ._solve import fminbound
 from .measure import ParisiMeasure, wtilde
 from .mixture import Mixture, xi_deriv
 
@@ -134,6 +135,7 @@ class _Tables:
                                 - xi_deriv(m, seg.lo) - xi_deriv(m, seg.lo, 1) * w)
                 else:
                     # off-calibration full segment: no closed form, integrate
+                    from scipy.integrate import quad
                     c = C[i]
                     I[i + 1] = I[i] + quad(
                         lambda r: (xi_deriv(m, r, 2) ** -0.5 + c) ** -2.0,
@@ -164,6 +166,7 @@ class _Tables:
         if abs(self.C[i]) < _CALIB_EPS:
             return (self.J[i] + self.I[i] * w + xi_deriv(m, x)
                     - xi_deriv(m, seg.lo) - xi_deriv(m, seg.lo, 1) * w)
+        from scipy.integrate import quad
         c = self.C[i]
         inner = quad(lambda u: quad(
             lambda r: (xi_deriv(m, r, 2) ** -0.5 + c) ** -2.0,
@@ -229,6 +232,7 @@ def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
             else:
                 total += math.log1p(seg.value * w / T[i + 1]) / seg.value
         else:
+            from scipy.integrate import quad
             sq = quad(lambda r: math.sqrt(xi_deriv(m, r, 2)),
                       seg.lo, seg.hi, epsabs=_QUAD_EPS)[0]
             total += (xi_deriv(m, seg.lo, 1) * xi_deriv(m, seg.lo, 2) ** -0.5
@@ -274,10 +278,10 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure, tol: float = 1e-7,
     gv = (x1 - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
     i0 = int(np.argmin(gv))
     lo, hi = us[max(0, i0 - 1)], us[min(ngrid - 1, i0 + 1)]
-    refine = minimize_scalar(
-        lambda x: (x1 - xi_deriv(m, x)) - (j1 - tab.J_at(x)),
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    min_g = min(float(gv.min()), float(refine.fun))
+    _, g_ref = fminbound(
+        lambda x: (x1 - xi_deriv(m, x)) - (j1 - tab.J_at(x)), lo, hi,
+        xatol=1e-12)
+    min_g = min(float(gv.min()), g_ref)
     sup_pts = _support_points(m, nu)
     if sup_pts:
         gs = (x1 - xi_deriv(m, np.asarray(sup_pts))) \

@@ -19,7 +19,7 @@ path for scalars calls ``np.power`` too, never ``**``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class Mixture:
 
     ``is_pure`` marks single-term models (p == s after canonicalization);
     ``exponent`` is the effective exponent in that case and None otherwise.
+    ``terms`` holds, for each derivative order 0..4, the (coefficient,
+    exponent) pairs of xi's nonzero terms; it is filled at construction
+    and takes no part in equality, hashing or repr.
     """
 
     p: int
@@ -39,6 +42,11 @@ class Mixture:
     lam: float
     is_pure: bool = False
     exponent: int | None = None
+    terms: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms",
+                           tuple(_terms(self, order) for order in range(5)))
 
 
 def _as_int(name, value):
@@ -84,7 +92,7 @@ def _terms(m: Mixture, order: int):
         for i in range(order):
             c *= n - i
         out.append((c, n - order))
-    return out
+    return tuple(out)
 
 
 def xi_deriv(m: Mixture, x, order: int = 0):
@@ -104,14 +112,14 @@ def xi_deriv(m: Mixture, x, order: int = 0):
         if x < 0:
             raise ValueError("x must be >= 0")
         out = 0.0
-        for c, k in _terms(m, order):
+        for c, k in m.terms[order]:
             out = out + c * np.power(x, k)
         return float(out)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be >= 0")
     out = np.zeros_like(x)
-    for c, k in _terms(m, order):
+    for c, k in m.terms[order]:
         out = out + c * x ** k
     if out.ndim == 0:
         return float(out)

@@ -4,13 +4,16 @@ This module deliberately knows nothing about phase classification or the
 closed-form constructions. It parametrizes a density with k upward jumps
 plus the terminal atom, evaluates the functional in exact closed form
 (the tail is piecewise linear, so every piece is a log), and minimizes
-with L-BFGS-B from many starts. The functional is smooth in the search
-parameters (stick-breaking logits for the jump locations, logs for the
-jump sizes and the atom), so its gradient is exact and closed form too:
-one backward pass through the tail recursion, then the chain rule
-through the parametrization. Each level k is warm-started from the
-level k-1 optimum with a near-zero jump inserted into its widest gap, so
-the reported energies are nonincreasing in k by construction.
+with L-BFGS-B from many starts. That is scipy's, reached through the
+module-level `minimize`, which imports it on the first solve, so
+importing this module does not load scipy. The functional is smooth in
+the search parameters (stick-breaking logits for the jump locations,
+logs for the jump sizes and the atom), so its gradient is exact and
+closed form too: one backward pass through the tail recursion, then the
+chain rule through the parametrization. Each level k is warm-started
+from the level k-1 optimum with a near-zero jump inserted into its
+widest gap, so the reported energies are nonincreasing in k by
+construction.
 
 The search profile over k is the independent evidence the classifier is
 checked against: a k-step ground state shows up as the chain saturating
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .mixture import Mixture, xi_deriv
 
@@ -36,18 +38,23 @@ _LOG_FLOOR, _LOG_ADD_CAP, _LOG_ATOM_CAP = -45.0, 10.0, 5.0
 _LBFGSB = {"ftol": 1e-16, "gtol": 1e-12, "maxcor": 30}
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    A module-level name that `_chain` looks up at call time, so scipy
+    loads only when a search runs, and a wrapper set on it sees every
+    solve.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class StepMeasure:
     """Piecewise-constant density: jumps ((q1, a1), ...) and atom at 1."""
 
     jumps: tuple[tuple[float, float], ...]
     atom: float
-
-
-def _xi_terms(m: Mixture):
-    """xi as plain-float pairs (w, n), xi(x) = sum of w * x**n."""
-    return tuple((w, n) for n, w in ((m.p, m.lam), (m.s, 1.0 - m.lam))
-                 if w != 0.0)
 
 
 def _functional(terms, xi1, qs, adds, atom):
@@ -57,6 +64,7 @@ def _functional(terms, xi1, qs, adds, atom):
     and tails T_j = T_{j+1} + c_j w_j from T_{k+1} = atom, the energy is
     half of xi'(1) atom + sum_j [c_j (xi(e_{j+1}) - xi(e_j)) + L_j] with
     L_j = log(1 + c_j w_j / T_{j+1}) / c_j (w_j / T_{j+1} where c_j = 0).
+    terms are xi's (weight, exponent) pairs, ``Mixture.terms[0]``, and
     xi1 is xi'(1); plain floats throughout.
     """
     k = len(qs)
@@ -111,7 +119,7 @@ def step_energy(m: Mixture, sm: StepMeasure) -> float:
         raise ValueError("jump locations must be sorted within [0, 1]")
     if any(a < 0.0 for a in adds):
         raise ValueError("jump sizes must be nonnegative")
-    return _functional(_xi_terms(m), xi_deriv(m, 1.0, 1), qs, adds,
+    return _functional(m.terms[0], xi_deriv(m, 1.0, 1), qs, adds,
                        sm.atom)[0]
 
 
@@ -222,7 +230,7 @@ def _level_starts(k, prev, rng, restarts):
 
 def _chain(m: Mixture, kmax: int, restarts: int, seed: int):
     rng = np.random.default_rng(seed)
-    terms = _xi_terms(m)
+    terms = m.terms[0]
     xi1 = xi_deriv(m, 1.0, 1)
     energies: list[float] = []
     triples = []

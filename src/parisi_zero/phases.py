@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import criteria
+from ._solve import brentq, fminbound
 from .energy import VerificationReport, cs_energy, verify_parisi
 from .measure import (ParisiMeasure, build_1frsb, build_1rsb, build_2frsb,
                       build_2rsb, build_frsb, build_rs)
@@ -262,10 +262,9 @@ def _zeta_max(m: Mixture, z: float) -> float:
     # upper phase boundary the whole positive part lives there
     windows += [(xs[0], xs[1]), (xs[-2], xs[-1])]
     for lo, hi in windows:
-        r = minimize_scalar(lambda x: -criteria._zeta_at(m, x, z, a),
-                            bounds=(lo, hi), method="bounded",
-                            options={"xatol": 1e-11})
-        best = max(best, -float(r.fun))
+        _, fmin = fminbound(lambda x: -criteria._zeta_at(m, x, z, a),
+                            lo, hi, xatol=1e-11)
+        best = max(best, -fmin)
     return best
 
 

@@ -1,9 +1,13 @@
 """End-to-end CLI behavior through in-process main() calls."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import parisi_zero
 from parisi_zero.cli import PHASE_INDEX, SCHEMA_TAG, SWEEP_COLUMNS, main
 
 
@@ -207,3 +211,55 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as e:
         main(["classify", "--p", "4", "--s", "18"])  # missing --lambda
     assert e.value.code == 1
+
+
+def test_sweep_across_full_phases_same_at_any_job_count(tmp_path, capsys):
+    # a (4,38) band from TwoRSB through TwoFRSB and OneFRSB to OneRSB: the
+    # pooled run imports quad before it forks, and its rows match serial
+    base = ("sweep", "--p", "4", "--s", "38", "--lambda-grid", "0.980:0.991",
+            "--count", "12")
+    serial, pooled = tmp_path / "j1.csv", tmp_path / "j2.csv"
+    assert run(capsys, *base, "--out", str(serial))[0] == 0
+    assert run(capsys, *base, "--out", str(pooled), "--jobs", "2")[0] == 0
+    assert serial.read_bytes() == pooled.read_bytes()
+    assert ((tmp_path / "j1.dat").read_bytes()
+            == (tmp_path / "j2.dat").read_bytes())
+    phases = [dict(zip(SWEEP_COLUMNS, l.split(",")))["phase"]
+              for l in serial.read_text().splitlines()[2:]]
+    assert {"TwoRSB", "TwoFRSB", "OneFRSB", "OneRSB"} <= set(phases)
+
+
+_STEP_PHASES_WITHOUT_SCIPY = """
+import sys
+
+def scipy_modules():
+    return sorted(k for k in sys.modules
+                  if k == "scipy" or k.startswith("scipy."))
+
+import parisi_zero.cli
+from parisi_zero import boundaries, classify
+
+assert not scipy_modules(), ("import", scipy_modules())
+boundaries(4, 38)
+assert not scipy_modules(), ("boundaries", scipy_modules())
+for lam, phase in ((0.95, "TwoRSB"), (0.5, "OneRSB")):
+    cl = classify(4, 38, lam)
+    assert cl.phase == phase and cl.report.passed, (lam, cl)
+assert not scipy_modules(), ("classify", scipy_modules())
+cl = classify(4, 38, 0.985)
+assert cl.phase == "TwoFRSB" and cl.report.passed, cl
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_step_phases_never_load_scipy():
+    # the CLI import, a boundary solve and step-phase classifications stay
+    # clear of scipy; a full phase still certifies, with quad loaded lazily
+    src = os.path.dirname(os.path.dirname(parisi_zero.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _STEP_PHASES_WITHOUT_SCIPY],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

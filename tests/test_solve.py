@@ -1,0 +1,168 @@
+"""Plain-float Brent solvers against scipy's, iterate for iterate.
+
+The package's own solves are recorded at their call sites (so the
+functions, brackets and tolerances are exactly the ones classification
+and the boundary solves use) and replayed through both implementations;
+the synthetic cases cover the corners of the loops.
+"""
+import math
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+from parisi_zero import _solve, criteria, energy, phases
+from parisi_zero import boundaries, build_2frsb, make_mixture, verify_parisi
+
+
+def _logged(f, xs):
+    def g(x):
+        xs.append(float(x))
+        return f(x)
+    return g
+
+
+def _same_root(f, a, b, **kw):
+    ours, theirs = [], []
+    r = _solve.brentq(_logged(f, ours), a, b, **kw)
+    s = scipy.optimize.brentq(_logged(f, theirs), a, b, **kw)
+    assert type(r) is float
+    assert r == s and ours == theirs, (a, b, kw)
+    return r
+
+
+def _same_min(f, a, b, **kw):
+    ours, theirs = [], []
+    x, fx = _solve.fminbound(_logged(f, ours), a, b, **kw)
+    opts = {"xatol": kw["xatol"]} if "xatol" in kw else {}
+    if "maxfun" in kw:
+        opts["maxiter"] = kw["maxfun"]
+    res = scipy.optimize.minimize_scalar(_logged(f, theirs), bounds=(a, b),
+                                         method="bounded", options=opts)
+    assert type(x) is float and type(fx) is float
+    assert x == float(res.x) and fx == float(res.fun), (a, b, kw)
+    assert ours == theirs
+    return x, fx
+
+
+def _record(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def rec(f, a, b, **kw):
+        calls.append((f, a, b, kw))
+        return real(f, a, b, **kw)
+    monkeypatch.setattr(module, name, rec)
+    return calls
+
+
+def test_package_root_solves_match_scipy(monkeypatch):
+    # the psi roots and both boundary polishes' seeds (phases), the tilt
+    # inversion and every landmark root (criteria), the two-step phi
+    crit = _record(monkeypatch, criteria, "brentq")
+    phs = _record(monkeypatch, phases, "brentq")
+    boundaries.__wrapped__(4, 38)
+    boundaries.__wrapped__(2, 8)
+    for p, s, lam in ((4, 38, 0.95), (4, 38, 0.985), (4, 38, 0.988),
+                      (3, 20, 0.9), (2, 8, 0.5), (2, 4, 0.93)):
+        m = make_mixture(p, s, lam)
+        if p == 2:
+            phases._classify_p2(m, boundaries(p, s), 1e-7)
+        else:
+            phases._classify_general(m, 1e-7)
+    assert len(phs) >= 4 and len(crit) >= 50
+    # the two-step phi and the p = 2 entry are among the recorded solves
+    assert any(kw.get("xtol") == 1e-14 and f.__name__ == "phi"
+               for f, _, _, kw in phs)
+    assert any(f.__name__ == "entry" for f, _, _, _ in phs)
+    monkeypatch.undo()
+    for f, a, b, kw in crit + phs:
+        _same_root(f, a, b, **kw)
+
+
+def test_package_bounded_minimizations_match_scipy(monkeypatch):
+    # the _zeta_at windows of _zeta_max and verify_parisi's refinement
+    zeta_calls = _record(monkeypatch, phases, "fminbound")
+    ref_calls = _record(monkeypatch, energy, "fminbound")
+    for p, s, lam in ((4, 38, 0.5), (4, 38, 0.95), (4, 38, 0.985),
+                      (3, 20, 0.99), (4, 4, 1.0)):
+        m = make_mixture(p, s, lam)
+        phases._zeta_max(m, criteria.solve_z(m))
+    m = make_mixture(4, 38, 0.985)
+    lm = criteria.landmarks(m)
+    verify_parisi(m, build_2frsb(m, lm.q12, lm.q22))
+    for p, s, lam in ((4, 38, 0.95), (2, 8, 0.5), (3, 20, 0.9)):
+        phases.classify(p, s, lam)
+    assert len(zeta_calls) >= 15 and len(ref_calls) >= 4
+    monkeypatch.undo()
+    for f, a, b, kw in zeta_calls + ref_calls:
+        _same_min(f, a, b, **kw)
+
+
+@pytest.mark.parametrize("f, a, b, kw", [
+    # several roots in the bracket: the same one is found
+    (lambda x: math.sin(10 * x), 0.1, 3.0, {}),
+    (lambda x: math.cos(7 * x) + 0.1, 0.0, 1.35, {"xtol": 1e-14}),
+    # an exact zero at either end comes back at once
+    (lambda x: x - 0.25, 0.25, 1.0, {}),
+    (lambda x: x - 1.0, 0.25, 1.0, {}),
+    # values so small that the extrapolation's denominator underflows to
+    # zero, where scipy's C loop divides by it and bisects
+    (lambda x: 1e-300 * (x - 0.3) ** 3, 0.0, 1.0, {}),
+    (lambda x: 1e-200 * (math.exp(x) - 2.0), 0.0, 1.0, {}),
+    # tiny brackets, down to one ulp
+    (lambda x: x - 0.5 - 2.0 ** -54, 0.5, math.nextafter(0.5, 1.0), {}),
+    (lambda x: x * x - 2.0, 1.4142135623730, 1.4142135623731,
+     {"xtol": 1e-16}),
+    # np.float64 ends, as _grid_roots passes them
+    (lambda x: math.tanh(x - 0.7), np.float64(0.0), np.float64(2.0),
+     {"xtol": 1e-14, "rtol": 8.9e-16}),
+    # the end with the smaller value first
+    (lambda x: 0.7 - x ** 3, 1.0, 0.0, {}),
+])
+def test_brentq_synthetic_cases_match_scipy(f, a, b, kw):
+    _same_root(f, a, b, **kw)
+
+
+@pytest.mark.parametrize("f, a, b, kw", [
+    (math.cos, 0.0, 2 * math.pi, {}),
+    (math.cos, 0.0, 2 * math.pi, {"xatol": 1e-12}),
+    (lambda x: x, 0.0, 1.0, {"xatol": 1e-11}),    # minimum at an end
+    (lambda x: -x, 0.0, 1.0, {"xatol": 1e-11}),
+    (lambda x: 1.0, 0.0, 1.0, {}),                # flat: every value ties
+    (lambda x: abs(x - 0.3), 0.0, 1.0, {"xatol": 1e-12}),
+    (lambda x: (x - 0.5) ** 2, 0.0, 1.0, {}),     # a parabola lands on it
+    # a staircase: ties between new and kept values steer the bookkeeping
+    (lambda x: round(abs(x - 0.32383276483316237), 2), 0.0, 1.0, {}),
+    (lambda x: round(abs(x - 0.4745706786885481), 2), 0.0, 1.0, {}),
+    (lambda x: (x - 0.3) ** 4, 0.0, 1.0, {"xatol": 1e-12}),
+    (math.cos, 0.0, 2 * math.pi, {"maxfun": 5}),  # stops early, no raise
+    (math.cos, 1.0, 1.0, {}),                     # empty interval
+    (lambda x: (x - 0.4) ** 2, np.float64(0.25), np.float64(0.5),
+     {"xatol": 1e-12}),
+])
+def test_fminbound_synthetic_cases_match_scipy(f, a, b, kw):
+    _same_min(f, a, b, **kw)
+
+
+def test_errors_keep_scipy_types():
+    with pytest.raises(ValueError):
+        _solve.brentq(lambda x: x + 1.0, 0.0, 1.0)  # same sign at both ends
+    with pytest.raises(ValueError, match="NaN"):
+        _solve.brentq(lambda x: math.nan, 0.0, 1.0)
+    # NaN met inside the bracket, not at an end
+    with pytest.raises(ValueError, match="NaN"):
+        _solve.brentq(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
+                      0.0, 1.0)
+    with pytest.raises(RuntimeError):
+        _solve.brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, maxiter=2)
+    with pytest.raises(RuntimeError):
+        scipy.optimize.brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, maxiter=2)
+    with pytest.raises(ValueError):
+        _solve.brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
+    with pytest.raises(ValueError):
+        _solve.brentq(lambda x: x, -1.0, 1.0, rtol=1e-16)
+    with pytest.raises(ValueError):
+        _solve.fminbound(math.cos, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        _solve.fminbound(math.cos, 0.0, math.inf)
