@@ -183,9 +183,6 @@ def _cmd_sweep(args, tol) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # full-phase energies need quad; importing it here, before the
-        # fork, lets the workers share one import instead of each paying
-        import scipy.integrate  # noqa: F401
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, jobs,
                                  chunksize=max(1, len(jobs) // (4 * args.jobs))))
@@ -307,7 +304,8 @@ def main(argv=None) -> int:
         tol = float(os.environ.get("PARISI_TOL", "1e-7"))
     try:
         return _COMMANDS[args.command](args, tol)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # ArithmeticError: e.g. a measure file whose tail underflows to zero
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -122,18 +122,6 @@ def _d1(m, x):
     return m.p * lam * _gsum(m.p - 1, x) + m.s * mu * _gsum(m.s - 1, x)
 
 
-def _d2(m, x):
-    # (D1(x) - xi''(x)) / (1 - x); equals xi'''(1)/2 at x=1
-    lam, mu = m.lam, 1.0 - m.lam
-    return m.p * lam * _wsum(m.p - 2, x) + m.s * mu * _wsum(m.s - 2, x)
-
-
-def _afun(m, x):
-    # (1 - xi(x)) / (1 - x)
-    lam, mu = m.lam, 1.0 - m.lam
-    return lam * _gsum(m.p, x) + mu * _gsum(m.s, x)
-
-
 def _bfun(m, x):
     # (xi'(x) - A(x)) / (x - 1); equals xi''(1)/2 at x=1
     lam, mu = m.lam, 1.0 - m.lam

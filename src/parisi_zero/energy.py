@@ -5,10 +5,9 @@ functional
 
     Q(nu) = 1/2 * ( int_0^1 xi'(x) nu(dx) + int_0^1 dx / nu((x,1]) )
 
-in closed form on constant segments and by quadrature (scipy's ``quad``,
-abs tol 1e-12) on full ones; ``quad`` is imported on the first full
-segment, so step measures never load scipy. ``g_of`` evaluates the
-optimality gap
+in closed form on constant segments and by a numpy Gauss-Legendre rule
+(``_gauss``) on full ones, so nothing here loads scipy.
+``g_of`` evaluates the optimality gap
 
     g(u) = int_u^1 ( xi'(t) - int_0^t dr / nu((r,1])^2 ) dt,
 
@@ -39,7 +38,9 @@ from .mixture import Mixture, xi_deriv
 __all__ = ["VerificationReport", "cs_energy", "g_of", "verify_parisi"]
 
 _CALIB_EPS = 1e-11  # a full segment with |offset| below this is treated as exact
-_QUAD_EPS = 1e-12  # absolute quadrature tolerance for the full-segment integrals
+_QUAD_EPS = 1e-12  # the 32- and 64-node rules must agree this closely on a piece
+_QUAD_DEPTH = 10  # halvings of a full segment before its integral is given up
+_GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in (32, 64))
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,25 @@ def _phi(y):
     return float(out) if out.ndim == 0 else out
 
 
+def _gauss(f, a, b, depth=0):
+    """int_a^b f(r) dr for f smooth on [a, b]; f gets the nodes on its
+    last axis, and leading axes of its value are kept as a batch.
+
+    The 64-node Gauss-Legendre sum is taken where the 32-node sum agrees
+    with it to _QUAD_EPS, else each half is integrated alike, at most
+    _QUAD_DEPTH halvings deep (Trefethen, SIAM Review 50, 2008).
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    q32, q64 = (half * (f(mid + half * x) @ wt) for x, wt in _GAUSS)
+    if not np.isfinite(q64).all():
+        raise ValueError("full-segment integrand is not finite")
+    if np.max(np.abs(q64 - q32)) <= _QUAD_EPS:
+        return q64
+    if depth == _QUAD_DEPTH:
+        raise ValueError(f"full-segment quadrature did not converge on [{a}, {b}]")
+    return _gauss(f, a, mid, depth + 1) + _gauss(f, mid, b, depth + 1)
+
+
 @lru_cache(maxsize=4)
 def _tails(m: Mixture, nu: ParisiMeasure) -> tuple[float, ...]:
     """nu((lo_i, 1]) at the left edge of each segment i, then the atom.
@@ -114,38 +134,45 @@ class _Tables:
         segs = nu.segments
         n = len(segs)
         self.his = [seg.hi for seg in segs]
-        T = _tails(m, nu)
-        C = [0.0] * n
-        I = [0.0] * (n + 1)
-        J = [0.0] * (n + 1)
+        self.T = T = _tails(m, nu)
+        self.C = C = [0.0] * n
+        self.I = I = [0.0] * (n + 1)
+        self.J = J = [0.0] * (n + 1)
         for i, seg in enumerate(segs):
-            w = seg.hi - seg.lo
             if seg.kind == "const":
-                I[i + 1] = I[i] + w / (T[i] * T[i + 1])
-                if seg.value == 0.0:
-                    J[i + 1] = J[i] + I[i] * w + w * w / (2 * T[i] * T[i])
-                else:
-                    y = seg.value * w / T[i]
-                    J[i + 1] = J[i] + I[i] * w + (w * w / (T[i] * T[i])) * _phi(y)
+                I[i + 1] = I[i] + (seg.hi - seg.lo) / (T[i] * T[i + 1])
             else:
                 C[i] = T[i + 1] - xi_deriv(m, seg.hi, 2) ** -0.5
                 if abs(C[i]) < _CALIB_EPS:
                     I[i + 1] = I[i] + xi_deriv(m, seg.hi, 1) - xi_deriv(m, seg.lo, 1)
-                    J[i + 1] = (J[i] + I[i] * w + xi_deriv(m, seg.hi)
-                                - xi_deriv(m, seg.lo) - xi_deriv(m, seg.lo, 1) * w)
                 else:
-                    # off-calibration full segment: no closed form, integrate
-                    from scipy.integrate import quad
-                    c = C[i]
-                    I[i + 1] = I[i] + quad(
-                        lambda r: (xi_deriv(m, r, 2) ** -0.5 + c) ** -2.0,
-                        seg.lo, seg.hi, epsabs=_QUAD_EPS / 10)[0]
-                    J[i + 1] = J[i] + I[i] * w + quad(
-                        lambda u: quad(
-                            lambda r: (xi_deriv(m, r, 2) ** -0.5 + c) ** -2.0,
-                            seg.lo, u, epsabs=_QUAD_EPS)[0],
-                        seg.lo, seg.hi, epsabs=_QUAD_EPS * 10)[0]
-        self.T, self.I, self.J, self.C = T, I, J, C
+                    I[i + 1] = I[i] + _gauss(lambda r: self._off(i, r),
+                                             seg.lo, seg.hi)
+            J[i + 1] = self._J_in(i, seg.hi)
+
+    def _off(self, i, r):
+        # 1 / T(r)^2 on an off-calibration full segment i
+        return (xi_deriv(self.m, r, 2) ** -0.5 + self.C[i]) ** -2.0
+
+    def _J_in(self, i, x):
+        """J at x (a float or an array) inside segment i."""
+        seg = self.nu.segments[i]
+        w = x - seg.lo
+        base = self.J[i] + self.I[i] * w
+        if seg.kind == "const":
+            T = self.T[i]
+            if seg.value == 0.0:
+                return base + w * w / (2 * T * T)
+            return base + (w * w / (T * T)) * _phi(seg.value * w / T)
+        if abs(self.C[i]) < _CALIB_EPS:
+            m = self.m
+            return (base + xi_deriv(m, x) - xi_deriv(m, seg.lo)
+                    - xi_deriv(m, seg.lo, 1) * w)
+        # int_lo^x (x - r) dr / T(r)^2 (the double integral by Fubini),
+        # with r = lo + w t so that an array of x shares one t-rule
+        return base + w * w * _gauss(
+            lambda t: (1 - t) * self._off(i, seg.lo + np.multiply.outer(w, t)),
+            0.0, 1.0)
 
     def seg_index(self, x):
         # np.searchsorted(his, x, side="left") clipped to the last segment,
@@ -154,49 +181,16 @@ class _Tables:
         return bisect.bisect_left(his, x) if x <= his[-1] else len(his) - 1
 
     def J_at(self, x: float) -> float:
-        m, segs = self.m, self.nu.segments
-        i = self.seg_index(x)
-        seg = segs[i]
-        w = x - seg.lo
-        if seg.kind == "const":
-            if seg.value == 0.0:
-                return self.J[i] + self.I[i] * w + w * w / (2 * self.T[i] ** 2)
-            y = seg.value * w / self.T[i]
-            return self.J[i] + self.I[i] * w + (w * w / self.T[i] ** 2) * _phi(y)
-        if abs(self.C[i]) < _CALIB_EPS:
-            return (self.J[i] + self.I[i] * w + xi_deriv(m, x)
-                    - xi_deriv(m, seg.lo) - xi_deriv(m, seg.lo, 1) * w)
-        from scipy.integrate import quad
-        c = self.C[i]
-        inner = quad(lambda u: quad(
-            lambda r: (xi_deriv(m, r, 2) ** -0.5 + c) ** -2.0,
-            seg.lo, u, epsabs=_QUAD_EPS)[0], seg.lo, x, epsabs=_QUAD_EPS * 10)[0]
-        return self.J[i] + self.I[i] * w + inner
+        return self._J_in(self.seg_index(x), x)
 
     def J_grid(self, us: np.ndarray) -> np.ndarray:
         """Vectorized J over a sorted or unsorted array of points."""
-        m, segs = self.m, self.nu.segments
-        bounds = np.array(self.his)
-        idx = np.searchsorted(bounds, us, side="left").clip(0, len(segs) - 1)
+        idx = np.searchsorted(self.his, us, side="left").clip(0, len(self.his) - 1)
         out = np.empty_like(us)
-        for i, seg in enumerate(segs):
+        for i in range(len(self.his)):
             mask = idx == i
-            if not mask.any():
-                continue
-            u = us[mask]
-            w = u - seg.lo
-            base = self.J[i] + self.I[i] * w
-            if seg.kind == "const":
-                if seg.value == 0.0:
-                    out[mask] = base + w * w / (2 * self.T[i] ** 2)
-                else:
-                    y = seg.value * w / self.T[i]
-                    out[mask] = base + (w * w / self.T[i] ** 2) * _phi(y)
-            elif abs(self.C[i]) < _CALIB_EPS:
-                out[mask] = (base + xi_deriv(m, u)
-                             - xi_deriv(m, seg.lo) - xi_deriv(m, seg.lo, 1) * w)
-            else:
-                out[mask] = np.array([self.J_at(float(v)) for v in u])
+            if mask.any():
+                out[mask] = self._J_in(i, us[mask])
         return out
 
     @property
@@ -232,9 +226,7 @@ def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
             else:
                 total += math.log1p(seg.value * w / T[i + 1]) / seg.value
         else:
-            from scipy.integrate import quad
-            sq = quad(lambda r: math.sqrt(xi_deriv(m, r, 2)),
-                      seg.lo, seg.hi, epsabs=_QUAD_EPS)[0]
+            sq = _gauss(lambda r: np.sqrt(xi_deriv(m, r, 2)), seg.lo, seg.hi)
             total += (xi_deriv(m, seg.lo, 1) * xi_deriv(m, seg.lo, 2) ** -0.5
                       - xi_deriv(m, seg.hi, 1) * xi_deriv(m, seg.hi, 2) ** -0.5
                       + sq)
@@ -242,9 +234,9 @@ def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
             if abs(c) < _CALIB_EPS:
                 total += sq
             else:
-                total += quad(lambda r: 1.0 / (xi_deriv(m, r, 2) ** -0.5 + c),
-                              seg.lo, seg.hi, epsabs=_QUAD_EPS)[0]
-    return 0.5 * total
+                total += _gauss(lambda r: 1.0 / (xi_deriv(m, r, 2) ** -0.5 + c),
+                                seg.lo, seg.hi)
+    return float(0.5 * total)
 
 
 def _support_points(m: Mixture, nu: ParisiMeasure) -> list[float]:

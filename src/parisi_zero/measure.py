@@ -301,12 +301,14 @@ def from_json_dict(d: dict) -> ParisiMeasure:
     for seg in segs:
         if seg.kind not in ("const", "full"):
             raise ValueError(f"unknown segment kind {seg.kind!r}")
+        if not all(math.isfinite(v) for v in (seg.lo, seg.hi, seg.value or 0.0)):
+            raise ValueError(f"segment bounds and values must be finite, got {seg}")
     if not segs or segs[0].lo != 0.0 or segs[-1].hi != 1.0:
         raise ValueError("segments must partition [0, 1)")
     for a, b in zip(segs, segs[1:]):
         if a.hi != b.lo:
             raise ValueError(f"segments not contiguous at {a.hi}")
-    if not atom > 0.0:
-        raise ValueError(f"atom must be positive, got {atom}")
+    if not 0.0 < atom < math.inf:
+        raise ValueError(f"atom must be positive and finite, got {atom}")
     return ParisiMeasure(segs, atom)
 

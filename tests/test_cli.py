@@ -194,6 +194,26 @@ def test_verify_flags_a_failing_measure(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("doc, message", [
+    # xi''(0) = 0 for p >= 3, so a full segment from 0 has an infinite tail
+    ({"segments": [{"lo": 0, "hi": 1, "kind": "full"}], "atom": 0.1},
+     "negative power"),
+    # the tail squared underflows to zero
+    ({"segments": [{"lo": 0, "hi": 1, "kind": "const", "value": 0.0}],
+      "atom": 1e-320}, "division by zero"),
+    ({"segments": [{"lo": 0, "hi": 1, "kind": "const", "value": math.nan}],
+      "atom": 0.5}, "finite"),
+])
+def test_verify_refuses_degenerate_measures_in_one_line(tmp_path, capsys,
+                                                        doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "--p", "4", "--s", "38",
+                       "--lambda", "0.5", "--measure", str(path))
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and message in err, err
+
+
 def test_oracle_command(capsys):
     rc, out, _ = run(capsys, "oracle", "--p", "2", "--s", "5",
                      "--lambda", "1.0", "--kmax", "1",
@@ -215,7 +235,7 @@ def test_usage_error_exits_one(capsys):
 
 def test_sweep_across_full_phases_same_at_any_job_count(tmp_path, capsys):
     # a (4,38) band from TwoRSB through TwoFRSB and OneFRSB to OneRSB: the
-    # pooled run imports quad before it forks, and its rows match serial
+    # pooled run's rows match the serial run's byte for byte
     base = ("sweep", "--p", "4", "--s", "38", "--lambda-grid", "0.980:0.991",
             "--count", "12")
     serial, pooled = tmp_path / "j1.csv", tmp_path / "j2.csv"
@@ -229,37 +249,52 @@ def test_sweep_across_full_phases_same_at_any_job_count(tmp_path, capsys):
     assert {"TwoRSB", "TwoFRSB", "OneFRSB", "OneRSB"} <= set(phases)
 
 
-_STEP_PHASES_WITHOUT_SCIPY = """
+_NO_SCIPY = """
+import json
+import os
 import sys
 
-def scipy_modules():
-    return sorted(k for k in sys.modules
-                  if k == "scipy" or k.startswith("scipy."))
+def check(stage):
+    loaded = sorted(k for k in sys.modules
+                    if k == "scipy" or k.startswith("scipy."))
+    assert not loaded, (stage, loaded)
 
-import parisi_zero.cli
-from parisi_zero import boundaries, classify
+from parisi_zero import boundaries, classify, cli
+from parisi_zero.measure import to_json_dict
 
-assert not scipy_modules(), ("import", scipy_modules())
+check("import")
 boundaries(4, 38)
-assert not scipy_modules(), ("boundaries", scipy_modules())
-for lam, phase in ((0.95, "TwoRSB"), (0.5, "OneRSB")):
-    cl = classify(4, 38, lam)
-    assert cl.phase == phase and cl.report.passed, (lam, cl)
-assert not scipy_modules(), ("classify", scipy_modules())
-cl = classify(4, 38, 0.985)
-assert cl.phase == "TwoFRSB" and cl.report.passed, cl
-assert "scipy.integrate" in sys.modules
+check("boundaries")
+for p, s, lam, phase in ((4, 38, 0.95, "TwoRSB"), (4, 38, 0.5, "OneRSB"),
+                         (4, 38, 0.985, "TwoFRSB"), (4, 38, 0.988, "OneFRSB"),
+                         (2, 4, 0.95, "FRSB")):
+    cl = classify(p, s, lam)
+    assert cl.phase == phase and cl.report.passed, (p, s, lam, cl)
+    check(phase)
+tmp = sys.argv[1]
+path = os.path.join(tmp, "full.json")
+with open(path, "w") as fh:
+    json.dump(to_json_dict(classify(4, 38, 0.985).measure), fh)
+assert cli.main(["verify", "--p", "4", "--s", "38", "--lambda", "0.985",
+                 "--measure", path]) == 0
+check("verify")
+for jobs in ("1", "2"):
+    assert cli.main(["sweep", "--p", "4", "--s", "38",
+                     "--lambda-grid", "0.980:0.991", "--count", "6",
+                     "--out", os.path.join(tmp, jobs + ".csv"),
+                     "--jobs", jobs]) == 0
+    check("sweep --jobs " + jobs)
 """
 
 
-def test_step_phases_never_load_scipy():
-    # the CLI import, a boundary solve and step-phase classifications stay
-    # clear of scipy; a full phase still certifies, with quad loaded lazily
+def test_step_phases_never_load_scipy(tmp_path):
+    # the CLI import, a boundary solve, classify in every phase, a verify
+    # of a full measure and sweeps serial or pooled all stay clear of scipy
     src = os.path.dirname(os.path.dirname(parisi_zero.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _STEP_PHASES_WITHOUT_SCIPY],
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -13,9 +13,11 @@ from parisi_zero import (
     build_rs,
     classify,
     cs_energy,
+    density,
     g_of,
     make_mixture,
     solve_z,
+    tail_mass,
     verify_parisi,
     xi_deriv,
 )
@@ -122,6 +124,21 @@ def test_quadrature_tolerance_halving_is_invisible():
         assert abs(c - f) < 1e-9
 
 
+def test_gauss_rule_halves_where_needed_and_gives_up_on_a_singularity():
+    from parisi_zero.energy import _gauss
+
+    # too sharp for 64 nodes on all of [0, 1], exact after a few halvings
+    assert _gauss(lambda r: r ** 400, 0.0, 1.0) == pytest.approx(1 / 401,
+                                                                  abs=1e-15)
+    # a batch of integrands comes back as a batch
+    both = _gauss(lambda r: np.multiply.outer([1.0, 2.0], r * r), 0.0, 1.0)
+    assert both == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
+    with pytest.raises(ValueError, match="did not converge"):
+        _gauss(lambda r: 1 / np.abs(r - 0.5), 0.0, 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        _gauss(lambda r: np.where(r < 0.5, r, np.nan), 0.0, 1.0)
+
+
 def test_g_is_stationary_at_interior_support_points():
     b = boundaries(4, 38)
     lam = 0.5 * (b.general["lambda_1to2"] + b.general["lambda_2to2F"])
@@ -170,3 +187,59 @@ def test_verifier_rejects_one_step_in_a_two_step_phase():
     rep = verify_parisi(m, nu)
     assert not rep.passed
     assert rep.min_g < -1e-7
+
+
+def _reference_by_quad(m, nu, us):
+    """Normalization, g(us) and the energy from generic quadrature of the tail.
+
+    Built on tail_mass and density alone; g(u) = xi(1) - xi(u)
+    - int_0^1 (1 - max(r, u)) dr / T(r)^2 folds the double integral.
+    """
+    edges = sorted({seg.lo for seg in nu.segments} | {1.0})
+
+    def integral(f, extra=()):
+        pts = sorted(set(edges) | set(extra))
+        return sum(quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(pts, pts[1:]))
+
+    def inv_t2(r):
+        return tail_mass(nu, m, r) ** -2.0
+
+    norm = integral(inv_t2)
+    gs = [xi_deriv(m, 1.0) - xi_deriv(m, u)
+          - integral(lambda r: (1 - max(r, u)) * inv_t2(r), (u,)) for u in us]
+    energy = 0.5 * (xi_deriv(m, 1.0, 1) * nu.atom
+                    + integral(lambda r: xi_deriv(m, r, 1) * density(nu, m, r))
+                    + integral(lambda r: 1.0 / tail_mass(nu, m, r)))
+    return norm, gs, energy
+
+
+@pytest.mark.parametrize("p, s, which", [(4, 38, "TwoFRSB"), (2, 8, "OneFRSB")])
+@pytest.mark.parametrize("scale", [1 + 1e-6, 1.01])
+def test_off_calibration_full_segments_match_generic_quadrature(p, s, which,
+                                                                scale):
+    # scaling the atom shifts the tail over a full segment off xi''^-1/2,
+    # where the tables have no closed form and integrate instead
+    import parisi_zero.energy as energy_mod
+
+    if which == "TwoFRSB":
+        g = boundaries(p, s).general
+        lam = 0.5 * (g["lambda_2to2F"] + g["lambda_2to1F"])
+    else:
+        lam = 0.9
+    cl = classify(p, s, lam)
+    assert cl.phase == which
+    m = make_mixture(p, s, lam)
+    nu = ParisiMeasure(cl.measure.segments, cl.measure.atom * scale)
+    assert max(abs(c) for c in energy_mod._Tables(m, nu).C) > energy_mod._CALIB_EPS
+
+    us = [0.05, 0.3, 0.6, 0.9, 0.99]
+    norm, gs, energy = _reference_by_quad(m, nu, us)
+    rep = verify_parisi(m, nu)
+    assert not rep.passed
+    assert rep.normalization_error == pytest.approx(
+        abs(norm - xi_deriv(m, 1.0, 1)), abs=1e-11)
+    for u, want in zip(us, gs):
+        assert g_of(m, nu, u) == pytest.approx(want, abs=1e-11)
+    assert np.allclose(g_of(m, nu, np.array(us)), gs, rtol=0, atol=1e-11)
+    assert cs_energy(m, nu) == pytest.approx(energy, abs=1e-11)
