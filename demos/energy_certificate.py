@@ -1,7 +1,7 @@
 import numpy as np
 from scipy.integrate import quad
 
-from parisi_zero import (build_frsb, classify, cs_energy, g_of, make_mixture,
+from parisi_zero import (build_mixed, classify, cs_energy, g_of, make_mixture,
                          verify_parisi, xi_deriv)
 
 # The certificate behind every classification: a function g built from
@@ -10,7 +10,7 @@ from parisi_zero import (build_frsb, classify, cs_energy, g_of, make_mixture,
 # point, then watch it fail on a deliberately wrong measure.
 
 m = make_mixture(2, 4, 0.95)
-nu = build_frsb(m)
+nu = build_mixed(m, 0.0, 1.0)
 e = cs_energy(m, nu)
 
 # For the fully continuous measure the energy collapses to the integral

@@ -10,9 +10,9 @@ from .criteria import (Landmarks, QuadraticRoots, c_log, eval_aux, eval_h1,
                        eval_h2, f12, landmarks, lambda_stars, psi, s_roots,
                        solve_z, zeta)
 from .energy import VerificationReport, cs_energy, g_of, verify_parisi
-from .measure import (ParisiMeasure, Segment, build_1frsb, build_1rsb,
-                      build_2frsb, build_2rsb, build_frsb, build_rs, density,
-                      from_json_dict, tail_mass, to_json_dict, wtilde)
+from .measure import (ParisiMeasure, Segment, build_1rsb, build_2rsb,
+                      build_mixed, build_rs, density, from_json_dict,
+                      tail_mass, to_json_dict, wtilde)
 from .mixture import Mixture, make_mixture, xi_deriv
 from .oracle import (OracleProfile, StepMeasure, minimize_k, oracle_profile,
                      step_energy)
@@ -27,8 +27,8 @@ __all__ = [
     "lambda_stars", "s_roots", "f12", "eval_h1", "eval_h2", "eval_aux",
     "landmarks",
     "ParisiMeasure", "Segment", "wtilde", "tail_mass", "density",
-    "build_rs", "build_1rsb", "build_2rsb", "build_2frsb", "build_1frsb",
-    "build_frsb", "to_json_dict", "from_json_dict",
+    "build_rs", "build_1rsb", "build_2rsb", "build_mixed", "to_json_dict",
+    "from_json_dict",
     "VerificationReport", "cs_energy", "g_of", "verify_parisi",
     "StepMeasure", "OracleProfile", "step_energy", "minimize_k",
     "oracle_profile",

@@ -49,6 +49,12 @@ def _jsonable(x):
     return x
 
 
+def _dump(obj) -> None:
+    # encoded whole before the one write, so a refused record leaves stdout
+    # empty; JSON has no NaN or Infinity, so a non-finite number is refused
+    sys.stdout.write(json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n")
+
+
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -110,8 +116,7 @@ def _cmd_classify(args, tol) -> int:
             "measure": to_json_dict(cl.measure) if cl.measure else None,
             "tolerance": tol,
         }
-        json.dump(_jsonable(out), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _dump(out)
     return 2 if cl.phase == "Unresolved" else 0
 
 
@@ -132,8 +137,7 @@ def _cmd_boundaries(args, tol) -> int:
             "p2": b.p2, "general": b.general,
             "diagnostics": b.diagnostics,
         }
-        json.dump(_jsonable(out), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _dump(out)
     return 0
 
 
@@ -214,15 +218,17 @@ def _cmd_verify(args, tol) -> int:
         return 1
     if isinstance(payload, dict) and "measure" in payload:
         payload = payload["measure"]  # accept a full classify record
-    try:
-        nu = from_json_dict(payload)
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 1
+    nu = from_json_dict(payload)  # a ValueError exits 1 through main
     m = make_mixture(args.p, args.s, args.lam)
-    rep = verify_parisi(m, nu, tol=tol)
-    json.dump(_jsonable(rep.to_dict()), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # a tail that under- or overflows would make the report NaN or
+    # infinite; numpy's float errors raise instead and refuse the measure
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            rep = verify_parisi(m, nu, tol=tol)
+    except FloatingPointError as exc:
+        raise ValueError(f"the certificate of this measure is not finite "
+                         f"({exc})") from exc
+    _dump(rep.to_dict())
     return 0 if rep.passed else 2
 
 
@@ -240,8 +246,7 @@ def _cmd_oracle(args, tol) -> int:
         "measure_kmax": {"jumps": [list(j) for j in best.jumps],
                          "atom": best.atom},
     }
-    json.dump(_jsonable(out), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _dump(out)
     return 0
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._solve import fminbound
-from .measure import ParisiMeasure, wtilde
+from .measure import ParisiMeasure, tail_mass, wtilde
 from .mixture import Mixture, xi_deriv
 
 __all__ = ["VerificationReport", "cs_energy", "g_of", "verify_parisi"]
@@ -105,18 +105,7 @@ def _tails(m: Mixture, nu: ParisiMeasure) -> tuple[float, ...]:
     Cached on the (mixture, measure) pair, so a certification, which runs
     the verifier and then the energy on one measure, builds it once.
     """
-    segs = nu.segments
-    n = len(segs)
-    T = [0.0] * (n + 1)
-    T[n] = nu.atom
-    for i in range(n - 1, -1, -1):
-        seg = segs[i]
-        if seg.kind == "const":
-            T[i] = T[i + 1] + seg.value * (seg.hi - seg.lo)
-        else:
-            T[i] = T[i + 1] + (xi_deriv(m, seg.lo, 2) ** -0.5
-                               - xi_deriv(m, seg.hi, 2) ** -0.5)
-    return tuple(T)
+    return (*(tail_mass(nu, m, seg.lo) for seg in nu.segments), nu.atom)
 
 
 class _Tables:

@@ -1,4 +1,4 @@
-"""Piecewise candidate measures and the per-phase constructions.
+"""Piecewise candidate measures and their closed-form constructions.
 
 A measure nu on [0, 1] is stored as an ordered partition of [0, 1) into
 segments carrying either a constant density value or the distinguished
@@ -8,9 +8,18 @@ xi''(x)**-0.5), plus an atom at 1. Membership in the optimization cone
 means: density nonnegative and nondecreasing across the whole of [0, 1),
 atom strictly positive.
 
-Constructors re-verify their defining equations and refuse to build when
-a residual exceeds 1e-9; near a phase boundary they fail loudly rather
-than return a measure that cannot be certified.
+The step measures come from build_rs, build_1rsb and build_2rsb. Every
+measure with a continuous part has one shape, a plateau, the full
+density, a plateau, then the atom; build_mixed(m, q1, q2) builds it, and
+the OneFRSB, TwoFRSB and FRSB phases differ only in which plateaus are
+empty. Constructors re-verify their defining equations and refuse to
+build when a residual exceeds 1e-9; near a phase boundary they fail
+loudly rather than return a measure that cannot be certified.
+
+The cone check is exact: the full density increases where
+2 xi'' xi'''' >= 3 xi'''^2, and for a two-term mixture that expression is
+x^(2p-6) Q(x^(s-p)) with Q a concave quadratic, so its least value on a
+segment sits at one of the segment's two ends.
 """
 from __future__ import annotations
 
@@ -31,9 +40,7 @@ __all__ = [
     "build_rs",
     "build_1rsb",
     "build_2rsb",
-    "build_2frsb",
-    "build_1frsb",
-    "build_frsb",
+    "build_mixed",
     "to_json_dict",
     "from_json_dict",
 ]
@@ -65,38 +72,48 @@ def wtilde(m: Mixture, x):
     return 0.5 * d3 * xi_deriv(m, x, 2) ** -1.5
 
 
-def _structure_check(nu: ParisiMeasure, m: Mixture):
-    # cone membership: contiguous partition, nondecreasing density, atom > 0
-    if nu.atom <= 0:
-        raise ValueError("atom must be positive")
-    if not nu.segments or nu.segments[0].lo != 0.0 or nu.segments[-1].hi != 1.0:
-        raise ValueError("segments must partition [0, 1)")
+def _check_partition(segs, atom) -> None:
+    # the schema of every measure, built or read: forward, contiguous
+    # segments covering [0, 1), finite constant values >= 0, and a
+    # positive, finite atom
+    if not 0.0 < atom < math.inf:
+        raise ValueError(f"atom must be positive and finite, got {atom}")
     prev_hi = 0.0
+    for seg in segs:
+        if seg.kind not in ("const", "full"):
+            raise ValueError(f"unknown segment kind {seg.kind!r}")
+        if seg.lo != prev_hi or not seg.lo < seg.hi:
+            raise ValueError(f"segments must partition [0, 1) in order, got {seg}")
+        if seg.kind == "const" and not (seg.value is not None
+                                        and 0.0 <= seg.value < math.inf):
+            raise ValueError(f"constant segment needs a finite value >= 0, got {seg}")
+        prev_hi = seg.hi
+    if prev_hi != 1.0:
+        raise ValueError("segments must partition [0, 1)")
+
+
+def _structure_check(nu: ParisiMeasure, m: Mixture):
+    # cone membership: a partition with a nondecreasing density
+    _check_partition(nu.segments, nu.atom)
     prev_val = 0.0
     for seg in nu.segments:
-        if seg.lo != prev_hi or not seg.lo < seg.hi <= 1.0:
-            raise ValueError(f"segments must be contiguous, got {seg}")
-        prev_hi = seg.hi
         if seg.kind == "const":
-            if seg.value is None or seg.value < 0:
-                raise ValueError(f"constant segment needs a value >= 0, got {seg}")
             if seg.value < prev_val - 1e-12:
                 raise ValueError("density must be nondecreasing")
             prev_val = seg.value
-        elif seg.kind == "full":
-            grid = np.linspace(seg.lo, min(seg.hi, 1 - 1e-12), 64)
-            vals = wtilde(m, grid)
-            if vals[0] < prev_val - 1e-9 * max(1.0, prev_val):
-                raise ValueError("density must be nondecreasing into a full segment")
-            # increasing inside iff 2 xi'' xi'''' >= 3 xi'''^2
-            curv = (2 * xi_deriv(m, grid, 2) * xi_deriv(m, grid, 4)
-                    - 3 * xi_deriv(m, grid, 3) ** 2)
-            scale = max(1.0, float(np.abs(curv).max()))
-            if float(curv.min()) < -1e-9 * scale:
-                raise ValueError("full density is not increasing on this span")
-            prev_val = float(vals[-1])
-        else:
-            raise ValueError(f"unknown segment kind {seg.kind!r}")
+            continue
+        ends = np.array([seg.lo, min(seg.hi, 1 - 1e-12)])
+        vals = wtilde(m, ends)
+        if vals[0] < prev_val - 1e-9 * max(1.0, prev_val):
+            raise ValueError("density must be nondecreasing into a full segment")
+        # increasing inside iff 2 xi'' xi'''' >= 3 xi'''^2, tested at the
+        # two ends only (exact, see the module docstring)
+        curv = (2 * xi_deriv(m, ends, 2) * xi_deriv(m, ends, 4)
+                - 3 * xi_deriv(m, ends, 3) ** 2)
+        scale = max(1.0, float(np.abs(curv).max()))
+        if float(curv.min()) < -1e-9 * scale:
+            raise ValueError("full density is not increasing on this span")
+        prev_val = float(vals[-1])
     return nu
 
 
@@ -185,92 +202,46 @@ def build_2rsb(m: Mixture, q: float, z1: float, z2: float) -> ParisiMeasure:
                       delta), m)
 
 
-def build_2frsb(m: Mixture, q1: float, q2: float) -> ParisiMeasure:
-    """Constant, full, constant: the two-transition mixed measure.
+def build_mixed(m: Mixture, q1: float, q2: float) -> ParisiMeasure:
+    """Plateau on [0, q1), full density on [q1, q2), plateau on [q2, 1), atom.
 
-    q1 and q2 must be the solved window roots (h12(q1) = 0, h22(q2) = 0);
-    the closed forms for the plateaus and atom then calibrate the tail to
-    xi''(x)**-0.5 across [q1, q2] automatically, which is re-checked here.
+    0 <= q1 < q2 <= 1. q1 = 0 drops the lower plateau, which only p = 2
+    allows (xi''(0) = 0 otherwise); q2 = 1 drops the upper one, and the
+    atom is then xi''(1)**-0.5. A lower plateau needs h12(q1) = 0 and an
+    open window at q1, an upper one h22(q2) = 0; the closed forms for the
+    plateaus and the atom then calibrate the tail to xi''(x)**-0.5 across
+    [q1, q2], which is re-checked at q2.
     """
-    if not 0 < q1 < q2 < 1:
-        raise ValueError(f"need 0 < q1 < q2 < 1, got {q1}, {q2}")
-    h12, _ = criteria.eval_h2(m, q1)
-    _, h22 = criteria.eval_h2(m, q2)
-    if abs(h12) > _RESIDUAL_TOL or abs(h22) > _RESIDUAL_TOL:
-        raise ValueError(f"(q1, q2) does not solve the defining equations: "
-                         f"residuals {h12:.2e}, {h22:.2e}")
+    if not 0.0 <= q1 < q2 <= 1.0:
+        raise ValueError(f"need 0 <= q1 < q2 <= 1, got {q1}, {q2}")
     a = xi_deriv(m, 1.0, 1)
-    x1q2 = xi_deriv(m, q2, 1)
-    x2q2 = xi_deriv(m, q2, 2)
-    delta = math.sqrt(x2q2) * (1 - q2) / (a - x1q2)
-    k2 = (a - x1q2 - x2q2 * (1 - q2)) / (math.sqrt(x2q2) * (a - x1q2) * (1 - q2))
-    x1q1 = xi_deriv(m, q1, 1)
-    x2q1 = xi_deriv(m, q1, 2)
-    k1 = (q1 * x2q1 - x1q1) / (q1 * x1q1 * math.sqrt(x2q1))
-    calib = abs(k2 * (1 - q2) + delta - x2q2 ** -0.5)
-    if calib > _RESIDUAL_TOL:
-        raise ValueError(f"tail calibration failed at q2: residual {calib:.2e}")
-    nu = ParisiMeasure((Segment(0.0, q1, "const", k1),
-                        Segment(q1, q2, "full"),
-                        Segment(q2, 1.0, "const", k2)), delta)
-    return _structure_check(nu, m)
-
-
-def build_1frsb(m: Mixture, q1: float | None = None, variant: str = "above",
-                q_P: float | None = None) -> ParisiMeasure:
-    """One-transition mixed measure, in either orientation.
-
-    "above": constant plateau below q1, full density on [q1, 1), atom
-    xi''(1)**-0.5. "below" (the p = 2 shape): full density on [0, q_P),
-    constant plateau a_P on [q_P, 1), atom Delta_P, with a_P and Delta_P
-    sharing the closed forms of the two-transition construction taken at
-    q_P.
-    """
-    if variant == "above":
-        if q1 is None:
-            raise ValueError("variant 'above' needs q1")
+    segs = []
+    if q1 > 0.0:
         h12, _ = criteria.eval_h2(m, q1)
         if abs(h12) > _RESIDUAL_TOL:
             raise ValueError(f"q1 does not solve its defining equation: {h12:.2e}")
-        wa = xi_deriv(m, 1.0, 1) * q1 / xi_deriv(m, q1, 1)
-        wb = criteria._d1(m, q1) / xi_deriv(m, q1, 2)
-        if not wb > wa:
+        x1, x2 = xi_deriv(m, q1, 1), xi_deriv(m, q1, 2)
+        if not criteria._d1(m, q1) / x2 > a * q1 / x1:
             raise ValueError("window closed at q1; no mixed measure here")
-        x1q1 = xi_deriv(m, q1, 1)
-        x2q1 = xi_deriv(m, q1, 2)
-        k1 = (q1 * x2q1 - x1q1) / (q1 * x1q1 * math.sqrt(x2q1))
-        nu = ParisiMeasure((Segment(0.0, q1, "const", k1),
-                            Segment(q1, 1.0, "full")),
-                           xi_deriv(m, 1.0, 2) ** -0.5)
-        return _structure_check(nu, m)
-    if variant == "below":
-        if q_P is None:
-            raise ValueError("variant 'below' needs q_P")
-        _, h22 = criteria.eval_h2(m, q_P)
+        segs.append(Segment(0.0, q1, "const",
+                            (q1 * x2 - x1) / (q1 * x1 * math.sqrt(x2))))
+    elif m.p != 2 or m.is_pure:
+        raise ValueError("a full density from 0 requires a p = 2 mixture")
+    segs.append(Segment(q1, q2, "full"))
+    if q2 < 1.0:
+        _, h22 = criteria.eval_h2(m, q2)
         if abs(h22) > _RESIDUAL_TOL:
-            raise ValueError(f"q_P does not solve its defining equation: {h22:.2e}")
-        a = xi_deriv(m, 1.0, 1)
-        x1 = xi_deriv(m, q_P, 1)
-        x2 = xi_deriv(m, q_P, 2)
-        delta_p = math.sqrt(x2) * (1 - q_P) / (a - x1)
-        a_p = (a - x1 - x2 * (1 - q_P)) / (math.sqrt(x2) * (a - x1) * (1 - q_P))
-        nu = ParisiMeasure((Segment(0.0, q_P, "full"),
-                            Segment(q_P, 1.0, "const", a_p)), delta_p)
-        return _structure_check(nu, m)
-    raise ValueError(f"variant must be 'above' or 'below', got {variant!r}")
-
-
-def build_frsb(m: Mixture) -> ParisiMeasure:
-    """Full density on all of [0, 1), atom xi''(1)**-0.5.
-
-    Only meaningful when the full density is nondecreasing from 0, which
-    requires p = 2 and the mixture to sit at or beyond the full-type onset
-    (2 xi'' xi'''' >= 3 xi'''^2 on [0, 1)); checked, and refused otherwise.
-    """
-    if m.p != 2 or m.is_pure:
-        raise ValueError("the everywhere-full measure requires a p = 2 mixture")
-    nu = ParisiMeasure((Segment(0.0, 1.0, "full"),), xi_deriv(m, 1.0, 2) ** -0.5)
-    return _structure_check(nu, m)
+            raise ValueError(f"q2 does not solve its defining equation: {h22:.2e}")
+        x1, x2 = xi_deriv(m, q2, 1), xi_deriv(m, q2, 2)
+        atom = math.sqrt(x2) * (1 - q2) / (a - x1)
+        k2 = (a - x1 - x2 * (1 - q2)) / (math.sqrt(x2) * (a - x1) * (1 - q2))
+        calib = abs(k2 * (1 - q2) + atom - x2 ** -0.5)
+        if calib > _RESIDUAL_TOL:
+            raise ValueError(f"tail calibration failed at q2: residual {calib:.2e}")
+        segs.append(Segment(q2, 1.0, "const", k2))
+    else:
+        atom = xi_deriv(m, 1.0, 2) ** -0.5
+    return _structure_check(ParisiMeasure(tuple(segs), atom), m)
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +267,8 @@ def from_json_dict(d: dict) -> ParisiMeasure:
         atom = float(d["atom"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measure dict: {exc}") from exc
-    # schema checks live here, not on the dataclasses, which stay raw so
-    # deliberately broken measures can be fed to the verifier in tests
-    for seg in segs:
-        if seg.kind not in ("const", "full"):
-            raise ValueError(f"unknown segment kind {seg.kind!r}")
-        if not all(math.isfinite(v) for v in (seg.lo, seg.hi, seg.value or 0.0)):
-            raise ValueError(f"segment bounds and values must be finite, got {seg}")
-    if not segs or segs[0].lo != 0.0 or segs[-1].hi != 1.0:
-        raise ValueError("segments must partition [0, 1)")
-    for a, b in zip(segs, segs[1:]):
-        if a.hi != b.lo:
-            raise ValueError(f"segments not contiguous at {a.hi}")
-    if not 0.0 < atom < math.inf:
-        raise ValueError(f"atom must be positive and finite, got {atom}")
+    # the schema is checked here, not on the dataclasses, which stay raw
+    # so deliberately broken measures can be fed to the verifier in tests
+    _check_partition(segs, atom)
     return ParisiMeasure(segs, atom)
 

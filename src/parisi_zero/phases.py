@@ -25,8 +25,8 @@ import numpy as np
 from . import criteria
 from ._solve import brentq, fminbound
 from .energy import VerificationReport, cs_energy, verify_parisi
-from .measure import (ParisiMeasure, build_1frsb, build_1rsb, build_2frsb,
-                      build_2rsb, build_frsb, build_rs)
+from .measure import (ParisiMeasure, build_1rsb, build_2rsb, build_mixed,
+                      build_rs)
 from .mixture import Mixture, make_mixture, xi_deriv
 
 __all__ = ["Regime", "PhaseBoundaries", "Classification", "regime",
@@ -279,6 +279,9 @@ def _solve_two_step(m: Mixture, lm: criteria.Landmarks):
     hi = min(lm.q21, lm.q12) - 1e-13
     if not lo < hi:
         raise ValueError("two-step bracket is empty")
+    if phi(lo) * phi(hi) > 0:
+        raise ValueError(f"two-step stationarity function has no sign change "
+                         f"on [{lo!r}, {hi!r}]")
     q = brentq(phi, lo, hi, xtol=1e-14, rtol=8.9e-16)
     z2 = z2_of(q)
     z1 = q * criteria._d1(m, q) / xi_deriv(m, q, 1) - 1.0 - z2
@@ -329,10 +332,10 @@ def _classify_p2(m: Mixture, b: PhaseBoundaries, tol: float) -> Classification:
         q_p = _plateau_point(m)
         if q_p is None:
             raise ValueError("no plateau point found for the mixed measure")
-        nu = build_1frsb(m, variant="below", q_P=q_p)
+        nu = build_mixed(m, 0.0, q_p)
         return _certify(m, nu, "OneFRSB",
                         {"q1": q_p, "q_P": q_p, "variant": "density-below"}, tol)
-    return _certify(m, build_frsb(m), "FRSB", {}, tol)
+    return _certify(m, build_mixed(m, 0.0, 1.0), "FRSB", {}, tol)
 
 
 def _classify_general(m: Mixture, tol: float) -> Classification:
@@ -351,13 +354,13 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
     if (_full_window(lm)
             and criteria.eval_aux(m, lm.q12)[0] < 0
             and criteria.eval_aux(m, lm.q22)[0] < 0):
-        return _certify(m, build_2frsb(m, lm.q12, lm.q22), "TwoFRSB",
+        return _certify(m, build_mixed(m, lm.q12, lm.q22), "TwoFRSB",
                         {"q1": lm.q12, "q2": lm.q22}, tol)
     if (lm.q12 is not None and criteria.eval_aux(m, lm.q12)[0] < 0
             and not criteria._sign_roots(
                 lambda x: criteria.eval_h2(m, x)[1],
                 lm.q12 + 1e-6, 1 - 1e-6, n=513)):
-        return _certify(m, build_1frsb(m, q1=lm.q12), "OneFRSB",
+        return _certify(m, build_mixed(m, lm.q12, 1.0), "OneFRSB",
                         {"q1": lm.q12, "variant": "density-above"}, tol)
     raise ValueError(
         f"no construction applies (one-step certificate {zmax:.2e}, "

@@ -203,6 +203,16 @@ def test_verify_flags_a_failing_measure(tmp_path, capsys):
       "atom": 1e-320}, "division by zero"),
     ({"segments": [{"lo": 0, "hi": 1, "kind": "const", "value": math.nan}],
       "atom": 0.5}, "finite"),
+    # the tail stays positive but its inverse square overflows
+    ({"segments": [{"lo": 0, "hi": 1, "kind": "const", "value": 0.5}],
+      "atom": 1e-320}, "not finite"),
+    # contiguous, but running backwards through 0.7 -> 0.3
+    ({"segments": [{"lo": 0, "hi": 0.7, "kind": "const", "value": 0.1},
+                   {"lo": 0.7, "hi": 0.3, "kind": "const", "value": 0.2},
+                   {"lo": 0.3, "hi": 1, "kind": "const", "value": 0.3}],
+      "atom": 0.5}, "in order"),
+    ({"segments": [{"lo": 0, "hi": 1, "kind": "const", "value": -0.5}],
+      "atom": 0.5}, ">= 0"),
 ])
 def test_verify_refuses_degenerate_measures_in_one_line(tmp_path, capsys,
                                                         doc, message):
@@ -298,3 +308,34 @@ def test_step_phases_never_load_scipy(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_SPAWN = """
+import multiprocessing
+import os
+import sys
+
+from parisi_zero import cli
+
+multiprocessing.set_start_method("spawn")
+for jobs in ("1", "2"):
+    assert cli.main(["sweep", "--p", "4", "--s", "38",
+                     "--lambda-grid", "0.980:0.991:0.001", "--jobs", jobs,
+                     "--out", os.path.join(sys.argv[1], jobs + ".csv")]) == 0
+"""
+
+
+def test_sweep_does_not_depend_on_the_start_method(tmp_path):
+    # spawned workers inherit no solved boundaries and solve their own;
+    # the rows must still match the serial run byte for byte
+    src = os.path.dirname(os.path.dirname(parisi_zero.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SPAWN, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for ext in (".csv", ".dat"):
+        assert ((tmp_path / ("1" + ext)).read_bytes()
+                == (tmp_path / ("2" + ext)).read_bytes()), ext

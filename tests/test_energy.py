@@ -9,7 +9,7 @@ from parisi_zero import (
     ParisiMeasure,
     Segment,
     build_1rsb,
-    build_frsb,
+    build_mixed,
     build_rs,
     classify,
     cs_energy,
@@ -44,7 +44,7 @@ def test_pure_two_ground_state():
 
 def test_full_measure_energy_is_integral_of_sqrt_curvature():
     m = make_mixture(2, 4, 0.95)
-    nu = build_frsb(m)
+    nu = build_mixed(m, 0.0, 1.0)
     want, _ = quad(lambda x: math.sqrt(xi_deriv(m, x, 2)), 0.0, 1.0,
                    epsabs=1e-13, limit=200)
     assert cs_energy(m, nu) == pytest.approx(want, abs=1e-9)
@@ -59,7 +59,7 @@ def test_g_vanishes_at_one_identically():
 
 def test_g_vanishes_everywhere_for_the_full_measure():
     m = make_mixture(2, 4, 0.95)
-    nu = build_frsb(m)
+    nu = build_mixed(m, 0.0, 1.0)
     us = np.linspace(0.0, 1.0, 512)
     gs = g_of(m, nu, us)
     assert np.max(np.abs(gs)) <= 1e-9
@@ -112,7 +112,8 @@ def test_quadrature_tolerance_halving_is_invisible():
     b = boundaries(4, 38)
     lam = 0.5 * (b.general["lambda_2to2F"] + b.general["lambda_2to1F"])
     cases = [(make_mixture(4, 38, lam), classify(4, 38, lam).measure),
-             (make_mixture(2, 4, 0.95), build_frsb(make_mixture(2, 4, 0.95)))]
+             (make_mixture(2, 4, 0.95),
+              build_mixed(make_mixture(2, 4, 0.95), 0.0, 1.0))]
     coarse = [cs_energy(m, nu) for m, nu in cases]
     saved = energy_mod._QUAD_EPS
     try:

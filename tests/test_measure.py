@@ -9,11 +9,9 @@ from scipy.integrate import quad
 from parisi_zero import (
     ParisiMeasure,
     Segment,
-    build_1frsb,
     build_1rsb,
-    build_2frsb,
     build_2rsb,
-    build_frsb,
+    build_mixed,
     build_rs,
     classify,
     density,
@@ -94,7 +92,7 @@ def test_calibration_inside_full_segments():
 
 def test_tail_closed_forms():
     m = make_mixture(2, 4, 0.95)
-    nu = build_frsb(m)
+    nu = build_mixed(m, 0.0, 1.0)
     for x in (0.0, 0.3, 0.77, 1.0 - 1e-12):
         assert tail_mass(nu, m, x) == pytest.approx(xi_deriv(m, x, 2) ** -0.5, abs=1e-13)
     assert tail_mass(nu, m, 0.0) == pytest.approx((2 * 0.95) ** -0.5, abs=1e-14)
@@ -206,7 +204,7 @@ def test_density_values():
         assert density(nu1, m1, x) == pytest.approx(want, rel=1e-13)
 
     mf = make_mixture(2, 4, 0.95)
-    nuf = build_frsb(mf)
+    nuf = build_mixed(mf, 0.0, 1.0)
     xs = np.linspace(0.0, 1.0 - 1e-9, 100)
     vals = np.array([density(nuf, mf, x) for x in xs])
     assert np.all(np.diff(vals) > 0)
@@ -228,13 +226,13 @@ def test_constructor_rejections():
     with pytest.raises(ValueError):
         build_2rsb(m, 0.5, 1.0, 1.0)  # not a solution of the two-level system
     with pytest.raises(ValueError):
-        build_frsb(make_mixture(4, 38, 0.99))  # p != 2
+        build_mixed(make_mixture(4, 38, 0.99), 0.0, 1.0)  # p != 2
     with pytest.raises(ValueError):
-        build_frsb(make_mixture(2, 4, 0.9))  # just below the full-type onset
+        build_mixed(make_mixture(2, 4, 0.9), 0.0, 1.0)  # below the full-type onset
     with pytest.raises(ValueError):
-        build_1frsb(m)  # density-above needs q1
+        build_mixed(m, 0.6, 0.4)  # q1 must lie below q2
     with pytest.raises(ValueError):
-        build_2frsb(make_mixture(4, 38, 0.9845), 0.3, 0.9)  # not the solved roots
+        build_mixed(make_mixture(4, 38, 0.9845), 0.3, 0.9)  # not the solved roots
 
 
 def test_cross_phase_limit_at_the_2frsb_onset():
@@ -266,6 +264,11 @@ def test_json_rejects_malformed():
         lambda d: d["segments"][0].update(kind="wavelet"),
         lambda d: d.update(atom=-0.2),
         lambda d: d["segments"].clear(),
+        lambda d: d["segments"][0].update(value=-0.5),
+        lambda d: d.update(segments=[
+            {"lo": 0.0, "hi": 0.7, "kind": "const", "value": 0.1},
+            {"lo": 0.7, "hi": 0.3, "kind": "const", "value": 0.2},
+            {"lo": 0.3, "hi": 1.0, "kind": "const", "value": 0.3}]),
     ):
         d = json.loads(json.dumps(good))
         breaker(d)
@@ -281,3 +284,63 @@ def test_structure_check_rejects_decreasing_plateaus():
 
     with pytest.raises(ValueError):
         _structure_check(bad, m)
+
+
+def _dense_verdict(m, lo, hi):
+    # the reference: 2 xi'' xi'''' - 3 xi'''^2 on 4097 points of the
+    # segment, under the cone check's tolerance rule
+    xs = np.linspace(lo, min(hi, 1 - 1e-12), 4097)
+    curv = (2 * xi_deriv(m, xs, 2) * xi_deriv(m, xs, 4)
+            - 3 * xi_deriv(m, xs, 3) ** 2)
+    return float(curv.min()) >= -1e-9 * max(1.0, float(np.abs(curv).max()))
+
+
+def _two_end_verdict(m, lo, hi):
+    # a full segment between a zero plateau and one far above it, so only
+    # the segment's own monotonicity can fail the cone check
+    from parisi_zero.measure import _structure_check
+
+    segs = [Segment(lo, hi, "full")]
+    if lo > 0:
+        segs.insert(0, Segment(0.0, lo, "const", 0.0))
+    if hi < 1:
+        segs.append(Segment(hi, 1.0, "const", 1e300))
+    try:
+        _structure_check(ParisiMeasure(tuple(segs), 1.0), m)
+    except ValueError as exc:
+        assert "full density is not increasing" in str(exc)
+        return False
+    return True
+
+
+def test_two_end_monotonicity_matches_a_dense_grid_and_classify():
+    rng = np.random.default_rng(20221)
+    draws = [(2, 3, 0.7, 0.0, 1.0), (2, 3, 0.2, 0.0, 0.6), (2, 4, 0.9, 0.0, 1.0)]
+    for _ in range(400):
+        p = int(rng.integers(2, 7))
+        s = int(rng.integers(p + 1, 61))
+        lam = float(rng.uniform(0.9, 1.0) if rng.random() < 0.5 else rng.random())
+        lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
+        if p == 2 and rng.random() < 0.3:
+            lo = 0.0
+        if rng.random() < 0.3:
+            hi = 1.0
+        draws.append((p, s, lam, max(lo, 1e-3 if p > 2 else 0.0), hi))
+    verdicts = []
+    for p, s, lam, lo, hi in draws:
+        m = make_mixture(p, s, lam)
+        v = _two_end_verdict(m, lo, hi)
+        assert v == _dense_verdict(m, lo, hi), (p, s, lam, lo, hi)
+        verdicts.append(v)
+    assert min(sum(verdicts), len(verdicts) - sum(verdicts)) >= 30
+    # the one constructor rebuilds every mixed shape classify returns
+    shapes = set()
+    for m, nu, phase in EXEMPLARS:
+        if phase not in ("TwoFRSB", "OneFRSB", "FRSB"):
+            continue
+        q = classify(m.p, m.s, m.lam).params
+        q1 = 0.0 if "q_P" in q else q.get("q1", 0.0)
+        q2 = q.get("q2", q.get("q_P", 1.0))
+        assert build_mixed(m, q1, q2) == nu, phase
+        shapes.add((q1 > 0, q2 < 1))
+    assert len(shapes) == 4

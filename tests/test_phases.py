@@ -226,6 +226,17 @@ def test_landmarks_turn_down_an_uncertified_edge_root():
     assert "uncertified h22 edge root" in c.detail
 
 
+def test_two_step_detail_names_the_sign_change_it_missed():
+    # on lambda_2to2F of (5, 60) the two-step bracket is 1.3e-10 wide and
+    # the stationarity function has one sign across it; the detail says so
+    # rather than passing on the root finder's generic bracket message
+    lam = boundaries(5, 60).general["lambda_2to2F"]
+    c = classify(5, 60, lam)
+    assert c.phase == "Unresolved" and c.on_boundary
+    assert c.detail.startswith(
+        "two-step stationarity function has no sign change on ["), c.detail
+
+
 def _expected_phase(family, lam):
     kind, cuts = family
     if lam == 1.0:

@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 
 from parisi_zero import _solve, criteria, energy, phases
-from parisi_zero import boundaries, build_2frsb, make_mixture, verify_parisi
+from parisi_zero import boundaries, build_mixed, make_mixture, verify_parisi
 
 
 def _logged(f, xs):
@@ -90,7 +90,7 @@ def test_package_bounded_minimizations_match_scipy(monkeypatch):
         phases._zeta_max(m, criteria.solve_z(m))
     m = make_mixture(4, 38, 0.985)
     lm = criteria.landmarks(m)
-    verify_parisi(m, build_2frsb(m, lm.q12, lm.q22))
+    verify_parisi(m, build_mixed(m, lm.q12, lm.q22))
     for p, s, lam in ((4, 38, 0.95), (2, 8, 0.5), (3, 20, 0.9)):
         phases.classify(p, s, lam)
     assert len(zeta_calls) >= 15 and len(ref_calls) >= 4
