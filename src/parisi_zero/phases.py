@@ -2,9 +2,10 @@
 
 A (p, s) family falls into one of five regimes decided by a sign chain
 on two lambda-quadratics and the slope function Psi. Within a regime the
-phase boundaries in lambda are solved here once (bisection on landmark
-predicates, then a two-dimensional Newton polish on the defining pair of
-window functions, with the residual certified below 1e-7). classify()
+phase boundaries in lambda are solved here once (Brent's method on the
+gap between two window roots, then a two-dimensional Newton polish on
+the defining pair of window functions, with the residual certified
+below 1e-7). classify()
 then resolves a single (p, s, lambda): it walks the test chain
 one-step -> two-step -> two-transition -> one-transition, constructs the
 winning candidate measure, and only returns a phase once the optimality
@@ -36,6 +37,7 @@ _ZETA_FLOOR = 1e-11  # zeta vanishes identically at both endpoints; the
 # interior maximum is tested against this, never against strict negativity
 _OWN_EPS = 1e-9
 _BISECT_TOL = 1e-6
+_SEED_TOL = 1e-4
 _SYSTEM_TOL = 1e-7
 
 
@@ -105,17 +107,43 @@ def _full_window(lm: criteria.Landmarks) -> bool:
             and lm.q12 < lm.q22 < 1.0)
 
 
-def _bisect_flip(pred, lo, hi):
-    # pred is False at lo and True at hi; shrink the bracket to _BISECT_TOL.
-    # That only has to land hi in the Newton polish's basin: the polished
-    # residual, checked against _SYSTEM_TOL, decides whether the solve holds
+def _gap(lo, hi):
+    # signed gap between two window roots; None where either is absent or
+    # hi is pinned at 1, a sentinel rather than a root
+    return None if lo is None or hi is None or hi >= 1.0 else hi - lo
+
+
+def _find_flip(window_at, pred, roots, lo, hi, m_lo, m_hi):
+    """A lambda next to where pred turns from False (at lo) to True (at hi).
+
+    Brent's method runs on the signed margin _gap(*roots(lm)) once both
+    ends have one of the right sign (m_lo, m_hi; None where unknown), and
+    stops within _SEED_TOL of the flip: that only has to reach the Newton
+    polish's basin. Until then, or where the margin is undefined inside
+    the bracket, each step halves the bracket on pred. Returns the point
+    and the number of halvings.
+    """
+    def f(t):
+        v = _gap(*roots(window_at(t)))
+        if v is None:
+            raise ValueError("margin undefined inside its bracket")
+        return 0.0 if abs(v) < _SEED_TOL else v  # a zero stops brentq
+
+    steps = 0
     while hi - lo > _BISECT_TOL:
+        if m_lo is not None and m_hi is not None and m_lo < 0 < m_hi:
+            try:
+                return brentq(f, lo, hi, xtol=_SEED_TOL), steps
+            except ValueError:
+                pass
         mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
+        lm = window_at(mid)
+        if pred(lm):
+            hi, m_hi = mid, _gap(*roots(lm))
         else:
-            lo = mid
-    return lo, hi
+            lo, m_lo = mid, _gap(*roots(lm))
+        steps += 1
+    return hi, steps
 
 
 def _newton_pair(p, s, pair_fn, lam0, x0):
@@ -171,10 +199,11 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
     """All phase-boundary lambdas of the family, solved and certified.
 
     Cached per (p, s): sweeps and repeated classifications reuse the
-    solve. Bisections on the landmark predicates run to 1e-6 in lambda,
-    only far enough to seed the Newton polish of the two system
-    boundaries; the polished pair residuals are then checked below 1e-7,
-    and that check alone certifies them.
+    solve. Each system boundary is where two window roots meet (q11 and
+    q21 at lambda_1to2, q12 and q22 at lambda_2to2F); Brent's method on
+    their gap only seeds the Newton polish (see _find_flip), and the
+    polished pair residuals, checked below 1e-7, alone certify them.
+    The diagnostics count the landmark scans and halvings of each.
     """
     reg = regime(p, s)
     if reg.tag == "Pure" or reg.tag == "AllOneRSB":
@@ -189,40 +218,44 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
             "lambda_1to2_psi_zero": brentq(lambda t: criteria.psi(p, s, t),
                                            1e-6, l1, xtol=1e-13)}
 
+    memo: dict[float, criteria.Landmarks] = {}  # one landmark scan per lambda
+
     def window_at(t):
-        return criteria.landmarks(make_mixture(p, s, t))
+        if t not in memo:
+            memo[t] = criteria.landmarks(make_mixture(p, s, t))
+        return memo[t]
 
-    def two_step_pred(t):
-        return _two_step_window(window_at(t))
-
-    anchor = l1 if two_step_pred(l1) else next(
-        (t for t in np.linspace(0.02, lam_2to1 - 1e-3, 49) if two_step_pred(t)),
-        None)
+    anchor = l1 if _two_step_window(window_at(l1)) else next(
+        (t for t in np.linspace(0.02, lam_2to1 - 1e-3, 49)
+         if _two_step_window(window_at(t))), None)
     if anchor is None:
         raise RuntimeError(f"no two-step window found for ({p}, {s})")
-    _, hi = _bisect_flip(two_step_pred, 1e-3, anchor)
-    lm = window_at(hi)
-    x12, lam_1to2, res12 = _newton_pair(p, s, criteria.eval_h1, hi,
-                                        0.5 * (lm.q11 + lm.q21))
-    if res12 > _SYSTEM_TOL:
-        raise RuntimeError(f"entry-boundary residual {res12:.2e} too large")
-    diag.update(x_star_1to2=x12, residual_1to2=res12)
 
+    def solve(key, pred, roots, pair_fn, lo, hi, n0):
+        # the flip of pred in [lo, hi], one end of which is the anchor,
+        # polished on pair_fn from the midpoint of the two window roots
+        m = _gap(*roots(memo[anchor]))
+        t, steps = _find_flip(window_at, pred, roots, lo, hi,
+                              m if lo == anchor else None,
+                              m if hi == anchor else None)
+        x, lam, res = _newton_pair(p, s, pair_fn, t,
+                                   0.5 * sum(roots(window_at(t))))
+        if res > _SYSTEM_TOL:
+            raise RuntimeError(f"lambda_{key} residual {res:.2e} too large")
+        diag.update({f"x_star_{key}": x, f"residual_{key}": res,
+                     f"landmarks_{key}": len(memo) - n0,
+                     f"halvings_{key}": steps})
+        return lam
+
+    lam_1to2 = solve("1to2", _two_step_window, lambda lm: (lm.q11, lm.q21),
+                     criteria.eval_h1, 1e-3, anchor, 0)
     general = {"lambda_1to2": lam_1to2, "lambda_2to1": lam_2to1}
     if reg.tag == "FourPhase":
         lam_2to1f = criteria.s_roots(p, s).roots[0]
-
-        def full_pred(t):
-            return _full_window(window_at(t))
-
-        _, hi2 = _bisect_flip(full_pred, anchor, lam_2to1f - 1e-6)
-        lm2 = window_at(hi2)
-        x22f, lam_2to2f, res22f = _newton_pair(p, s, criteria.eval_h2, hi2,
-                                               0.5 * (lm2.q12 + lm2.q22))
-        if res22f > _SYSTEM_TOL:
-            raise RuntimeError(f"full-onset residual {res22f:.2e} too large")
-        diag.update(x_star_2to2F=x22f, residual_2to2F=res22f,
-                    onset_quadratic_at_2to1F=criteria.s_of(p, s, lam_2to1f))
+        lam_2to2f = solve("2to2F", _full_window, lambda lm: (lm.q12, lm.q22),
+                          criteria.eval_h2, anchor, lam_2to1f - 1e-6,
+                          len(memo))
+        diag["onset_quadratic_at_2to1F"] = criteria.s_of(p, s, lam_2to1f)
         general.update(lambda_2to2F=lam_2to2f, lambda_2to1F=lam_2to1f)
         if not 0 < lam_1to2 < lam_2to2f < lam_2to1f < lam_2to1 < 1:
             raise RuntimeError("four-phase boundary ordering violated")

@@ -81,6 +81,22 @@ def test_boundaries_json_and_csv(capsys):
     assert names == ["regime", "lambda_1to1F", "lambda_1Fto1"]
 
 
+def test_boundaries_json_says_how_each_system_boundary_was_solved(capsys):
+    rc, out, _ = run(capsys, "boundaries", "--p", "4", "--s", "38")
+    assert rc == 0
+    diag = json.loads(out)["diagnostics"]
+    for key in ("1to2", "2to2F"):
+        assert diag["landmarks_" + key] > 0
+        assert 0 <= diag["halvings_" + key] <= diag["landmarks_" + key]
+    # the CSV form carries the constants and residuals only
+    rc, out, _ = run(capsys, "boundaries", "--p", "4", "--s", "38",
+                     "--format", "csv")
+    assert rc == 0
+    assert [l.split(",")[0] for l in out.splitlines()[2:]] == [
+        "regime", "lambda_1to2", "lambda_2to1", "lambda_2to2F",
+        "lambda_2to1F"]
+
+
 def test_sweep_deterministic_and_parallel(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -87,8 +87,8 @@ def test_boundary_defining_equations_hold():
     assert lo < g["lambda_2to1"] < hi
 
 
-def test_cold_four_phase_solve_stays_within_its_landmark_budget(monkeypatch):
-    # the bisections stop once the Newton polish has a basin to start from
+def _cold_solve_counted(monkeypatch, p, s):
+    # a cold solve of (p, s), and the lambdas it scanned landmarks at
     calls = []
     real = criteria.landmarks
 
@@ -98,17 +98,104 @@ def test_cold_four_phase_solve_stays_within_its_landmark_budget(monkeypatch):
 
     monkeypatch.setattr(criteria, "landmarks", counted)
     boundaries.cache_clear()
-    g = boundaries(4, 38).general
-    assert 0 < len(calls) <= 45
+    return boundaries(p, s), calls
+
+
+def test_cold_four_phase_solve_stays_within_its_landmark_budget(monkeypatch):
+    # Brent's method on the window-root gaps stops once the Newton polish
+    # has a basin to start from; the diagnostics count every scan
+    b, calls = _cold_solve_counted(monkeypatch, 4, 38)
+    d, g = b.diagnostics, b.general
+    assert 0 < len(calls) <= 15
+    assert len(set(calls)) == len(calls)
+    assert d["landmarks_1to2"] + d["landmarks_2to2F"] == len(calls)
     assert g["lambda_1to2"] == pytest.approx(0.6093645164854334, abs=1e-9)
     assert g["lambda_2to2F"] == pytest.approx(0.9816846324246461, abs=1e-9)
     assert g["lambda_2to1F"] == pytest.approx(0.9871482060395593, abs=1e-9)
     assert g["lambda_2to1"] == pytest.approx(0.9899796410415966, abs=1e-9)
 
 
+def test_cold_two_phase_solve_stays_within_its_landmark_budget(monkeypatch):
+    b, calls = _cold_solve_counted(monkeypatch, 4, 28)
+    assert 0 < len(calls) <= 7
+    assert b.diagnostics["landmarks_1to2"] == len(calls)
+    assert "landmarks_2to2F" not in b.diagnostics
+    assert b.general["lambda_1to2"] == pytest.approx(0.731102927909631,
+                                                     abs=1e-10)
+
+
 # a fixed spread of both system-solving regimes over p = 3..6
 SOLVED_FAMILIES = [(3, 13), (4, 25), (5, 36), (5, 47), (5, 56), (6, 52),
                    (3, 16), (3, 27), (3, 60), (4, 33), (4, 45), (5, 58)]
+
+# their constants, and those of (5, 57), as the predicate bisections
+# solved them: lambda_1to2, then lambda_2to2F and lambda_2to1F for
+# FourPhase, then lambda_2to1
+_FROZEN = {
+    (3, 13): (0.8158580365548982, 0.9425605514047121),
+    (4, 25): (0.7991423362693008, 0.9606487504568147),
+    (5, 36): (0.8527335331488113, 0.9540103527493794),
+    (5, 47): (0.7106479005757206, 0.9833061571360786),
+    (5, 56): (0.6500316132976798, 0.9898929711191877),
+    (6, 52): (0.8271379328976035, 0.9668464767039343),
+    (3, 16): (0.6624748427325124, 0.9574027114183605, 0.9699511023259704,
+              0.9765935300710104),
+    (3, 27): (0.4767305404982631, 0.9585531845532961, 0.9869029281046152,
+              0.9947806679540203),
+    (3, 60): (0.34604022785182476, 0.9846059604267764, 0.9969592389287045,
+              0.9991854595528302),
+    (4, 33): (0.658242520467833, 0.981619042647812, 0.9837560223153954,
+              0.98506487716044),
+    (4, 45): (0.5616717210132486, 0.9832560415504408, 0.9903992356689074,
+              0.9935676291408019),
+    (5, 58): (0.6395197826086702, 0.990004433189532, 0.9904906223494085,
+              0.9908036044806934),
+    (5, 57): (0.6446718330440043, 0.9899451921035441, 0.9901988532368984,
+              0.9903649662692017),
+}
+
+
+def _constants(b):
+    return tuple(b.general[k] for k in ("lambda_1to2", "lambda_2to2F",
+                                        "lambda_2to1F", "lambda_2to1")
+                 if k in b.general)
+
+
+@pytest.mark.parametrize("family", SOLVED_FAMILIES)
+def test_solved_constants_stay_on_their_roots(family):
+    assert _constants(boundaries(*family)) == pytest.approx(
+        _FROZEN[family], abs=1e-10)
+
+
+@pytest.mark.parametrize("gaps", ["all", "none", "holes"])
+def test_bracket_halvings_land_on_the_same_roots(monkeypatch, gaps):
+    # (5, 57): lambda_2to2F sits 2.5e-4 below lambda_2to1F, and q22 is
+    # absent at the top of its bracket, so the bracket is halved on the
+    # window predicate until both ends carry a gap. With no gap anywhere,
+    # halving alone has to seed the Newton polish; with a gap missing at
+    # every third look, Brent's method breaks off and halving resumes
+    real, looks = phases._gap, []
+
+    def gap(lo, hi):
+        looks.append(None)
+        return real(lo, hi) if gaps == "all" or (
+            gaps == "holes" and len(looks) % 3) else None
+
+    monkeypatch.setattr(phases, "_gap", gap)
+    boundaries.cache_clear()
+    try:
+        b = boundaries(5, 57)
+    finally:
+        boundaries.cache_clear()
+    d = b.diagnostics
+    lm_top = criteria.landmarks(make_mixture(
+        5, 57, b.general["lambda_2to1F"] - 1e-6))
+    assert lm_top.q22 is None
+    assert d["halvings_2to2F"] >= 5
+    if gaps == "none":  # every scan but the anchor's was a halving
+        assert d["landmarks_1to2"] == d["halvings_1to2"] + 1
+        assert d["landmarks_2to2F"] == d["halvings_2to2F"]
+    assert _constants(b) == pytest.approx(_FROZEN[5, 57], abs=1e-11)
 
 
 def test_boundaries_hold_their_defining_equations_across_families():
