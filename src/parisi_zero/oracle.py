@@ -4,16 +4,14 @@ This module deliberately knows nothing about phase classification or the
 closed-form constructions. It parametrizes a density with k upward jumps
 plus the terminal atom, evaluates the functional in exact closed form
 (the tail is piecewise linear, so every piece is a log), and minimizes
-with L-BFGS-B from many starts. That is scipy's, reached through the
-module-level `minimize`, which imports it on the first solve, so
-importing this module does not load scipy. The functional is smooth in
-the search parameters (stick-breaking logits for the jump locations,
-logs for the jump sizes and the atom), so its gradient is exact and
-closed form too: one backward pass through the tail recursion, then the
-chain rule through the parametrization. Each level k is warm-started
-from the level k-1 optimum with a near-zero jump inserted into its
-widest gap, so the reported energies are nonincreasing in k by
-construction.
+it from many starts with the module's own dense BFGS, `minimize`, on
+numpy alone. The functional is smooth in the search parameters
+(stick-breaking logits for the jump locations, logs for the jump sizes
+and the atom), so its gradient is exact and closed form too: one
+backward pass through the tail recursion, then the chain rule through
+the parametrization. Each level k is warm-started from the level k-1
+optimum with a near-zero jump inserted into its widest gap, so the
+reported energies are nonincreasing in k by construction.
 
 The search profile over k is the independent evidence the classifier is
 checked against: a k-step ground state shows up as the chain saturating
@@ -24,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,18 +34,87 @@ __all__ = ["StepMeasure", "OracleProfile", "step_energy", "minimize_k",
 _KMAX = 6
 # clip range of the log parameters (jump sizes and atom share the floor)
 _LOG_FLOOR, _LOG_ADD_CAP, _LOG_ATOM_CAP = -45.0, 10.0, 5.0
-_LBFGSB = {"ftol": 1e-16, "gtol": 1e-12, "maxcor": 30}
+_TRIALS = 30  # evaluations one line search may spend
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call.
+class SearchResult(NamedTuple):
+    """Where `minimize` stopped, its value, evaluations and iterations."""
 
-    A module-level name that `_chain` looks up at call time, so scipy
-    loads only when a search runs, and a wrapper set on it sees every
-    solve.
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+
+
+def minimize(fun, x0, args=(), maxiter=15000, gtol=1e-12, ftol=1e-16):
+    """Minimize fun(x, *args), which returns (value, gradient), by BFGS.
+
+    The inverse Hessian H is dense, as x has at most 2 * _KMAX + 1
+    entries (Nocedal & Wright, ch. 6). A line search starts at the full
+    step, cuts back past an Armijo failure and pushes on while the slope
+    stays steep (weak Wolfe). The search stops once no gradient entry
+    exceeds gtol, once a step lowers the value by at most ftol relative
+    to max(|f|, 1), or after maxiter steps. A line search that finds no
+    decrease resets H to a scaled identity; a second such stall in a row
+    ends the search. `_chain` looks this name up at call time, so a
+    wrapper set on it sees every solve.
     """
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+    x = np.array(x0, dtype=float)
+    f, g = fun(x, *args)
+    nfev = nit = 0
+    eye = np.eye(len(x))
+    gamma = h = None
+    stalled = False
+    while nit < maxiter and np.abs(g).max() > gtol:
+        if h is None:
+            h = (gamma or 1.0 / math.sqrt(g.dot(g))) * eye
+        p = -h.dot(g)
+        slope = p.dot(g)
+        lo, hi, t, step = 0.0, math.inf, 1.0, None
+        for _ in range(_TRIALS):
+            # a step this short promises less than the value can show
+            if t * slope >= -ftol * max(abs(f), 1.0):
+                break
+            x1 = x + t * p
+            f1, g1 = fun(x1, *args)
+            nfev += 1
+            if f1 <= f + 1e-4 * t * slope:
+                step = x1, f1, g1
+                if g1.dot(p) >= 0.9 * slope:
+                    break
+                lo = t
+            else:
+                hi = t
+            if hi == math.inf:
+                t *= 2.0
+            elif lo > 0.0:
+                t = 0.5 * (lo + hi)
+            else:
+                # minimizer of the quadratic through f, slope and f1
+                t = min(0.5 * t, max(0.1 * t, 0.5 * slope * t * t
+                                     / (f + slope * t - f1)))
+        if step is None or not step[1] < f:
+            if stalled:
+                break
+            stalled, h = True, None
+            continue
+        x1, f1, g1 = step
+        s, y = x1 - x, g1 - g
+        done = f - f1 <= ftol * max(abs(f), abs(f1), 1.0)
+        x, f, g, stalled, nit = x1, f1, g1, False, nit + 1
+        if done:
+            break
+        sy, yy = s.dot(y), y.dot(y)
+        if sy > 1e-12 * math.sqrt(s.dot(s) * yy):
+            if gamma is None:
+                h = (sy / yy) * eye
+            gamma = sy / yy
+            # H += r (s u' - Hy s'), u = (1 + r y'Hy) s - Hy, r = 1 / s'y
+            hy = h.dot(y)
+            r = 1.0 / sy
+            u = (1.0 + r * y.dot(hy)) * s - hy
+            h += r * (s[:, None] * u - hy[:, None] * s)
+    return SearchResult(x, f, nfev + 1, nit)
 
 
 @dataclass(frozen=True)
@@ -249,10 +317,9 @@ def _chain(m: Mixture, kmax: int, restarts: int, seed: int):
             best_t = _unpack(starts[0], k)
             best_vec = _flat(best_t)
 
-        opts = {"maxiter": 3000 * (2 * k + 1), **_LBFGSB}
         for v0 in starts:
-            res = minimize(_objective, v0, args=(k, terms, xi1), jac=True,
-                           method="L-BFGS-B", options=opts)
+            res = minimize(_objective, v0, args=(k, terms, xi1),
+                           maxiter=3000 * (2 * k + 1))
             # ties broken by the smaller parameter vector, so the pick is a
             # pure function of the start set and not of evaluation order
             cand_t = _unpack(res.x, k)

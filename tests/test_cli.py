@@ -310,19 +310,73 @@ for jobs in ("1", "2"):
                      "--out", os.path.join(tmp, jobs + ".csv"),
                      "--jobs", jobs]) == 0
     check("sweep --jobs " + jobs)
+from parisi_zero import make_mixture, minimize_k, oracle_profile
+m = make_mixture(4, 38, 0.985)
+oracle_profile(m, kmax=2, restarts=2, seed=1)
+minimize_k(m, 1, restarts=2, seed=1)
+check("oracle")
 """
 
 
-def test_step_phases_never_load_scipy(tmp_path):
-    # the CLI import, a boundary solve, classify in every phase, a verify
-    # of a full measure and sweeps serial or pooled all stay clear of scipy
+def run_script(script, tmp_path):
     src = os.path.dirname(os.path.dirname(parisi_zero.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
+    return subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+def test_step_phases_never_load_scipy(tmp_path):
+    # the CLI import, a boundary solve, classify in every phase, a verify
+    # of a full measure, sweeps serial or pooled and the oracle all stay
+    # clear of scipy
+    proc = run_script(_NO_SCIPY, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+_SCIPY_BLOCKED = """
+import importlib.abc
+import json
+import os
+import sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(name + " is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from parisi_zero import classify, cli
+from parisi_zero.measure import to_json_dict
+
+tmp = sys.argv[1]
+path = os.path.join(tmp, "full.json")
+with open(path, "w") as fh:
+    json.dump(to_json_dict(classify(4, 38, 0.985).measure), fh)
+point = ["--p", "4", "--s", "38"]
+grid = ["--lambda-grid", "0.980:0.991", "--count", "6"]
+for argv in (["classify", *point, "--lambda", "0.985"],
+             ["classify", "--p", "2", "--s", "4", "--lambda", "0.95"],
+             ["boundaries", *point],
+             ["sweep", *point, *grid, "--jobs", "1",
+              "--out", os.path.join(tmp, "1.csv")],
+             ["sweep", *point, *grid, "--jobs", "2",
+              "--out", os.path.join(tmp, "2.csv")],
+             ["verify", *point, "--lambda", "0.985", "--measure", path],
+             ["oracle", *point, "--lambda", "0.985", "--kmax", "2",
+              "--restarts", "2"]):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # an import hook refuses scipy outright, so any use of it would fail
+    proc = run_script(_SCIPY_BLOCKED, tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -344,13 +398,7 @@ for jobs in ("1", "2"):
 def test_sweep_does_not_depend_on_the_start_method(tmp_path):
     # spawned workers inherit no solved boundaries and solve their own;
     # the rows must still match the serial run byte for byte
-    src = os.path.dirname(os.path.dirname(parisi_zero.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SPAWN, str(tmp_path)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run_script(_SPAWN, tmp_path)
     assert proc.returncode == 0, proc.stderr
     for ext in (".csv", ".dat"):
         assert ((tmp_path / ("1" + ext)).read_bytes()

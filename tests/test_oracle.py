@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from parisi_zero import oracle
 from parisi_zero import (
@@ -201,3 +202,101 @@ def test_searches_go_through_the_module_level_minimize(monkeypatch):
     assert len(seen) > 0 and sum(seen) > 0
     assert wrapped.energies == plain.energies
     assert wrapped.measures == plain.measures
+
+
+def rosenbrock(x):
+    a, b = x
+    return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+            np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                      200.0 * (b - a * a)]))
+
+
+def test_bfgs_reaches_gtol_on_a_convex_quadratic():
+    # written about its minimum, so the value keeps its relative precision
+    # all the way down; ftol = 0 leaves gtol the only way to stop
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(13, 13)))
+    a = q @ np.diag(np.geomspace(0.1, 100.0, 13)) @ q.T
+    c = rng.normal(size=13)
+
+    def quadratic(x):
+        ad = a @ (x - c)
+        return 0.5 * (x - c) @ ad, ad
+    res = oracle.minimize(quadratic, np.zeros(13), ftol=0.0)
+    assert np.abs(quadratic(res.x)[1]).max() <= 1e-12
+    assert np.abs(res.x - c).max() <= 1e-11
+    assert 0 < res.nit < 200
+
+
+def test_bfgs_solves_rosenbrock():
+    res = oracle.minimize(rosenbrock, [-1.2, 1.0])
+    assert np.abs(res.x - 1.0).max() <= 1e-8
+    assert res.fun == rosenbrock(res.x)[0]
+
+
+def test_bfgs_never_ends_above_its_start():
+    rng = np.random.default_rng(8)
+    m = make_mixture(2, 29, 0.8590255149245344)
+    terms, xi1 = m.terms[0], xi_deriv(m, 1.0, 1)
+    for trial in range(12):
+        k = trial % 4
+        v = rng.normal(0.0, 3.0, size=2 * k + 1)
+        res = oracle.minimize(oracle._objective, v, args=(k, terms, xi1),
+                              maxiter=50 * (trial + 1))
+        assert res.fun <= oracle._objective(v, k, terms, xi1)[0]
+        assert res.fun == oracle._objective(res.x, k, terms, xi1)[0]
+        x0 = rng.normal(0.0, 2.0, size=2)
+        assert oracle.minimize(rosenbrock, x0).fun <= rosenbrock(x0)[0]
+
+
+def test_bfgs_returns_a_start_with_zero_gradient():
+    # past either clip bound the atom's log is inert, and at k = 0 it is
+    # the whole search vector
+    m = make_mixture(4, 18, 0.5)
+    for v in (7.0, -60.0):
+        res = oracle.minimize(oracle._objective, np.array([v]),
+                              args=(0, m.terms[0], xi_deriv(m, 1.0, 1)))
+        assert res.x.tolist() == [v]
+        assert res.nit == 0 and res.nfev == 1
+
+
+def test_bfgs_respects_maxiter():
+    for n in (1, 5, 17):
+        res = oracle.minimize(rosenbrock, [-1.2, 1.0], maxiter=n)
+        assert res.nit == n
+        assert np.abs(res.x - 1.0).max() > 1e-3
+
+
+def test_bfgs_is_repeatable_bit_for_bit():
+    m = make_mixture(2, 29, 0.8590255149245344)
+    args = (3, m.terms[0], xi_deriv(m, 1.0, 1))
+    v = np.array([0.8, -1.75, -3.09, -1.97, -3.67, 0.93, -2.6])
+    a = oracle.minimize(oracle._objective, v, args=args)
+    b = oracle.minimize(oracle._objective, v, args=args)
+    assert a.x.tolist() == b.x.tolist()
+    assert (a.fun, a.nfev, a.nit) == (b.fun, b.nfev, b.nit)
+
+
+def scipy_lbfgsb(fun, x0, args=(), maxiter=15000, gtol=1e-12, ftol=1e-16):
+    """The search the oracle ran before it had its own BFGS."""
+    return scipy.optimize.minimize(
+        fun, x0, args=args, jac=True, method="L-BFGS-B",
+        options={"maxiter": maxiter, "gtol": gtol, "ftol": ftol,
+                 "maxcor": 30})
+
+
+def test_chain_no_worse_than_scipy_lbfgsb(monkeypatch):
+    # one point in each phase, plus a p = 2 OneFRSB point whose level-3
+    # optimum only a long crawl from the peeled-rung start reaches
+    points = [(2, 5, 1.0, 1), (4, 18, 0.5, 2), (4, 38, 0.95, 3),
+              (4, 38, 0.985, 4), (4, 38, 0.988, 5), (2, 4, 0.95, 6),
+              (2, 29, 0.8590255149245344, 734087)]
+    ours = [oracle_profile(make_mixture(p, s, lam), kmax=3, restarts=4,
+                           seed=seed) for p, s, lam, seed in points]
+    monkeypatch.setattr(oracle, "minimize", scipy_lbfgsb)
+    for (p, s, lam, seed), mine in zip(points, ours):
+        ref = oracle_profile(make_mixture(p, s, lam), kmax=3, restarts=4,
+                             seed=seed)
+        assert mine.saturation == ref.saturation, (p, s, lam)
+        for k, (a, b) in enumerate(zip(mine.energies, ref.energies)):
+            assert a <= b + 1e-9, (p, s, lam, k, a - b)
