@@ -1,13 +1,15 @@
 """Brent's scalar root finder and bounded minimizer on plain floats.
 
 The step-phase classification and the boundary solves need only two
-scalar routines: a bracketing root finder and a bounded minimizer, both
-from R. P. Brent, *Algorithms for Minimization without Derivatives*
-(1973), ch. 4 and 5. They are transcribed here from scipy's
-``brentq`` (its C loop) and ``minimize_scalar(method="bounded")``, with
-the same operations in the same order, so they return the same iterates
-bit for bit while keeping scipy itself off the import path of every
-caller that needs nothing else from it.
+scalar routines, both from R. P. Brent, *Algorithms for Minimization
+without Derivatives* (1973), ch. 4 and 5: a bracketing root finder for
+every root and stationarity condition, and a bounded minimizer that
+serves only the refinement step of `energy.verify_parisi`. They are
+transcribed here from scipy's ``brentq`` (its C loop) and
+``minimize_scalar(method="bounded")``, with the same operations in the
+same order, so they return the same iterates bit for bit while keeping
+scipy itself off the import path of every caller that needs nothing
+else from it.
 
 Where scipy's C loop divides by zero it gets inf or NaN, which fails the
 interpolation step's acceptance test and falls back to bisection; the

@@ -5,12 +5,13 @@ sweeps to versioned CSV files plus a gnuplot-ready .dat companion. Exit
 codes: 0 success, 2 an Unresolved classification or a failing verifier
 report, 1 usage or input errors. The verifier tolerance defaults to 1e-7
 and can be overridden per call with --tol or globally with the
-PARISI_TOL environment variable.
+PARISI_TOL environment variable; either must be a finite number > 0.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -302,13 +303,24 @@ _COMMANDS = {
 }
 
 
+def _tolerance(args) -> float:
+    """The verifier tolerance from --tol or PARISI_TOL, a finite number > 0."""
+    where, raw = "--tol", args.tol
+    if raw is None:
+        where, raw = "PARISI_TOL", os.environ.get("PARISI_TOL", "1e-7")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{where} must be a finite number > 0, got {raw!r}")
+    return tol
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("PARISI_TOL", "1e-7"))
     try:
-        return _COMMANDS[args.command](args, tol)
+        return _COMMANDS[args.command](args, _tolerance(args))
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # ArithmeticError: e.g. a measure file whose tail underflows to zero
         print(f"{args.command}: {exc}", file=sys.stderr)

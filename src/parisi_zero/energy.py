@@ -188,12 +188,14 @@ class _Tables:
 
 
 def g_of(m: Mixture, nu: ParisiMeasure, u):
-    """The optimality gap g(u); g(1) = 0 identically."""
+    """The optimality gap g(u) on u in [0, 1]; g(1) = 0 identically."""
+    us = np.asarray(u, dtype=float)
+    if not np.all((us >= 0.0) & (us <= 1.0)):  # NaN fails too
+        raise ValueError(f"u must lie in [0, 1], got {u}")
     tab = _Tables(m, nu)
     x1, j1 = xi_deriv(m, 1.0), tab.J[-1]
-    if np.ndim(u) == 0:
+    if us.ndim == 0:
         return (x1 - xi_deriv(m, float(u))) - (j1 - tab.J_at(float(u)))
-    us = np.asarray(u, dtype=float)
     return (x1 - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
 
 

@@ -181,12 +181,13 @@ def step_energy(m: Mixture, sm: StepMeasure) -> float:
     """Exact functional value of a step measure (no quadrature)."""
     qs = [q for q, _ in sm.jumps]
     adds = [a for _, a in sm.jumps]
-    if sm.atom <= 0.0:
-        raise ValueError("atom must be positive")
-    if qs != sorted(qs) or any(q < 0.0 or q > 1.0 for q in qs):
+    # written so that NaN fails every test
+    if not 0.0 < sm.atom < math.inf:
+        raise ValueError("atom must be positive and finite")
+    if qs != sorted(qs) or not all(0.0 <= q <= 1.0 for q in qs):
         raise ValueError("jump locations must be sorted within [0, 1]")
-    if any(a < 0.0 for a in adds):
-        raise ValueError("jump sizes must be nonnegative")
+    if not all(0.0 <= a < math.inf for a in adds):
+        raise ValueError("jump sizes must be nonnegative and finite")
     return _functional(m.terms[0], xi_deriv(m, 1.0, 1), qs, adds,
                        sm.atom)[0]
 
@@ -297,6 +298,8 @@ def _level_starts(k, prev, rng, restarts):
 
 
 def _chain(m: Mixture, kmax: int, restarts: int, seed: int):
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     rng = np.random.default_rng(seed)
     terms = m.terms[0]
     xi1 = xi_deriv(m, 1.0, 1)

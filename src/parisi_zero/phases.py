@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import criteria
-from ._solve import brentq, fminbound
+from ._solve import brentq
 from .energy import VerificationReport, cs_energy, verify_parisi
 from .measure import (ParisiMeasure, build_1rsb, build_2rsb, build_mixed,
                       build_rs)
@@ -280,25 +280,13 @@ def boundary_lambdas(b: PhaseBoundaries) -> tuple[float, ...]:
 
 
 def _zeta_max(m: Mixture, z: float) -> float:
-    # coarse grid, then bounded refinement around the top three local maxima
+    # zeta' = xi''(x) (1 - x) K(x) / (xi'(1) + z xi'(x)) with
+    # K = xi'(1) + z xi' - D1, so zeta's interior extrema are K's roots
     a = xi_deriv(m, 1.0, 1)
-    xs = np.linspace(0.0, 1.0, 1025)
-    vals = criteria._zeta_at(m, xs, z, a)
-    inner = vals[1:-1]
-    peaks = np.nonzero((inner >= vals[:-2]) & (inner >= vals[2:]))[0] + 1
-    # highest first; a stable sort keeps equal peaks in ascending x
-    peaks = peaks[np.argsort(-vals[peaks], kind="stable")]
-    best = float(vals.max())
-    windows = [(xs[i - 1], xs[i + 1]) for i in peaks[:3]]
-    # both endpoints are exact zeros, so a bump hiding inside the first or
-    # last grid cell never shows up as an interior coarse peak; near the
-    # upper phase boundary the whole positive part lives there
-    windows += [(xs[0], xs[1]), (xs[-2], xs[-1])]
-    for lo, hi in windows:
-        _, fmin = fminbound(lambda x: -criteria._zeta_at(m, x, z, a),
-                            lo, hi, xatol=1e-11)
-        best = max(best, -fmin)
-    return best
+    roots = criteria._sign_roots(
+        lambda x: a + z * xi_deriv(m, x, 1) - criteria._d1(m, x),
+        0.0, 1.0, n=1025)
+    return max([0.0] + [float(criteria._zeta_at(m, r, z, a)) for r in roots])
 
 
 def _solve_two_step(m: Mixture, lm: criteria.Landmarks):

@@ -63,6 +63,30 @@ def test_env_tolerance_forces_unresolved(capsys, monkeypatch):
     assert json.loads(out)["phase"] == "OneRSB"
 
 
+@pytest.mark.parametrize("env, flag, where", [
+    ("abc", None, "PARISI_TOL"),
+    ("-1e-7", None, "PARISI_TOL"),
+    (None, "nan", "--tol"),
+    (None, "inf", "--tol"),
+    (None, "-1", "--tol"),
+    (None, "0", "--tol"),
+])
+def test_bad_tolerance_exits_one_before_any_work(capsys, monkeypatch, env,
+                                                 flag, where):
+    if env is None:
+        monkeypatch.delenv("PARISI_TOL", raising=False)
+    else:
+        monkeypatch.setenv("PARISI_TOL", env)
+    argv = ["classify", "--p", "4", "--s", "38", "--lambda", "0.985"]
+    if flag is not None:
+        argv += ["--tol", flag]
+    monkeypatch.setattr("parisi_zero.cli.classify", None)  # never reached
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and where in err
+
+
 def test_boundaries_json_and_csv(capsys):
     rc, out, _ = run(capsys, "boundaries", "--p", "2", "--s", "4")
     assert rc == 0

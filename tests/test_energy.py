@@ -75,6 +75,15 @@ def test_g_array_matches_scalar():
         assert g_of(m, nu, float(u)) == pytest.approx(float(v), abs=1e-14)
 
 
+def test_g_refuses_u_outside_the_unit_interval():
+    m = make_mixture(4, 18, 0.5)
+    nu = build_1rsb(m, solve_z(m))
+    for u in (1.5, -0.1, math.nan, np.array([0.5, 1.5]),
+              np.array([-0.1, 0.5]), np.array([0.2, math.nan])):
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+            g_of(m, nu, u)
+
+
 def _random_cone_member(rng):
     """A raw step measure in the cone: nondecreasing plateaus, positive atom."""
     k = rng.integers(1, 4)

@@ -112,6 +112,19 @@ def test_validation_errors():
         minimize_k(m, 7)
     with pytest.raises(ValueError):
         minimize_k(m, -1)
+    # non-finite atoms, locations and sizes
+    for sm in (StepMeasure(((0.3, 0.1),), math.nan),
+               StepMeasure(((0.3, 0.1),), math.inf),
+               StepMeasure(((math.nan, 0.1),), 0.5),
+               StepMeasure(((0.3, math.nan),), 0.5),
+               StepMeasure(((0.3, math.inf),), 0.5)):
+        with pytest.raises(ValueError):
+            step_energy(m, sm)
+    # a negative restart count leaves no start set to search
+    with pytest.raises(ValueError, match="restarts"):
+        minimize_k(m, 1, restarts=-3)
+    with pytest.raises(ValueError, match="restarts"):
+        oracle_profile(m, 1, restarts=-3)
 
 
 def vector_energy(m, v, k):

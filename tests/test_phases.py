@@ -17,6 +17,7 @@ from parisi_zero import (
     regime,
     s_roots,
     solve_z,
+    xi_deriv,
     zeta,
 )
 
@@ -407,6 +408,58 @@ def test_zeta_sign_matches_h11_at_critical_points():
                 assert np.sign(zv[i]) == np.sign(h11), (p, s, lam, xs[i])
                 checked += 1
         assert checked >= 1
+
+
+def _k(m, z, x):
+    # zeta's stationarity factor xi'(1) + z xi'(x) - D1(x)
+    return xi_deriv(m, 1.0, 1) + z * xi_deriv(m, x, 1) - criteria._d1(m, x)
+
+
+def test_zeta_slope_factors_through_k():
+    # zeta' = xi''(x) (1 - x) K(x) / (xi'(1) + z xi'(x)), against central
+    # differences of zeta itself
+    h = 1e-5
+    xs = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+    for p, s, lam in [(4, 38, 0.8), (3, 20, 0.9), (4, 28, 0.95),
+                      (5, 40, 0.9), (4, 38, 0.5)]:
+        m = make_mixture(p, s, lam)
+        z, a = solve_z(m), xi_deriv(m, 1.0, 1)
+        for x in xs:
+            fd = (criteria._zeta_at(m, x + h, z, a)
+                  - criteria._zeta_at(m, x - h, z, a)) / (2 * h)
+            want = (xi_deriv(m, x, 2) * (1 - x) * _k(m, z, x)
+                    / (a + z * xi_deriv(m, x, 1)))
+            assert fd == pytest.approx(want, rel=1e-6), (p, s, lam, x)
+
+
+def test_zeta_max_matches_a_dense_grid():
+    # the root search on K never reads below zeta's maximum on a
+    # 2^16 + 1-point grid, and decides the one-step test the same way
+    held = [(4, 38, 0.5, "OneRSB"), (4, 38, 0.8, "TwoRSB"),
+            (3, 20, 0.5, "OneRSB"), (3, 20, 0.9, "TwoRSB"),
+            (4, 28, 0.6, "OneRSB"), (4, 28, 0.9, "TwoRSB"),
+            (3, 3, 1.0, "OneRSB")]
+    for p, s, lam, phase in held:
+        assert classify(p, s, lam).phase == phase
+    below = [(p, s, boundaries(p, s).general["lambda_2to1"] - d, d)
+             for p, s in [(4, 38), (3, 20)] for d in (1e-5, 1e-4, 1e-3)]
+    xs = np.linspace(0.0, 1.0, 2 ** 16 + 1)
+    for p, s, lam, _ in held + below:
+        m = make_mixture(p, s, lam)
+        z = solve_z(m)
+        dense = float(criteria._zeta_at(m, xs, z, xi_deriv(m, 1.0, 1)).max())
+        zmax = phases._zeta_max(m, z)
+        assert zmax >= dense - 1e-14, (p, s, lam)
+        assert (zmax <= phases._ZETA_FLOOR) == (dense <= phases._ZETA_FLOOR)
+    # closest to lambda_2to1, K's top root, zeta's maximum, lies within the
+    # last one or two cells of the 1025-point grid
+    for p, s, lam, d in below:
+        if d < 1e-3:
+            m = make_mixture(p, s, lam)
+            z = solve_z(m)
+            top = criteria._sign_roots(lambda x: _k(m, z, x), 0.0, 1.0,
+                                       n=1025)[-1]
+            assert 1.0 - 2.0 / 1024 < top < 1.0, (p, s, lam)
 
 
 def test_boundary_solve_failure_comes_back_unresolved(monkeypatch):
