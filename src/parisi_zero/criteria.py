@@ -10,9 +10,11 @@ Numerical backbone: each h-function is a rational-log expression whose
 raw form loses every digit as x -> 1 because numerator and denominator
 share powers of (1 - x). Instead of switching to local expansions near
 the endpoint, all expressions are assembled from exact divided
-differences of xi at 1 (Horner-evaluated partial geometric sums), which
-remain O(1) and exact arbitrarily close to x = 1. The identities tying
-the h's to f1/f2 then hold by construction, not by transcription.
+differences of xi at 1 (partial geometric sums, every length of which
+comes from one Horner pass, in place on arrays), which remain O(1) and
+exact arbitrarily close to x = 1. One kernel at x (xi, xi', D1, B and
+x xi' - xi) feeds f12 and all four window functions, so the identities
+tying the h's to f1/f2 hold by construction, not by transcription.
 
 All functions accept scalars or ndarrays in x and are pure.
 """
@@ -89,37 +91,42 @@ class QuadraticRoots:
 # ---------------------------------------------------------------------------
 
 
-def _gsum(n, x):
-    if n <= 0:
-        return 0.0 * x
-    acc = 0.0 * x
-    for _ in range(n):
-        acc = acc * x + 1.0
-    return acc
+def _horner(x, ns, weighted=False):
+    # gsum(n, x) for each n of the ascending ns (weighted: hsum(n + 1, x)) from
+    # one pass, n <= 0 giving 0*x; in place on arrays, unrolled on plain floats
+    acc, done, out = 0.0 * x, 0, []
+    scalar = isinstance(acc, float)
+    for n in ns:
+        d = n - done
+        if d > 0 and scalar and not weighted:
+            if d & 1:
+                acc = acc * x + 1.0
+            if d & 2:
+                acc = (acc * x + 1.0) * x + 1.0
+            for _ in range(d >> 2):
+                acc = (((acc * x + 1.0) * x + 1.0) * x + 1.0) * x + 1.0
+        else:
+            for k in range(done + 1, n + 1):
+                acc *= x
+                acc += k if weighted else 1.0
+        done = n if d > 0 else done
+        out.append(acc if scalar else acc.copy())
+    return out
 
 
 def _wsum(n, x):
-    if n <= 0:
-        return 0.0 * x
     acc = 0.0 * x
-    for i in range(n - 1, -1, -1):
-        acc = acc * x + (i + 1)
-    return acc
-
-
-def _hsum(n, x):
-    if n <= 1:
-        return 0.0 * x
-    acc = 0.0 * x
-    for mm in range(n - 2, -1, -1):
-        acc = acc * x + (n - 1 - mm)
+    for i in range(n, 0, -1):
+        acc *= x
+        acc += i
     return acc
 
 
 def _d1(m, x):
     # (xi'(1) - xi'(x)) / (1 - x), exact; equals xi''(1) at x=1
     lam, mu = m.lam, 1.0 - m.lam
-    return m.p * lam * _gsum(m.p - 1, x) + m.s * mu * _gsum(m.s - 1, x)
+    gp, gs = _horner(x, (m.p - 1, m.s - 1))
+    return m.p * lam * gp + m.s * mu * gs
 
 
 def _bfun(m, x):
@@ -128,23 +135,16 @@ def _bfun(m, x):
     return lam * _wsum(m.p - 1, x) + mu * _wsum(m.s - 1, x)
 
 
-def _d12(m, x):
-    # (xi''(1) - xi''(x)) / (1 - x)
-    lam, mu = m.lam, 1.0 - m.lam
-    return (m.p * (m.p - 1) * lam * _gsum(m.p - 2, x)
-            + m.s * (m.s - 1) * mu * _gsum(m.s - 2, x))
-
-
-def _d1r(m, x):
-    # (xi''(1) - D1(x)) / (1 - x)
-    lam, mu = m.lam, 1.0 - m.lam
-    return m.p * lam * _hsum(m.p - 1, x) + m.s * mu * _hsum(m.s - 1, x)
-
-
 def _tau(m, x):
-    # t(x) / (1 - x)^2 with t as in eval_aux; exact, no cancellation at x=1
-    a = xi_deriv(m, 1.0, 1)
-    return _d1(m, x) ** 2 + a * (_d1r(m, x) - _d12(m, x) - xi_deriv(m, x, 2))
+    # t(x) / (1 - x)^2 with t as in eval_aux, exact: D1^2 + xi'(1) (D1r - D12
+    # - xi''), D1r = (xi''(1) - D1) / (1 - x), D12 = (xi''(1) - xi'') / (1 - x)
+    lam, mu = m.lam, 1.0 - m.lam
+    g2p, g1p, g2s, g1s = _horner(x, (m.p - 2, m.p - 1, m.s - 2, m.s - 1))
+    hp, hs = _horner(x, (m.p - 2, m.s - 2), weighted=True)
+    d1r = m.p * lam * hp + m.s * mu * hs
+    d12 = m.p * (m.p - 1) * lam * g2p + m.s * (m.s - 1) * mu * g2s
+    return ((m.p * lam * g1p + m.s * mu * g1s) ** 2
+            + xi_deriv(m, 1.0, 1) * (d1r - d12 - xi_deriv(m, x, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +313,31 @@ def s_roots(p: int, s: int) -> QuadraticRoots:
     return QuadraticRoots(a, b, c, roots=_quad_roots(a, b, c), shortcut=shortcut)
 
 
-def f12(m: Mixture, q, z2):
-    """The two-level stationarity pair (f1, f2) at overlap q and tilt z2.
-
-    f2's z2-dependence enters only through c_log, so its z2 -> 0 limit is
-    finite and the strict monotonicity of c transfers to f2.
-    """
-    if isinstance(q, float) and isinstance(z2, float):
-        bad_q, bad_z2 = q <= 0.0 or q >= 1.0, z2 <= -1.0
-    else:
-        bad_q = np.any(np.asarray(q) <= 0.0) or np.any(np.asarray(q) >= 1.0)
-        bad_z2 = np.any(np.asarray(z2) <= -1.0)
-    if bad_q:
+def _check_q(q):
+    # f12's domain check on q, made before anything divides by q or xi'(q)
+    if ((q <= 0.0 or q >= 1.0) if isinstance(q, float) else
+            np.any(np.asarray(q) <= 0.0) or np.any(np.asarray(q) >= 1.0)):
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    if bad_z2:
+
+
+def _kernel(m: Mixture, q):
+    # (xi, xi', D1, B, q xi' - xi) at q, all that f12 reads of q; the last is
+    # assembled term-by-term so it vanishes cleanly at 0
+    _check_q(q)
+    qxp = m.lam * (m.p - 1) * q ** m.p + (1.0 - m.lam) * (m.s - 1) * q ** m.s
+    return xi_deriv(m, q), xi_deriv(m, q, 1), _d1(m, q), _bfun(m, q), qxp
+
+
+def _f2(q, z2, d1, b):
+    # (1 - q)^2 (D1 c(z2) - B), after f12's check on z2
+    if z2 <= -1.0 if isinstance(z2, float) else np.any(np.asarray(z2) <= -1.0):
         raise ValueError(f"z2 must exceed -1, got {z2}")
-    xq = xi_deriv(m, q)
-    x1 = xi_deriv(m, q, 1)
-    d1 = _d1(m, q)
-    f2 = (1 - q) ** 2 * (d1 * c_log(z2) - _bfun(m, q))
-    lam, mu = m.lam, 1.0 - m.lam
-    # q xi'(q) - xi(q), assembled term-by-term so it vanishes cleanly at 0
-    qxp = lam * (m.p - 1) * q ** m.p + mu * (m.s - 1) * q ** m.s
+    return (1 - q) ** 2 * (d1 * c_log(z2) - b)
+
+
+def _f12(q, z2, k):
+    xq, x1, d1, b, qxp = k
+    f2 = _f2(q, z2, d1, b)
     f1 = (-qxp * (1 + z2) / d1
           - q * q * np.log(q * d1 / ((1 + z2) * x1))
           + q * q - 2 * xq * q / x1
@@ -342,18 +345,43 @@ def f12(m: Mixture, q, z2):
     return f1, f2
 
 
+def f12(m: Mixture, q, z2):
+    """The two-level stationarity pair (f1, f2) at overlap q and tilt z2.
+
+    f2's z2-dependence enters only through c_log, so its z2 -> 0 limit is
+    finite and the strict monotonicity of c transfers to f2.
+    """
+    return _f12(q, z2, _kernel(m, q))
+
+
+def _pair(m: Mixture, x, k, first):
+    # the first window pair (h11, h21) or the second (h12, h22) from k
+    w = xi_deriv(m, 1.0, 1) * x / k[1] if first else k[2] / xi_deriv(m, x, 2)
+    f1, f2 = _f12(x, w - 1.0, k)
+    return f1 / (x * x), f2
+
+
 def eval_h1(m: Mixture, x):
     """First window pair (h11, h21): f1/f2 at the tilt xi'(1)x/xi'(x) - 1."""
-    wa = xi_deriv(m, 1.0, 1) * x / xi_deriv(m, x, 1)
-    f1, f2 = f12(m, x, wa - 1.0)
-    return f1 / (x * x), f2
+    return _pair(m, x, _kernel(m, x), True)
 
 
 def eval_h2(m: Mixture, x):
     """Second window pair (h12, h22): f1/f2 at the tilt D1(x)/xi''(x) - 1."""
-    wb = _d1(m, x) / xi_deriv(m, x, 2)
-    f1, f2 = f12(m, x, wb - 1.0)
-    return f1 / (x * x), f2
+    return _pair(m, x, _kernel(m, x), False)
+
+
+def _eval_h12(m: Mixture, x):
+    # (eval_h1(m, x), eval_h2(m, x)) on one kernel
+    k = _kernel(m, x)
+    return _pair(m, x, k, True), _pair(m, x, k, False)
+
+
+def _h22(m: Mixture, x):
+    # eval_h2(m, x)[1] without xi, xi' and h12's logs
+    _check_q(x)
+    d1 = _d1(m, x)
+    return _f2(x, d1 / xi_deriv(m, x, 2) - 1.0, d1, _bfun(m, x))
 
 
 def _h22_floor(m: Mixture, x):
@@ -380,7 +408,7 @@ def _h22_root_certified(m: Mixture, q: float) -> bool:
     """
     xs = np.array([max(q - _PLATEAU_TOL, 0.5 * q),
                    min(q + _PLATEAU_TOL, 0.5 * (1.0 + q))])
-    vs = eval_h2(m, xs)[1]
+    vs = _h22(m, xs)
     firm = np.abs(vs) > _h22_floor(m, xs)
     return bool(vs[0] * vs[1] < 0 and firm.all())
 
@@ -476,16 +504,16 @@ def landmarks(m: Mixture, eps: float = 1e-12) -> Landmarks:
     h11 = lambda x: eval_h1(m, x)[0]
     h21 = lambda x: eval_h1(m, x)[1]
     h12 = lambda x: eval_h2(m, x)[0]
-    h22 = lambda x: eval_h2(m, x)[1]
+    h22 = lambda x: _h22(m, x)
     hi_in = qbar2 - eps if qbar2 < 1 else 1 - 1e-9
     lo = qbar1 + eps
     scan_h11 = h11(hi_in if qbar2 == 1.0 else qbar2) > 0
     scan_h21 = h21(qbar1) > 0
-    # every scan below but h22's run to 1 - 1e-7 reads this one grid, so
-    # each window pair is evaluated on it once
+    # every scan below but h22's run to 1 - 1e-7 reads this one grid, and
+    # both window pairs come from one kernel pass over it
     if scan_h11 or (scan_h21 and qbar2 < 1):
         xs = np.linspace(lo, hi_in, 4096)
-        (v11, v21), (v12, v22) = eval_h1(m, xs), eval_h2(m, xs)
+        (v11, v21), (v12, v22) = _eval_h12(m, xs)
     q11 = q12 = q21 = q22 = q22_edge = None
     if scan_h11:
         r = _grid_roots(h11, xs, v11)

@@ -181,12 +181,13 @@ def build_2rsb(m: Mixture, q: float, z1: float, z2: float) -> ParisiMeasure:
     Delta^2 = [q/((1+z2)(1+z1+z2)) + (1-q)/(1+z2)] / xi'(1); the two
     plateau densities are then k1 = z1*Delta/q and k2 = z2*Delta/(1-q).
     """
-    f1, f2 = criteria.f12(m, q, z2)
+    k = criteria._kernel(m, q)
+    f1, f2 = criteria._f12(q, z2, k)
     if abs(f1) > _RESIDUAL_TOL or abs(f2) > _RESIDUAL_TOL:
         raise ValueError(f"(q, z2) does not solve the two-level system: "
                          f"residuals {f1:.2e}, {f2:.2e}")
-    wa = xi_deriv(m, 1.0, 1) * q / xi_deriv(m, q, 1)
-    wb = criteria._d1(m, q) / xi_deriv(m, q, 2)
+    wa = xi_deriv(m, 1.0, 1) * q / k[1]
+    wb = k[2] / xi_deriv(m, q, 2)
     if not (wa < 1 + z2 < wb):
         raise ValueError("tilt z2 falls outside the admissible window at q")
     if z1 <= 0:
@@ -229,7 +230,7 @@ def build_mixed(m: Mixture, q1: float, q2: float) -> ParisiMeasure:
         raise ValueError("a full density from 0 requires a p = 2 mixture")
     segs.append(Segment(q1, q2, "full"))
     if q2 < 1.0:
-        _, h22 = criteria.eval_h2(m, q2)
+        h22 = criteria._h22(m, q2)
         if abs(h22) > _RESIDUAL_TOL:
             raise ValueError(f"q2 does not solve its defining equation: {h22:.2e}")
         x1, x2 = xi_deriv(m, q2, 1), xi_deriv(m, q2, 2)

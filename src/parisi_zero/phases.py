@@ -290,11 +290,12 @@ def _zeta_max(m: Mixture, z: float) -> float:
 
 
 def _solve_two_step(m: Mixture, lm: criteria.Landmarks):
-    def z2_of(q):
-        return criteria._c_inv(criteria._bfun(m, q) / criteria._d1(m, q))
+    def z2_of(q):  # the tilt z2 that zeroes f2 at q, and the kernel there
+        k = criteria._kernel(m, q)
+        return criteria._c_inv(k[3] / k[2]), k
 
     def phi(q):
-        return criteria.f12(m, q, z2_of(q))[0]
+        return criteria._f12(q, *z2_of(q))[0]
 
     lo = max(lm.q11, lm.q22) + 1e-13
     hi = min(lm.q21, lm.q12) - 1e-13
@@ -304,8 +305,8 @@ def _solve_two_step(m: Mixture, lm: criteria.Landmarks):
         raise ValueError(f"two-step stationarity function has no sign change "
                          f"on [{lo!r}, {hi!r}]")
     q = brentq(phi, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    z2 = z2_of(q)
-    z1 = q * criteria._d1(m, q) / xi_deriv(m, q, 1) - 1.0 - z2
+    z2, k = z2_of(q)
+    z1 = q * k[2] / k[1] - 1.0 - z2
     return q, z1, z2
 
 
@@ -335,7 +336,7 @@ def _classify_pure(m: Mixture, tol: float) -> Classification:
 def _plateau_point(m: Mixture):
     # first root of h22 in (0, 1), certified against h22's rounding
     # floor; else None
-    h22 = lambda x: criteria.eval_h2(m, x)[1]
+    h22 = lambda x: criteria._h22(m, x)
     roots = criteria._sign_roots(h22, 1e-9, 1 - 1e-9)
     # a plateau point pressed against 1 leaves every value past it below
     # the scan's firmness floor, so walk the edge ladder toward 1
@@ -379,7 +380,7 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
                         {"q1": lm.q12, "q2": lm.q22}, tol)
     if (lm.q12 is not None and criteria.eval_aux(m, lm.q12)[0] < 0
             and not criteria._sign_roots(
-                lambda x: criteria.eval_h2(m, x)[1],
+                lambda x: criteria._h22(m, x),
                 lm.q12 + 1e-6, 1 - 1e-6, n=513)):
         return _certify(m, build_mixed(m, lm.q12, 1.0), "OneFRSB",
                         {"q1": lm.q12, "variant": "density-above"}, tol)

@@ -297,6 +297,78 @@ def test_f12_rejects_bad_domain():
             f12(m, q, z2)
 
 
+# ------------------------------------------------------- one-pass kernels
+def _sums_by_length(x, n, weighted):
+    # gsum(n, x) (weighted: hsum(n + 1, x)) from its own Horner run
+    acc = 0.0 * x
+    for k in range(1, n + 1):
+        acc = acc * x + (k if weighted else 1.0)
+    return acc
+
+
+def test_horner_pass_equals_separate_runs_per_length():
+    xs = np.concatenate([np.linspace(0.0, 1.0, 97), 1.0 - np.logspace(-12, -1, 12),
+                         [1.0 + 1e-12, 0.3]])
+    lengths = [(-2, 0, 1, 5), (0, 0, 3, 3), (1, 2, 36, 37), (2, 2), (-1,),
+               (0, 1), (5, 7, 58, 59), (6,)]
+    for weighted in (False, True):
+        for ns in lengths:
+            got = criteria._horner(xs, ns, weighted)
+            for n, g in zip(ns, got):
+                want = _sums_by_length(xs, n, weighted)
+                assert np.array_equal(g, want), (ns, n, weighted)
+            for x in xs[::7]:
+                got = criteria._horner(float(x), ns, weighted)
+                assert got == [_sums_by_length(float(x), n, weighted)
+                               for n in ns], (ns, x, weighted)
+
+
+def test_both_pairs_evaluator_equals_eval_h1_and_eval_h2():
+    xs = np.concatenate([np.linspace(1e-3, 1 - 1e-3, 4096),
+                         1.0 - np.logspace(-9, -4, 6)])
+    for p, s, lam in GRID_MIXTURES + [(4, 38, 0.95), (3, 3, 1.0)]:
+        m = make_mixture(p, s, lam)
+        (h11, h21), (h12, h22) = criteria._eval_h12(m, xs)
+        for got, want in zip((h11, h21, h12, h22), eval_h1(m, xs) + eval_h2(m, xs)):
+            assert np.array_equal(got, want), (p, s, lam)
+
+
+def test_h22_evaluator_equals_eval_h2():
+    xs = np.concatenate([np.linspace(1e-9, 1 - 1e-9, 513),
+                         1.0 - np.logspace(-9, -4, 6)])
+    for p, s, lam in GRID_MIXTURES + [(2, 8, 0.95), (4, 38, 0.985)]:
+        m = make_mixture(p, s, lam)
+        assert np.array_equal(criteria._h22(m, xs), eval_h2(m, xs)[1])
+        for x in xs[::16]:
+            assert criteria._h22(m, float(x)) == eval_h2(m, float(x))[1], x
+
+
+def test_no_kernel_call_modifies_the_callers_x():
+    m = make_mixture(4, 38, 0.95)
+    xs = np.linspace(0.05, 0.95, 33)
+    keep = xs.copy()
+    calls = [lambda: criteria._horner(xs, (0, 3, 37)),
+             lambda: criteria._horner(xs, (2, 36), True),
+             lambda: criteria._wsum(37, xs), lambda: criteria._d1(m, xs),
+             lambda: criteria._bfun(m, xs), lambda: criteria._tau(m, xs),
+             lambda: criteria._kernel(m, xs), lambda: f12(m, xs, 0.5 + 0 * xs),
+             lambda: eval_h1(m, xs), lambda: eval_h2(m, xs),
+             lambda: criteria._eval_h12(m, xs), lambda: criteria._h22(m, xs),
+             lambda: criteria._h22_floor(m, xs)]
+    for call in calls:
+        call()
+        assert np.array_equal(xs, keep)
+
+
+def test_h22_evaluator_raises_f12s_domain_error():
+    m = make_mixture(4, 38, 0.7)
+    for q in (0.0, 1.0, -0.5, 1.5, np.float64(0.0), np.float64(1.0),
+              np.array([0.5, 1.0]), np.array([0.0, 0.5])):
+        for fn in (criteria._h22, eval_h2, eval_h1, criteria._eval_h12):
+            with pytest.raises(ValueError, match="q must lie in"):
+                fn(m, q)
+
+
 # ------------------------------------------------------ auxiliary polynomials
 def test_aux_polynomials_raw_forms():
     m = make_mixture(4, 38, 0.61)

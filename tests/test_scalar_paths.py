@@ -86,3 +86,50 @@ def test_seg_index_matches_searchsorted():
               float("nan")):
         want = int(np.searchsorted(his, x, side="left").clip(0, len(his) - 1))
         assert tab.seg_index(x) == want, x
+
+
+def _unit_xs():
+    # inside (0, 1), where the window functions live, down to 1e-9 below 1
+    rng = np.random.default_rng(15)
+    xs = [1e-9, 0.5, 1.0 - 1e-9, *map(float, rng.uniform(0.0, 1.0, 200)),
+          *map(float, 1.0 - rng.uniform(0.0, 1e-9, 40)),
+          *map(float, rng.uniform(0.999, 1.0, 40))]
+    return [x for x in xs if 0.0 < x < 1.0]
+
+
+def _parts(v):
+    return v if isinstance(v, tuple) else (v,)
+
+
+@pytest.mark.parametrize("p, s, lam", FAMILIES)
+def test_divided_differences_scalar_path_matches_array_path(p, s, lam):
+    m = make_mixture(p, s, lam)
+    for fn in (criteria._d1, criteria._bfun):
+        for x in _unit_xs():
+            want = fn(m, np.array([x]))[0]
+            assert fn(m, x) == want and fn(m, np.float64(x)) == want, (fn, x)
+
+
+@pytest.mark.parametrize("p, s, lam", FAMILIES)
+def test_window_functions_scalar_path_matches_array_path(p, s, lam):
+    # f12 and _tau square with ** (f12 also raises q to p and s with it): on a
+    # plain float that is the C library's pow, on an array numpy's square and
+    # power, and they differ in the last bit on ~0.1% of inputs. Moving either
+    # path onto the other's operation moves the Newton-polished boundary
+    # constants in their last digits, so these are held to that one rounding:
+    # f2 (h21, h22) differs only through (1 - q)**2, f1 (h11, h12) through
+    # the powers, tau through D1**2
+    eps = np.finfo(float).eps
+    m = make_mixture(p, s, lam)
+    fns = {"tau": criteria._tau, "h1": criteria.eval_h1,
+           "h2": criteria.eval_h2, "h22": criteria._h22}
+    for x in _unit_xs():
+        d1 = criteria._d1(m, x)
+        for name, fn in fns.items():
+            want = [v[0] for v in _parts(fn(m, np.array([x])))]
+            bounds = ([8 * d1 * d1] if name == "tau" else
+                      [8 * abs(want[0])] if name == "h22" else
+                      [16 * (1 + abs(want[0])), 8 * abs(want[1])])
+            for inp in (x, np.float64(x)):
+                for g, w, b in zip(_parts(fn(m, inp)), want, bounds):
+                    assert abs(g - w) <= eps * b, (name, x, g, w)
