@@ -14,7 +14,8 @@ differences of xi at 1 (partial geometric sums, every length of which
 comes from one Horner pass, in place on arrays), which remain O(1) and
 exact arbitrarily close to x = 1. One kernel at x (xi, xi', D1, B and
 x xi' - xi) feeds f12 and all four window functions, so the identities
-tying the h's to f1/f2 hold by construction, not by transcription.
+tying the h's to f1/f2 hold by construction, not by transcription. On
+the fixed scan grids these lambda-free sums are built once per family.
 
 All functions accept scalars or ndarrays in x and are pure.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solve import brentq
-from .mixture import Mixture, xi_deriv
+from .mixture import Mixture, _grid, _table, xi_deriv
 
 __all__ = [
     "Landmarks",
@@ -115,7 +116,15 @@ def _horner(x, ns, weighted=False):
 
 
 def _wsum(n, x):
-    acc = 0.0 * x
+    acc = 0.0 * x  # in place on arrays, unrolled on plain floats
+    if isinstance(acc, float) and n > 0:
+        i = float(n)
+        for _ in range(n & 3):
+            acc, i = acc * x + i, i - 1.0
+        for _ in range(n >> 2):
+            acc = (((acc * x + i) * x + (i - 1.0)) * x + (i - 2.0)) * x + (i - 3.0)
+            i -= 4.0
+        return acc
     for i in range(n, 0, -1):
         acc *= x
         acc += i
@@ -125,22 +134,27 @@ def _wsum(n, x):
 def _d1(m, x):
     # (xi'(1) - xi'(x)) / (1 - x), exact; equals xi''(1) at x=1
     lam, mu = m.lam, 1.0 - m.lam
-    gp, gs = _horner(x, (m.p - 1, m.s - 1))
+    gp, gs = (_horner(x, (m.p - 1, m.s - 1)) if isinstance(x, float) else
+              _table(m, x, "d1", _horner, x, (m.p - 1, m.s - 1)))
     return m.p * lam * gp + m.s * mu * gs
 
 
 def _bfun(m, x):
     # (xi'(x) - A(x)) / (x - 1); equals xi''(1)/2 at x=1
     lam, mu = m.lam, 1.0 - m.lam
-    return lam * _wsum(m.p - 1, x) + mu * _wsum(m.s - 1, x)
+    if isinstance(x, float):
+        return lam * _wsum(m.p - 1, x) + mu * _wsum(m.s - 1, x)
+    return (lam * _table(m, x, "wp", _wsum, m.p - 1, x)
+            + mu * _table(m, x, "ws", _wsum, m.s - 1, x))
 
 
 def _tau(m, x):
     # t(x) / (1 - x)^2 with t as in eval_aux, exact: D1^2 + xi'(1) (D1r - D12
     # - xi''), D1r = (xi''(1) - D1) / (1 - x), D12 = (xi''(1) - xi'') / (1 - x)
     lam, mu = m.lam, 1.0 - m.lam
-    g2p, g1p, g2s, g1s = _horner(x, (m.p - 2, m.p - 1, m.s - 2, m.s - 1))
-    hp, hs = _horner(x, (m.p - 2, m.s - 2), weighted=True)
+    ns, nh = (m.p - 2, m.p - 1, m.s - 2, m.s - 1), (m.p - 2, m.s - 2)
+    g2p, g1p, g2s, g1s = _table(m, x, "tau", _horner, x, ns)
+    hp, hs = _table(m, x, "tau_h", _horner, x, nh, True)
     d1r = m.p * lam * hp + m.s * mu * hs
     d12 = m.p * (m.p - 1) * lam * g2p + m.s * (m.s - 1) * mu * g2s
     return ((m.p * lam * g1p + m.s * mu * g1s) ** 2
@@ -438,7 +452,7 @@ def eval_aux(m: Mixture, x):
 
 def _sign_roots(f, lo, hi, n=4096):
     """Roots of f on [lo, hi], ascending, scanned on linspace(lo, hi, n)."""
-    xs = np.linspace(lo, hi, n)
+    xs = _grid(lo, hi, n)
     return _grid_roots(f, xs, np.asarray(f(xs), dtype=float))
 
 

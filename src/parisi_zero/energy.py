@@ -33,7 +33,7 @@ import numpy as np
 
 from ._solve import fminbound
 from .measure import ParisiMeasure, tail_mass, wtilde
-from .mixture import Mixture, xi_deriv
+from .mixture import Mixture, _grid, xi_deriv
 
 __all__ = ["VerificationReport", "cs_energy", "g_of", "verify_parisi"]
 
@@ -252,12 +252,13 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure, tol: float = 1e-7,
 
     min g is taken over an ngrid grid plus a bounded local refinement
     around the grid argmin; the support residual is sup |g| over the
-    density support sample.
+    density support sample. The default grid is shared, with xi's powers
+    on it tabled per family (see ``mixture``); any other ngrid is fresh.
     """
     tab = _Tables(m, nu)
     nerr = abs(tab.norm - xi_deriv(m, 1.0, 1))
     x1, j1 = xi_deriv(m, 1.0), tab.J[-1]
-    us = np.linspace(0.0, 1.0, ngrid)
+    us = _grid(0.0, 1.0, ngrid)
     gv = (x1 - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
     i0 = int(np.argmin(gv))
     lo, hi = us[max(0, i0 - 1)], us[min(ngrid - 1, i0 + 1)]

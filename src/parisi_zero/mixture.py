@@ -15,11 +15,14 @@ from the C library's ``pow`` (Python's ``**``) in the last bit for a few
 percent of inputs. So values are not bit-reproducible across CPUs or
 numpy builds. What holds is that a scalar input and the same value in an
 array give the same bits on one numpy build and one CPU: the plain-float
-path for scalars calls ``np.power`` too, never ``**``.
+path for scalars calls ``np.power`` too, never ``**``: one call over an
+order's exponents if all are at least 3 (numpy's vectorised power at 2
+is not its square), else one a term; xi at 1 is summed once per mixture.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +48,46 @@ class Mixture:
     terms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           tuple(_terms(self, order) for order in range(5)))
+        terms = tuple(_terms(self, order) for order in range(5))
+        object.__setattr__(self, "terms", terms)  # _exps, _at1: not fields
+        object.__setattr__(self, "_exps", _exponents(*(k for _, k in terms[0])))
+        object.__setattr__(self, "_at1",
+                           tuple(sum((c for c, _ in t), 0.0) for t in terms))
+
+
+# the fixed scan grids (criteria's tau/plateau and K scans, verify_parisi's
+# default), on which xi's powers and criteria's sums are tabled per family
+_GRIDS = {key: np.linspace(*key) for key in
+          ((1e-9, 1 - 1e-9, 4096), (0.0, 1.0, 1025), (0.0, 1.0, 2048))}
+for _g in _GRIDS.values():
+    _g.flags.writeable = False
+_GRID_IDS = frozenset(map(id, _GRIDS.values()))
+_family_tables = lru_cache(maxsize=8)(lambda p, s: {})  # ~450 kB a family
+
+
+def _grid(lo, hi, n):
+    g = _GRIDS.get((lo, hi, n))
+    return np.linspace(lo, hi, n) if g is None else g
+
+
+def _table(m: Mixture, x, key, build, *args):
+    # build(*args), or, when x is a fixed grid, the family's read-only copy
+    if id(x) not in _GRID_IDS:
+        return build(*args)
+    fam = _family_tables(m.p, m.s)
+    if (id(x), key) not in fam:
+        v = fam[id(x), key] = build(*args)  # an array or a list of arrays
+        for a in v if type(v) is list else [v]:
+            a.flags.writeable = False
+    return fam[id(x), key]
+
+
+@lru_cache(maxsize=None)
+def _exponents(*ks):
+    # xi's exponents by order, None where one is 2 or less (np.power(1.0, k)
+    # is 1.0, so xi at 1 is the sum of coefficients)
+    es = (np.array([k - o for k in ks if k >= o], float) for o in range(5))
+    return tuple(e if (e >= 3).all() else None for e in es)
 
 
 def _as_int(name, value):
@@ -111,16 +152,20 @@ def xi_deriv(m: Mixture, x, order: int = 0):
         # the array path's bits
         if x < 0:
             raise ValueError("x must be >= 0")
-        out = 0.0
-        for c, k in m.terms[order]:
-            out = out + c * np.power(x, k)
+        if x == 1.0:
+            return m._at1[order]
+        out, exps = 0.0, m._exps[order]
+        if exps is None:
+            for c, k in m.terms[order]:
+                out = out + c * np.power(x, k)
+        else:
+            for (c, _), v in zip(m.terms[order], np.power(x, exps).tolist()):
+                out = out + c * v
         return float(out)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be >= 0")
     out = np.zeros_like(x)
     for c, k in m.terms[order]:
-        out = out + c * x ** k
-    if out.ndim == 0:
-        return float(out)
-    return out
+        out = out + c * _table(m, x, k, pow, x, k)
+    return float(out) if out.ndim == 0 else out

@@ -133,3 +133,59 @@ def test_window_functions_scalar_path_matches_array_path(p, s, lam):
             for inp in (x, np.float64(x)):
                 for g, w, b in zip(_parts(fn(m, inp)), want, bounds):
                     assert abs(g - w) <= eps * b, (name, x, g, w)
+
+
+def _xi_reference(m, x, order):
+    # one np.power call per term, as the scalar path made before it took
+    # one call over all exponents
+    out = 0.0
+    for c, k in m.terms[order]:
+        out = out + c * np.power(x, k)
+    return float(out)
+
+
+def test_one_call_xi_deriv_matches_the_term_by_term_reference():
+    rng = np.random.default_rng(16)
+    xs = [0.0, 1e-300, *map(float, rng.uniform(0.0, 1.0, 3)),
+          1.0 - 1e-12, 1.0, 1.0 + 1e-12]
+    for p in range(2, 61):
+        for s in range(p, 61):
+            m = make_mixture(p, s, 0.37)
+            for order in range(5):
+                for x in xs:
+                    assert xi_deriv(m, x, order) == _xi_reference(m, x, order), \
+                        (p, s, order, x)
+
+
+@pytest.mark.parametrize("p, s, lam", FAMILIES)
+def test_xi_deriv_at_one_is_the_same_on_every_call(p, s, lam):
+    m = make_mixture(p, s, lam)
+    for order in range(5):
+        want = _xi_reference(m, 1.0, order)
+        assert want == xi_deriv(m, np.array([1.0]), order)[0]
+        for x in (1.0, 1.0, np.float64(1.0)):
+            got = xi_deriv(m, x, order)
+            assert type(got) is float and got == want, (order, got, want)
+
+
+def test_mixture_with_values_cached_at_one_equals_a_fresh_one():
+    segs = (Segment(0.0, 0.3, "const", 0.0), Segment(0.3, 1.0, "const", 0.4))
+    nu = ParisiMeasure(segs, 0.5)
+    used = make_mixture(4, 38, 0.61)
+    for order in range(5):  # served from the values cached on the mixture
+        assert xi_deriv(used, 1.0, order) is used._at1[order]
+    fresh = make_mixture(4, 38, 0.61)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    energy._tails.cache_clear()
+    energy._tails(used, nu)
+    energy._tails(fresh, nu)
+    assert energy._tails.cache_info().hits == 1
+
+
+def test_wsum_scalar_path_matches_array_path():
+    for n in range(0, 62):
+        for x in _xs():
+            want = criteria._wsum(n, np.array([x]))[0]
+            assert criteria._wsum(n, x) == want, (n, x)
+            assert criteria._wsum(n, np.float64(x)) == want, (n, x)
