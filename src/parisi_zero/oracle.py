@@ -6,12 +6,15 @@ plus the terminal atom, evaluates the functional in exact closed form
 (the tail is piecewise linear, so every piece is a log), and minimizes
 it from many starts with the module's own dense BFGS, `minimize`, on
 numpy alone. The functional is smooth in the search parameters
-(stick-breaking logits for the jump locations, logs for the jump sizes
-and the atom), so its gradient is exact and closed form too: one
-backward pass through the tail recursion, then the chain rule through
-the parametrization. Each level k is warm-started from the level k-1
-optimum with a near-zero jump inserted into its widest gap, so the
-reported energies are nonincreasing in k by construction.
+(stick-breaking fractions sin^2 v for the jump locations, squares v^2
+for the jump sizes, a log for the atom), so its gradient is exact and
+closed form too: one backward pass through the tail recursion, then
+the chain rule through the parametrization. A jump at 0, on its
+neighbour or at 1, and a jump size of 0, are finite points of that
+search, where the solver converges instead of crawling toward them.
+Each level k is warm-started from the level k-1 optimum with a
+near-zero jump inserted into its widest gap, so the reported energies
+are nonincreasing in k by construction.
 
 The search profile over k is the independent evidence the classifier is
 checked against: a k-step ground state shows up as the chain saturating
@@ -32,8 +35,8 @@ __all__ = ["StepMeasure", "OracleProfile", "step_energy", "minimize_k",
            "oracle_profile"]
 
 _KMAX = 6
-# clip range of the log parameters (jump sizes and atom share the floor)
-_LOG_FLOOR, _LOG_ADD_CAP, _LOG_ATOM_CAP = -45.0, 10.0, 5.0
+# clip range of the atom's log; a jump size v^2 is capped at e^10
+_LOG_FLOOR, _LOG_ATOM_CAP, _ROOT_ADD_CAP = -45.0, 5.0, math.exp(5.0)
 _TRIALS = 30  # evaluations one line search may spend
 
 
@@ -196,31 +199,26 @@ def _pack(qs, adds, atom):
     v = []
     acc = 0.0
     for q in qs:
-        frac = (q - acc) / (1.0 - acc)
-        frac = min(max(frac, 1e-15), 1.0 - 1e-15)
-        v.append(2.0 * math.atanh(2.0 * frac - 1.0))
+        # a jump at 1 leaves no room after it, so the next fraction is 0
+        frac = (q - acc) / (1.0 - acc) if acc < 1.0 else 0.0
+        v.append(math.asin(math.sqrt(frac)))
         acc = q
-    for a in adds:
-        v.append(math.log(max(a, 1e-300)))
+    v.extend(math.sqrt(a) for a in adds)
     v.append(math.log(atom))
     return np.asarray(v)
 
 
-def _clip(x, cap):
-    return min(max(x, _LOG_FLOOR), cap)
-
-
 def _unpack(v, k):
     """(qs, adds, atom) as plain floats; jump locations by stick-breaking,
-    q_i = q_{i-1} + (1 - q_{i-1}) u_i with u_i the logistic of v_i."""
+    q_i = q_{i-1} + (1 - q_{i-1}) sin^2 v_i, and jump sizes v_i^2."""
     v = v.tolist()
     qs = []
     acc = 0.0
     for x in v[:k]:
-        acc += (1.0 - acc) * 0.5 * (1.0 + math.tanh(0.5 * x))
+        acc += (1.0 - acc) * math.sin(x) ** 2
         qs.append(acc)
-    adds = [math.exp(_clip(x, _LOG_ADD_CAP)) for x in v[k:2 * k]]
-    atom = math.exp(_clip(v[2 * k], _LOG_ATOM_CAP))
+    adds = [min(abs(x), _ROOT_ADD_CAP) ** 2 for x in v[k:2 * k]]
+    atom = math.exp(min(max(v[2 * k], _LOG_FLOOR), _LOG_ATOM_CAP))
     return qs, adds, atom
 
 
@@ -230,15 +228,18 @@ def _objective(v, k, terms, xi1):
     e, g_qs, g_adds, g_atom = _functional(terms, xi1, qs, adds, atom)
     v = v.tolist()
     grad = [0.0] * (2 * k + 1)
-    # dq_i/dv_l = (1 - q_i) u_l for l <= i
-    acc = 0.0
+    # 1 - q_i = prod_{m <= i} cos^2 v_m, so grad_l = sin(2 v_l)
+    # (1 - q_{l-1}) S_l with S_l = g_{q,l} + cos^2(v_{l+1}) S_{l+1}
+    acc = cos2 = 0.0
     for i in range(k - 1, -1, -1):
-        acc += (1.0 - qs[i]) * g_qs[i]
-        grad[i] = 0.5 * (1.0 + math.tanh(0.5 * v[i])) * acc
-    # the exp of a log parameter is its own derivative, except where clipped
+        acc = g_qs[i] + cos2 * acc
+        cos2 = math.cos(v[i]) ** 2
+        rest = 1.0 - qs[i - 1] if i else 1.0
+        grad[i] = math.sin(2.0 * v[i]) * rest * acc
+    # past its cap a parameter is inert
     for i in range(k):
-        if _LOG_FLOOR < v[k + i] < _LOG_ADD_CAP:
-            grad[k + i] = adds[i] * g_adds[i]
+        if abs(v[k + i]) < _ROOT_ADD_CAP:
+            grad[k + i] = 2.0 * v[k + i] * g_adds[i]
     if _LOG_FLOOR < v[2 * k] < _LOG_ATOM_CAP:
         grad[2 * k] = atom * g_atom
     return e, np.asarray(grad)
@@ -260,13 +261,13 @@ def _level_starts(k, prev, rng, restarts):
         mid = 0.5 * (edges[j] + edges[j + 1])
         qs1 = np.sort(np.append(qs0, mid))
         # a vanishing add replays the previous optimum exactly, anchoring
-        # the non-regression guarantee; it cannot explore, though, since
-        # d(energy)/d(log add) -> 0 as the add vanishes
+        # the non-regression guarantee; it explores little, though: an add
+        # v^2 is stationary at v = 0, so its gradient vanishes with it
         starts.append(_pack(qs1, np.insert(as0, int(np.searchsorted(qs0, mid)),
                                            1e-18), at0))
         # continuous-branch optima grow by adding rungs pressed toward 1;
-        # seed those with real mass taken from the atom so the solver has
-        # a gradient to follow
+        # seed those with real mass taken from the atom, away from the
+        # stationary zero add
         w = 1.0 - edges[-2]
         for f in (0.5, 0.125, 0.03125):
             if w <= 1e-12:
@@ -276,7 +277,8 @@ def _level_starts(k, prev, rng, restarts):
             as1 = np.insert(as0, int(np.searchsorted(qs0, mid)), 0.5 * at0)
             starts.append(_pack(qs1, as1, 0.5 * at0))
         # optima whose continuous part lies below the top jump grow by a
-        # rung peeled off just under it, taking a sliver of its mass
+        # rung peeled off just under it, taking a sliver of its mass; at
+        # some p = 2 points only this start reaches the optimum
         if qs0:
             top, under = edges[-2], edges[-3]
             qs1 = [*qs0[:-1], top - 0.2 * (top - under), top]
