@@ -11,10 +11,12 @@ in closed form on constant segments and by a numpy Gauss-Legendre rule
 
     g(u) = int_u^1 ( xi'(t) - int_0^t dr / nu((r,1])^2 ) dt,
 
-again segment-exact. ``verify_parisi`` packages the three first-order
-optimality checks into a report: normalization of the inner integral at
-1, nonnegativity of g everywhere, and vanishing of g on the support of
-the density part.
+again segment-exact, on numpy arrays: ``_Tables.g`` is its one
+evaluator, and a scalar u goes through it as a one-element array.
+``verify_parisi`` packages the three first-order optimality checks into
+a report: normalization of the inner integral at 1, nonnegativity of g
+everywhere (on a grid, refined by a vectorised zoom about its argmin),
+and vanishing of g on the support of the density part.
 
 Accuracy note: the inner integrals over a piece with a linear tail are
 log expressions whose naive forms divide an O(eps) rounding error by the
@@ -24,14 +26,12 @@ product instead, so pieces with arbitrarily small jumps stay accurate
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._solve import fminbound
 from .measure import ParisiMeasure, tail_mass, wtilde
 from .mixture import Mixture, _grid, xi_deriv
 
@@ -40,6 +40,8 @@ __all__ = ["VerificationReport", "cs_energy", "g_of", "verify_parisi"]
 _CALIB_EPS = 1e-11  # a full segment with |offset| below this is treated as exact
 _QUAD_EPS = 1e-12  # the 32- and 64-node rules must agree this closely on a piece
 _QUAD_DEPTH = 10  # halvings of a full segment before its integral is given up
+_ZOOM_ROUNDS = 2  # verify_parisi's refinements of min g about the grid argmin
+_ZOOM_POINTS = 65  # each on this many points, 32 steps across two old steps
 _GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in (32, 64))
 
 
@@ -122,7 +124,8 @@ class _Tables:
         self.nu = nu
         segs = nu.segments
         n = len(segs)
-        self.his = [seg.hi for seg in segs]
+        self.his = np.array([seg.hi for seg in segs])
+        self.x1 = xi_deriv(m, 1.0)
         self.T = T = _tails(m, nu)
         self.C = C = [0.0] * n
         self.I = I = [0.0] * (n + 1)
@@ -163,24 +166,21 @@ class _Tables:
             lambda t: (1 - t) * self._off(i, seg.lo + np.multiply.outer(w, t)),
             0.0, 1.0)
 
-    def seg_index(self, x):
-        # np.searchsorted(his, x, side="left") clipped to the last segment,
-        # which is where x past the end or NaN lands
-        his = self.his
-        return bisect.bisect_left(his, x) if x <= his[-1] else len(his) - 1
+    def g(self, us):
+        """g at the points us, sorted or not; a float u gives a float.
 
-    def J_at(self, x: float) -> float:
-        return self._J_in(self.seg_index(x), x)
-
-    def J_grid(self, us: np.ndarray) -> np.ndarray:
-        """Vectorized J over a sorted or unsorted array of points."""
-        idx = np.searchsorted(self.his, us, side="left").clip(0, len(self.his) - 1)
-        out = np.empty_like(us)
+        g(u) = (xi(1) - xi(u)) - (J(1) - J(u)); J is taken segment by
+        segment, with searchsorted's index clipped to the last segment.
+        """
+        xs = np.atleast_1d(np.asarray(us, dtype=float))
+        idx = np.searchsorted(self.his, xs, side="left").clip(0, len(self.his) - 1)
+        js = np.empty_like(xs)
         for i in range(len(self.his)):
             mask = idx == i
             if mask.any():
-                out[mask] = self._J_in(i, us[mask])
-        return out
+                js[mask] = self._J_in(i, xs[mask])
+        out = (self.x1 - xi_deriv(self.m, xs)) - (self.J[-1] - js)
+        return float(out[0]) if np.ndim(us) == 0 else out
 
     @property
     def norm(self) -> float:
@@ -192,11 +192,7 @@ def g_of(m: Mixture, nu: ParisiMeasure, u):
     us = np.asarray(u, dtype=float)
     if not np.all((us >= 0.0) & (us <= 1.0)):  # NaN fails too
         raise ValueError(f"u must lie in [0, 1], got {u}")
-    tab = _Tables(m, nu)
-    x1, j1 = xi_deriv(m, 1.0), tab.J[-1]
-    if us.ndim == 0:
-        return (x1 - xi_deriv(m, float(u))) - (j1 - tab.J_at(float(u)))
-    return (x1 - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
+    return _Tables(m, nu).g(us)
 
 
 def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
@@ -246,33 +242,29 @@ def _support_points(m: Mixture, nu: ParisiMeasure) -> list[float]:
     return pts
 
 
-def verify_parisi(m: Mixture, nu: ParisiMeasure, tol: float = 1e-7,
-                  ngrid: int = 2048) -> VerificationReport:
+def verify_parisi(m: Mixture, nu: ParisiMeasure,
+                  tol: float = 1e-7) -> VerificationReport:
     """Certify nu against the three optimality conditions at tolerance tol.
 
-    min g is taken over an ngrid grid plus a bounded local refinement
-    around the grid argmin; the support residual is sup |g| over the
-    density support sample. The default grid is shared, with xi's powers
-    on it tabled per family (see ``mixture``); any other ngrid is fresh.
+    min g is the least of g on the shared 2048-point grid (xi's powers on
+    it are tabled per family, see ``mixture``) and on a zoom about the
+    grid argmin: _ZOOM_ROUNDS times, g on _ZOOM_POINTS evenly spaced
+    points between the two neighbours of the last argmin. The support
+    residual is sup |g| over the density support sample.
     """
     tab = _Tables(m, nu)
     nerr = abs(tab.norm - xi_deriv(m, 1.0, 1))
-    x1, j1 = xi_deriv(m, 1.0), tab.J[-1]
-    us = _grid(0.0, 1.0, ngrid)
-    gv = (x1 - xi_deriv(m, us)) - (j1 - tab.J_grid(us))
-    i0 = int(np.argmin(gv))
-    lo, hi = us[max(0, i0 - 1)], us[min(ngrid - 1, i0 + 1)]
-    _, g_ref = fminbound(
-        lambda x: (x1 - xi_deriv(m, x)) - (j1 - tab.J_at(x)), lo, hi,
-        xatol=1e-12)
-    min_g = min(float(gv.min()), g_ref)
+    us = _grid(0.0, 1.0, 2048)
+    gv = tab.g(us)
+    min_g = float(gv.min())
+    for _ in range(_ZOOM_ROUNDS):
+        i = int(np.argmin(gv))
+        us = np.linspace(us[max(0, i - 1)], us[min(us.size - 1, i + 1)],
+                         _ZOOM_POINTS)
+        gv = tab.g(us)
+        min_g = min(min_g, float(gv.min()))
     sup_pts = _support_points(m, nu)
-    if sup_pts:
-        gs = (x1 - xi_deriv(m, np.asarray(sup_pts))) \
-            - (j1 - tab.J_grid(np.asarray(sup_pts)))
-        sres = float(np.abs(gs).max())
-    else:
-        sres = 0.0
+    sres = float(np.abs(tab.g(sup_pts)).max()) if sup_pts else 0.0
     return VerificationReport(
         normalization_error=float(nerr),
         min_g=min_g,

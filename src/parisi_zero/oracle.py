@@ -164,7 +164,12 @@ def _functional(terms, xi1, qs, adds, atom):
     for j in range(k + 1):
         w, c, t, t0 = widths[j], cs[j], tails[j + 1], tails[j]
         r = w / t
-        dl_dc = (w / t0 - logs[j]) / c if c > 0.0 else -0.5 * r * r
+        x = c * r
+        if x < 1e-3:
+            # the direct form below cancels; its series in x, exact at c = 0
+            dl_dc = r * r * (-0.5 + x * (2 / 3 + x * (-0.75 + x * 0.8)))
+        else:
+            dl_dc = (w / t0 - logs[j]) / c
         g_w[j] = 1.0 / t0 + g_t * c
         g_c[j] = xs[j + 1] - xs[j] + dl_dc + g_t * w
         g_t -= r / t0

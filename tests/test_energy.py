@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from parisi_zero import (
     ParisiMeasure,
@@ -12,6 +13,7 @@ from parisi_zero import (
     build_mixed,
     build_rs,
     classify,
+    criteria,
     cs_energy,
     density,
     g_of,
@@ -21,7 +23,7 @@ from parisi_zero import (
     verify_parisi,
     xi_deriv,
 )
-from parisi_zero.phases import boundaries
+from parisi_zero.phases import boundaries, boundary_lambdas
 
 
 def one_step_energy(m, z):
@@ -72,7 +74,8 @@ def test_g_array_matches_scalar():
     vec = g_of(m, nu, us)
     assert vec.shape == (9,)
     for u, v in zip(us, vec):
-        assert g_of(m, nu, float(u)) == pytest.approx(float(v), abs=1e-14)
+        got = g_of(m, nu, float(u))
+        assert type(got) is float and got == v, u
 
 
 def test_g_refuses_u_outside_the_unit_interval():
@@ -197,6 +200,43 @@ def test_verifier_rejects_one_step_in_a_two_step_phase():
     rep = verify_parisi(m, nu)
     assert not rep.passed
     assert rep.min_g < -1e-7
+
+
+def _refinement_cases():
+    """(name, mixture, measure): the measures classification certifies at
+    a few points, a TwoFRSB construction, and the wrong one-step measure
+    at the middle of each band where the phase is not OneRSB."""
+    m = make_mixture(4, 38, 0.985)
+    lm = criteria.landmarks(m)
+    cases = [("TwoFRSB construction", m, build_mixed(m, lm.q12, lm.q22))]
+    for p, s, lam in ((4, 38, 0.95), (2, 8, 0.5), (3, 20, 0.9)):
+        cases.append((f"certified {p, s, lam}", make_mixture(p, s, lam),
+                      classify(p, s, lam).measure))
+    for p, s in ((4, 38), (3, 20), (2, 8)):
+        edges = [0.0, *boundary_lambdas(boundaries(p, s)), 1.0]
+        for lam in (0.5 * (a + b) for a, b in zip(edges, edges[1:])):
+            phase = classify(p, s, lam).phase
+            if phase != "OneRSB":
+                m = make_mixture(p, s, lam)
+                name = f"wrong one-step ({p}, {s}, {lam:.4f}) in {phase}"
+                cases.append((name, m, build_1rsb(m, solve_z(m))))
+    return cases
+
+
+def test_refined_min_g_matches_a_bounded_minimiser():
+    # the zoom about the grid argmin ends no more than 1e-11 above scipy's
+    # bounded minimiser on the two grid steps around that argmin
+    cases = _refinement_cases()
+    assert sum(name.startswith("wrong") for name, _, _ in cases) == 8
+    us = np.linspace(0.0, 1.0, 2048)
+    for name, m, nu in cases:
+        i0 = int(np.argmin(g_of(m, nu, us)))
+        lo, hi = us[max(0, i0 - 1)], us[min(2047, i0 + 1)]
+        ref = minimize_scalar(lambda u: g_of(m, nu, u), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-12})
+        rep = verify_parisi(m, nu)
+        assert rep.min_g <= ref.fun + 1e-11, (name, rep.min_g, ref.fun)
+        assert rep.passed == (not name.startswith("wrong")), (name, rep)
 
 
 def _reference_by_quad(m, nu, us):

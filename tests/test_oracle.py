@@ -2,6 +2,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -182,6 +183,25 @@ def test_gradient_matches_central_differences():
                         assert g[i] == 0.0 and fd == 0.0, (k, i)
                     else:
                         assert abs(g[i] - fd) <= 1e-6 * (1 + abs(fd)), (k, i)
+
+
+def test_small_add_partial_matches_mpmath():
+    # one jump at 0 and atom 0.5: the partial in the add a is
+    # (1 + d/da [log(1 + a / 0.5) / a]) / 2, whose direct form cancels as
+    # a goes to 0
+    m = make_mixture(4, 38, 0.8)
+    terms, xi1, atom = m.terms[0], xi_deriv(m, 1.0, 1), 0.5
+
+    def energy(a):
+        xi = lambda x: sum(mpmath.mpf(w) * mpmath.mpf(x) ** n for w, n in terms)
+        return (mpmath.mpf(xi1) * atom + a * (xi(1) - xi(0))
+                + mpmath.log(1 + a / mpmath.mpf(atom)) / a) / 2
+
+    for add in (0.0, 1e-18, 1e-14, 1e-10, 1e-6, 1e-3, 0.1):
+        got = oracle._functional(terms, xi1, [0.0], [add], atom)[2][0]
+        with mpmath.workdps(60):
+            want = mpmath.diff(energy, mpmath.mpf(add))
+        assert abs(got - want) <= 1e-12 * abs(want), (add, got, want)
 
 
 def test_pack_round_trips_the_boundaries():

@@ -77,17 +77,6 @@ def test_phi_scalar_path_matches_array_path():
         _same_as_array(energy._phi, y)
 
 
-def test_seg_index_matches_searchsorted():
-    segs = (Segment(0.0, 0.3, "const", 0.1), Segment(0.3, 0.7, "const", 0.2),
-            Segment(0.7, 1.0, "const", 0.4))
-    tab = energy._Tables(make_mixture(4, 38, 0.61), ParisiMeasure(segs, 0.5))
-    his = np.array([seg.hi for seg in segs])
-    for x in (0.0, 0.3, np.nextafter(0.3, 1.0), 0.5, 0.7, 1.0, 1.5, -0.1,
-              float("nan")):
-        want = int(np.searchsorted(his, x, side="left").clip(0, len(his) - 1))
-        assert tab.seg_index(x) == want, x
-
-
 def _unit_xs():
     # inside (0, 1), where the window functions live, down to 1e-9 below 1
     rng = np.random.default_rng(15)

@@ -1,9 +1,9 @@
-"""Plain-float Brent solvers against scipy's, iterate for iterate.
+"""The plain-float Brent root finder against scipy's, iterate for iterate.
 
-The package's own solves are recorded at their call sites (so the
+The package's own root solves are recorded at their call sites (so the
 functions, brackets and tolerances are exactly the ones classification
 and the boundary solves use) and replayed through both implementations;
-the synthetic cases cover the corners of the loops.
+the synthetic cases cover the corners of the loop.
 """
 import math
 
@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from parisi_zero import _solve, criteria, energy, phases
-from parisi_zero import boundaries, build_mixed, make_mixture, verify_parisi
+from parisi_zero import _solve, boundaries, criteria, make_mixture, phases
 
 
 def _logged(f, xs):
@@ -29,20 +28,6 @@ def _same_root(f, a, b, **kw):
     assert type(r) is float
     assert r == s and ours == theirs, (a, b, kw)
     return r
-
-
-def _same_min(f, a, b, **kw):
-    ours, theirs = [], []
-    x, fx = _solve.fminbound(_logged(f, ours), a, b, **kw)
-    opts = {"xatol": kw["xatol"]} if "xatol" in kw else {}
-    if "maxfun" in kw:
-        opts["maxiter"] = kw["maxfun"]
-    res = scipy.optimize.minimize_scalar(_logged(f, theirs), bounds=(a, b),
-                                         method="bounded", options=opts)
-    assert type(x) is float and type(fx) is float
-    assert x == float(res.x) and fx == float(res.fun), (a, b, kw)
-    assert ours == theirs
-    return x, fx
 
 
 def _record(monkeypatch, module, name):
@@ -80,20 +65,6 @@ def test_package_root_solves_match_scipy(monkeypatch):
         _same_root(f, a, b, **kw)
 
 
-def test_package_bounded_minimizations_match_scipy(monkeypatch):
-    # verify_parisi's refinement, the package's one bounded minimization
-    calls = _record(monkeypatch, energy, "fminbound")
-    m = make_mixture(4, 38, 0.985)
-    lm = criteria.landmarks(m)
-    verify_parisi(m, build_mixed(m, lm.q12, lm.q22))
-    for p, s, lam in ((4, 38, 0.95), (2, 8, 0.5), (3, 20, 0.9)):
-        phases.classify(p, s, lam)
-    assert len(calls) >= 4
-    monkeypatch.undo()
-    for f, a, b, kw in calls:
-        _same_min(f, a, b, **kw)
-
-
 @pytest.mark.parametrize("f, a, b, kw", [
     # several roots in the bracket: the same one is found
     (lambda x: math.sin(10 * x), 0.1, 3.0, {}),
@@ -119,27 +90,6 @@ def test_brentq_synthetic_cases_match_scipy(f, a, b, kw):
     _same_root(f, a, b, **kw)
 
 
-@pytest.mark.parametrize("f, a, b, kw", [
-    (math.cos, 0.0, 2 * math.pi, {}),
-    (math.cos, 0.0, 2 * math.pi, {"xatol": 1e-12}),
-    (lambda x: x, 0.0, 1.0, {"xatol": 1e-11}),    # minimum at an end
-    (lambda x: -x, 0.0, 1.0, {"xatol": 1e-11}),
-    (lambda x: 1.0, 0.0, 1.0, {}),                # flat: every value ties
-    (lambda x: abs(x - 0.3), 0.0, 1.0, {"xatol": 1e-12}),
-    (lambda x: (x - 0.5) ** 2, 0.0, 1.0, {}),     # a parabola lands on it
-    # a staircase: ties between new and kept values steer the bookkeeping
-    (lambda x: round(abs(x - 0.32383276483316237), 2), 0.0, 1.0, {}),
-    (lambda x: round(abs(x - 0.4745706786885481), 2), 0.0, 1.0, {}),
-    (lambda x: (x - 0.3) ** 4, 0.0, 1.0, {"xatol": 1e-12}),
-    (math.cos, 0.0, 2 * math.pi, {"maxfun": 5}),  # stops early, no raise
-    (math.cos, 1.0, 1.0, {}),                     # empty interval
-    (lambda x: (x - 0.4) ** 2, np.float64(0.25), np.float64(0.5),
-     {"xatol": 1e-12}),
-])
-def test_fminbound_synthetic_cases_match_scipy(f, a, b, kw):
-    _same_min(f, a, b, **kw)
-
-
 def test_errors_keep_scipy_types():
     with pytest.raises(ValueError):
         _solve.brentq(lambda x: x + 1.0, 0.0, 1.0)  # same sign at both ends
@@ -157,7 +107,3 @@ def test_errors_keep_scipy_types():
         _solve.brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
     with pytest.raises(ValueError):
         _solve.brentq(lambda x: x, -1.0, 1.0, rtol=1e-16)
-    with pytest.raises(ValueError):
-        _solve.fminbound(math.cos, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        _solve.fminbound(math.cos, 0.0, math.inf)
