@@ -185,12 +185,14 @@ def _cmd_sweep(args, tol) -> int:
     grid = np.linspace(*spec)
     blams = boundary_lambdas(boundaries(args.p, args.s))
     jobs = [(args.p, args.s, float(l), tol, blams) for l in grid]
-    if args.jobs > 1:
+    # fork starts every worker at the first submit: no more than points
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs,
-                                 chunksize=max(1, len(jobs) // (4 * args.jobs))))
+                                 chunksize=max(1, len(jobs) // (4 * workers))))
     else:
         rows = [_sweep_point(j) for j in jobs]
     try:

@@ -11,8 +11,9 @@ in closed form on constant segments and by a numpy Gauss-Legendre rule
 
     g(u) = int_u^1 ( xi'(t) - int_0^t dr / nu((r,1])^2 ) dt,
 
-again segment-exact, on numpy arrays: ``_Tables.g`` is its one
-evaluator, and a scalar u goes through it as a one-element array.
+again segment-exact: ``_Tables.g``, its one evaluator, takes ascending
+1-D points and evaluates each segment's closed form on its contiguous
+slice of them; ``g_of`` sorts other input once and puts it back.
 ``verify_parisi`` packages the three first-order optimality checks into
 a report: normalization of the inner integral at 1, nonnegativity of g
 everywhere (on a grid, refined by a vectorised zoom about its argmin),
@@ -74,10 +75,14 @@ def _phi(y):
             return float(0.5 + y / 3 + y * y / 4 + np.power(y, 3) / 5)
         return float((-np.log1p(-y) - y) / (y * y))
     y = np.asarray(y, dtype=float)
-    series = 0.5 + y / 3 + y * y / 4 + y ** 3 / 5
+    out = np.empty_like(y)
+    small = np.abs(y) < 1e-4  # False for NaN, which takes the log form
+    s = y[small]
+    out[small] = 0.5 + s / 3 + s * s / 4 + s ** 3 / 5
+    big = ~small
+    b = y[big]
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (-np.log1p(-y) - y) / (y * y)
-    out = np.where(np.abs(y) < 1e-4, series, direct)
+        out[big] = (-np.log1p(-b) - b) / (b * b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -124,7 +129,7 @@ class _Tables:
         self.nu = nu
         segs = nu.segments
         n = len(segs)
-        self.his = np.array([seg.hi for seg in segs])
+        self.inner = np.array([seg.hi for seg in segs[:-1]])
         self.x1 = xi_deriv(m, 1.0)
         self.T = T = _tails(m, nu)
         self.C = C = [0.0] * n
@@ -140,14 +145,14 @@ class _Tables:
                 else:
                     I[i + 1] = I[i] + _gauss(lambda r: self._off(i, r),
                                              seg.lo, seg.hi)
-            J[i + 1] = self._J_in(i, seg.hi)
+            J[i + 1] = self._J_in(i, seg.hi, xi_deriv(m, seg.hi))
 
     def _off(self, i, r):
         # 1 / T(r)^2 on an off-calibration full segment i
         return (xi_deriv(self.m, r, 2) ** -0.5 + self.C[i]) ** -2.0
 
-    def _J_in(self, i, x):
-        """J at x (a float or an array) inside segment i."""
+    def _J_in(self, i, x, xi_x):
+        """J at x (a float or an array) inside segment i; xi_x is xi(x)."""
         seg = self.nu.segments[i]
         w = x - seg.lo
         base = self.J[i] + self.I[i] * w
@@ -158,7 +163,7 @@ class _Tables:
             return base + (w * w / (T * T)) * _phi(seg.value * w / T)
         if abs(self.C[i]) < _CALIB_EPS:
             m = self.m
-            return (base + xi_deriv(m, x) - xi_deriv(m, seg.lo)
+            return (base + xi_x - xi_deriv(m, seg.lo)
                     - xi_deriv(m, seg.lo, 1) * w)
         # int_lo^x (x - r) dr / T(r)^2 (the double integral by Fubini),
         # with r = lo + w t so that an array of x shares one t-rule
@@ -166,21 +171,22 @@ class _Tables:
             lambda t: (1 - t) * self._off(i, seg.lo + np.multiply.outer(w, t)),
             0.0, 1.0)
 
-    def g(self, us):
-        """g at the points us, sorted or not; a float u gives a float.
+    def g(self, xs):
+        """g at xs, a 1-D float array that must be ascending; an array back.
 
-        g(u) = (xi(1) - xi(u)) - (J(1) - J(u)); J is taken segment by
-        segment, with searchsorted's index clipped to the last segment.
+        g(u) = (xi(1) - xi(u)) - (J(1) - J(u)). J is taken on one slice of
+        xs a segment, cut by one searchsorted of the inner segment ends:
+        segment i gets (hi_{i-1}, hi_i], the last also any point past its end.
         """
-        xs = np.atleast_1d(np.asarray(us, dtype=float))
-        idx = np.searchsorted(self.his, xs, side="left").clip(0, len(self.his) - 1)
+        ends = (np.searchsorted(xs, self.inner, side="right").tolist()
+                if self.inner.size else [])  # one segment: no split
+        cuts = [0, *ends, xs.size]
+        xi = xi_deriv(self.m, xs)
         js = np.empty_like(xs)
-        for i in range(len(self.his)):
-            mask = idx == i
-            if mask.any():
-                js[mask] = self._J_in(i, xs[mask])
-        out = (self.x1 - xi_deriv(self.m, xs)) - (self.J[-1] - js)
-        return float(out[0]) if np.ndim(us) == 0 else out
+        for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            if a < b:  # _gauss takes no empty batch
+                js[a:b] = self._J_in(i, xs[a:b], xi[a:b])
+        return (self.x1 - xi) - (self.J[-1] - js)
 
     @property
     def norm(self) -> float:
@@ -188,11 +194,19 @@ class _Tables:
 
 
 def g_of(m: Mixture, nu: ParisiMeasure, u):
-    """The optimality gap g(u) on u in [0, 1]; g(1) = 0 identically."""
+    """The optimality gap g(u) on u in [0, 1]; g(1) = 0 identically.
+
+    u is a float (a float back) or an array of any shape and order,
+    sorted once for ``_Tables.g`` and returned in its own order and shape.
+    """
     us = np.asarray(u, dtype=float)
     if not np.all((us >= 0.0) & (us <= 1.0)):  # NaN fails too
         raise ValueError(f"u must lie in [0, 1], got {u}")
-    return _Tables(m, nu).g(us)
+    flat = us.ravel()
+    order = np.argsort(flat)
+    out = np.empty_like(flat)
+    out[order] = _Tables(m, nu).g(flat[order])
+    return float(out[0]) if us.ndim == 0 else out.reshape(us.shape)
 
 
 def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
@@ -250,7 +264,8 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
     it are tabled per family, see ``mixture``) and on a zoom about the
     grid argmin: _ZOOM_ROUNDS times, g on _ZOOM_POINTS evenly spaced
     points between the two neighbours of the last argmin. The support
-    residual is sup |g| over the density support sample.
+    residual is sup |g| over the density support sample. Each point set
+    goes to ``_Tables.g`` ascending (the sample sorted).
     """
     tab = _Tables(m, nu)
     nerr = abs(tab.norm - xi_deriv(m, 1.0, 1))
@@ -264,7 +279,7 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
         gv = tab.g(us)
         min_g = min(min_g, float(gv.min()))
     sup_pts = _support_points(m, nu)
-    sres = float(np.abs(tab.g(sup_pts)).max()) if sup_pts else 0.0
+    sres = float(np.abs(tab.g(np.sort(sup_pts))).max()) if sup_pts else 0.0
     return VerificationReport(
         normalization_error=float(nerr),
         min_g=min_g,

@@ -163,9 +163,15 @@ def xi_deriv(m: Mixture, x, order: int = 0):
                 out = out + c * v
         return float(out)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("x must be >= 0")
-    out = np.zeros_like(x)
-    for c, k in m.terms[order]:
+    terms = m.terms[order]
+    if not terms:
+        return 0.0 if x.ndim == 0 else np.zeros_like(x)
+    # starting from the first term, not from zeros, gives the same values,
+    # since every c is >= 0 (only a zero from x = -0.0 may keep its sign)
+    (c, k), *rest = terms
+    out = c * _table(m, x, k, pow, x, k)
+    for c, k in rest:
         out = out + c * _table(m, x, k, pow, x, k)
     return float(out) if out.ndim == 0 else out

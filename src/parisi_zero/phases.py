@@ -411,7 +411,7 @@ def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
         if abs(lam - lb) <= _OWN_EPS:
             lam_eff, near = lb - 1e-10, True
             break
-    m_eff = make_mixture(p, s, lam_eff)
+    m_eff = make_mixture(p, s, lam_eff) if near else m
     try:
         cl = (_classify_p2(m_eff, b, tol) if p == 2
               else _classify_general(m_eff, tol))

@@ -180,6 +180,39 @@ def test_sweep_rejects_huge_grids_and_bad_jobs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys,
+                                                  monkeypatch):
+    # the pool is a fake that records max_workers and maps in this
+    # process, so the test starts no processes
+    import concurrent.futures
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    out = tmp_path / "w.csv"
+    for count, jobs, want in ((3, 500, [3]), (5, 2, [2]), (1, 8, [])):
+        asked.clear()
+        rc, _, _ = run(capsys, "sweep", "--p", "4", "--s", "18",
+                       "--lambda-grid", "0.2:0.6", "--count", str(count),
+                       "--jobs", str(jobs), "--out", str(out))
+        assert rc == 0
+        assert asked == want, (count, jobs)
+        assert len(out.read_text().splitlines()) == 2 + count
+
+
 def test_verify_round_trip(tmp_path, capsys):
     rc, out, _ = run(capsys, "classify", "--p", "4", "--s", "18",
                      "--lambda", "0.5")

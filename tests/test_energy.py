@@ -239,6 +239,160 @@ def test_refined_min_g_matches_a_bounded_minimiser():
         assert rep.passed == (not name.startswith("wrong")), (name, rep)
 
 
+# VerificationReport fields (normalization_error, min_g, support_residual,
+# passed) of the refinement cases and of a classified measure of each
+# phase, recorded before the certificate's array paths were rewritten
+# (numpy 2.4, x86-64 with AVX-512; numpy's SIMD power can move the last
+# bits on another CPU or numpy build)
+_PINNED_REPORTS = {
+    "TwoFRSB construction": (0.0, 0.0, 4.9960036108132044e-15, True),
+    "certified (4, 38, 0.95)": (8.8817841970012523e-16, -2.886579864025407e-15,
+                                2.886579864025407e-15, True),
+    "certified (2, 8, 0.5)": (8.8817841970012523e-16, 0.0,
+                              2.2204460492503131e-16, True),
+    "certified (3, 20, 0.9)": (0.0, 0.0, 3.3306690738754696e-16, True),
+    "wrong one-step (4, 38, 0.7955) in TwoRSB": (
+        1.7763568394002505e-15, -0.039398975752332199,
+        4.4408920985006262e-16, False),
+    "wrong one-step (4, 38, 0.9844) in TwoFRSB": (
+        0.0, -0.00039463907427661482, 1.1102230246251565e-16, False),
+    "wrong one-step (4, 38, 0.9886) in OneFRSB": (
+        0.0, -1.0865910185509087e-05, 4.4408920985006262e-16, False),
+    "wrong one-step (3, 20, 0.7584) in TwoRSB": (
+        1.7763568394002505e-15, -0.032870405911002654,
+        5.5511151231257827e-16, False),
+    "wrong one-step (3, 20, 0.9654) in TwoFRSB": (
+        8.8817841970012523e-16, -0.0055437546389413006,
+        2.2204460492503131e-16, False),
+    "wrong one-step (3, 20, 0.9834) in OneFRSB": (
+        8.8817841970012523e-16, -0.00022547926182969746,
+        2.2204460492503131e-16, False),
+    "wrong one-step (2, 8, 0.6132) in OneFRSB": (
+        8.8817841970012523e-16, -0.026776395414653043,
+        1.1102230246251565e-16, False),
+    "wrong one-step (2, 8, 0.9786) in FRSB": (
+        4.4408920985006262e-16, -0.010157402810353711,
+        1.4432899320127035e-15, False),
+    "certified (2, 4, 1.0)": (4.4408920985006262e-16, 0.0, 0.0, True),
+    "certified (4, 38, 0.5)": (7.1054273576010019e-15, 0.0,
+                               7.7715611723760958e-16, True),
+    "certified (4, 38, 0.985)": (0.0, 0.0, 4.9960036108132044e-15, True),
+    "certified (4, 38, 0.988)": (1.7763568394002505e-15, 0.0,
+                                 2.2204460492503131e-16, True),
+    "certified (2, 8, 0.99)": (0.0, 0.0, 0.0, True),
+}
+
+
+def test_certificate_bits_are_pinned():
+    cases = _refinement_cases()
+    phases = set()
+    for p, s, lam in ((2, 4, 1.0), (4, 38, 0.5), (4, 38, 0.985),
+                      (4, 38, 0.988), (2, 8, 0.99)):
+        cl = classify(p, s, lam)
+        phases.add(cl.phase)
+        cases.append((f"certified {p, s, lam}", make_mixture(p, s, lam),
+                      cl.measure))
+    assert phases == {"RS", "OneRSB", "TwoFRSB", "OneFRSB", "FRSB"}
+    assert [name for name, _, _ in cases] == list(_PINNED_REPORTS)
+    for name, m, nu in cases:
+        rep = verify_parisi(m, nu)
+        got = (rep.normalization_error, rep.min_g, rep.support_residual,
+               rep.passed)
+        assert got == _PINNED_REPORTS[name], (name, got)
+        assert rep.tolerance == 1e-7
+
+
+def _phi_both_branches(y):
+    # energy._phi's array path as it was: both forms everywhere, then a pick
+    y = np.asarray(y, dtype=float)
+    series = 0.5 + y / 3 + y * y / 4 + y ** 3 / 5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (-np.log1p(-y) - y) / (y * y)
+    out = np.where(np.abs(y) < 1e-4, series, direct)
+    return float(out) if out.ndim == 0 else out
+
+
+def test_phi_array_path_matches_the_both_branch_form():
+    import warnings
+
+    import parisi_zero.energy as energy_mod
+
+    rng = np.random.default_rng(17)
+    seam = [sg * (1e-4 + d) for sg in (1, -1) for d in (-1e-12, 0.0, 1e-12)]
+    mixed = np.array([*seam, 0.0, -0.0, 0.5, 0.999999, 1.0, 1.5, -math.inf,
+                      math.nan, *rng.uniform(-2e-4, 2e-4, 40),
+                      *rng.uniform(-5.0, 0.9999, 40)])
+    inputs = [mixed, mixed.reshape(2, -1), np.array(0.5), np.array(3e-5),
+              np.array(1.0), np.array(math.nan), np.empty(0),
+              np.empty((0, 2)), np.full(3, 2e-5), np.array([1.0, 2.0]),
+              np.array([-math.inf, math.nan])]
+    for y in inputs:
+        with np.errstate(all="ignore"):
+            want = _phi_both_branches(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = energy_mod._phi(y)
+        assert type(got) is type(want), y
+        assert np.shape(got) == np.shape(want), y
+        assert np.array_equal(got, want, equal_nan=True), y
+
+
+def _segment_patterns():
+    # classified measures of the six segment patterns, by segment kinds
+    points = {"const": (4, 38, 0.5), "const+const": (4, 38, 0.95),
+              "full+const": (2, 8, 0.5), "const+full+const": (4, 38, 0.985),
+              "full": (2, 8, 0.99), "const+full": (4, 38, 0.988)}
+    for name, (p, s, lam) in points.items():
+        nu = classify(p, s, lam).measure
+        assert "+".join(seg.kind for seg in nu.segments) == name
+        yield name, make_mixture(p, s, lam), nu
+
+
+def test_g_of_takes_any_order_and_shape(monkeypatch):
+    # g_of on shuffled, 2-D, empty and scalar input equals _Tables.g on the
+    # sorted points, and every point reaches J through its own segment:
+    # (hi_{i-1}, hi_i] for segment i, checked on a spy of _J_in
+    import parisi_zero.energy as energy_mod
+
+    reached = {}
+    j_in = energy_mod._Tables._J_in
+
+    def spy(self, i, x, xi_x):
+        for v in np.ravel(x):
+            reached.setdefault(float(v), set()).add(i)
+        return j_in(self, i, x, xi_x)
+
+    monkeypatch.setattr(energy_mod._Tables, "_J_in", spy)
+    rng = np.random.default_rng(23)
+    for name, m, nu in _segment_patterns():
+        his = [seg.hi for seg in nu.segments]
+        ends = [0.0, *his]
+        near = {float(v) for e in ends
+                for v in (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0))}
+        pts = np.array(sorted(v for v in near | set(np.linspace(0, 1, 41))
+                              if 0.0 <= v <= 1.0))
+        want = energy_mod._Tables(m, nu).g(pts)
+        perm = rng.permutation(pts.size)
+        got = g_of(m, nu, pts[perm])
+        assert got.shape == pts.shape and (got == want[perm]).all(), name
+        two = np.stack([pts, pts[::-1]])
+        got = g_of(m, nu, two)
+        assert got.shape == two.shape, name
+        assert (got == np.stack([want, want[::-1]])).all(), name
+        for shape in ((0,), (0, 3)):
+            assert g_of(m, nu, np.empty(shape)).shape == shape, name
+        for e in ends:
+            for v in (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0)):
+                if 0.0 <= v <= 1.0:
+                    got = g_of(m, nu, float(v))
+                    assert type(got) is float, (name, v)
+                    assert got == want[np.searchsorted(pts, v)], (name, v)
+        for v in pts:
+            seg = next(i for i, hi in enumerate(his) if v <= hi)
+            assert reached[float(v)] == {seg}, (name, v, reached[float(v)])
+        reached.clear()
+
+
 def _reference_by_quad(m, nu, us):
     """Normalization, g(us) and the energy from generic quadrature of the tail.
 

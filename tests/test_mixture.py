@@ -93,3 +93,42 @@ def test_domain_errors():
         xi_deriv(m, 0.5, 5)
     with pytest.raises(ValueError):
         xi_deriv(m, -0.01)
+
+
+def _zeros_start(m, x, order):
+    # the array path as it was: a zeros start plus one add a term
+    out = np.zeros_like(x)
+    for c, k in m.terms[order]:
+        out = out + c * x ** k
+    return float(out) if out.ndim == 0 else out
+
+
+def test_array_path_edge_cases_and_the_zeros_start():
+    pure2 = make_mixture(2, 2, 1.0)
+    for m in (pure2, make_mixture(2, 8, 0.61), make_mixture(4, 38, 0.3),
+              make_mixture(3, 3, 1.0)):
+        for order in range(5):
+            for shape in ((0,), (0, 3)):
+                v = xi_deriv(m, np.empty(shape), order)
+                assert v.shape == shape and v.dtype == float
+            v = xi_deriv(m, np.array(0.25), order)
+            assert type(v) is float
+            assert v == _zeros_start(m, np.array(0.25), order)
+    # orders with no terms give float zeros of the input's shape
+    for order in (3, 4):
+        assert not pure2.terms[order]
+        xs = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        v = xi_deriv(pure2, xs, order)
+        assert v.shape == (2, 3) and v.dtype == float and not v.any()
+        assert xi_deriv(pure2, np.array(0.5), order) == 0.0
+    rng = np.random.default_rng(8)
+    xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.1, 300)])
+    for p, s, lam in ((2, 2, 1.0), (2, 3, 0.4), (2, 8, 0.61), (3, 20, 0.8),
+                      (4, 38, 0.3), (8, 60, 0.5), (9, 9, 1.0)):
+        m = make_mixture(p, s, lam)
+        for order in range(5):
+            want = _zeros_start(m, xs, order)
+            got = xi_deriv(m, xs, order)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            got2 = xi_deriv(m, xs.reshape(2, -1), order)
+            assert np.array_equal(got2, want.reshape(2, -1))
