@@ -2,8 +2,9 @@
 
 Machine-readable by default: JSON to stdout (or CSV with --format csv),
 sweeps to versioned CSV files plus a gnuplot-ready .dat companion. Exit
-codes: 0 success, 2 an Unresolved classification or a failing verifier
-report, 1 usage or input errors. The verifier tolerance defaults to 1e-7
+codes: 0 success, 2 an Unresolved classification, a failing verifier
+report or a verified measure outside the optimisation cone, 1 usage or
+input errors. The verifier tolerance defaults to 1e-7
 and can be overridden per call with --tol or globally with the
 PARISI_TOL environment variable; either must be a finite number > 0.
 """
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from .energy import verify_parisi
-from .measure import from_json_dict, to_json_dict
+from .measure import _structure_check, from_json_dict, to_json_dict
 from .mixture import make_mixture
 from .oracle import oracle_profile
 from .phases import boundaries, boundary_lambdas, classify
@@ -40,20 +41,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
-
-
 def _dump(obj) -> None:
     # encoded whole before the one write, so a refused record leaves stdout
     # empty; JSON has no NaN or Infinity, so a non-finite number is refused
-    sys.stdout.write(json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _fmt(v) -> str:
@@ -231,7 +222,17 @@ def _cmd_verify(args, tol) -> int:
     except FloatingPointError as exc:
         raise ValueError(f"the certificate of this measure is not finite "
                          f"({exc})") from exc
-    _dump(rep.to_dict())
+    out = rep.to_dict()
+    try:
+        _structure_check(nu, m)
+    except ValueError as exc:
+        # the report proves optimality only inside the cone: unproven
+        out["pass"] = False
+        _dump(out)
+        print(f"verify: unproven, the measure is outside the optimisation "
+              f"cone: {exc}", file=sys.stderr)
+        return 2
+    _dump(out)
     return 0 if rep.passed else 2
 
 

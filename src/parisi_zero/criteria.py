@@ -273,7 +273,7 @@ def psi(p: int, s: int, lam: float) -> float:
     """
     a = lam * p + (1 - lam) * s
     b = lam * p * (p - 1) + (1 - lam) * s * (s - 1)
-    return -(a - 1) / b - np.log(b / a) + 1 - 2 / a + b / a ** 2
+    return float(-(a - 1) / b - np.log(b / a) + 1 - 2 / a + b / a ** 2)
 
 
 def _q_coeffs(p, s):
@@ -288,7 +288,7 @@ def _quad_roots(a, b, c):
     disc = b * b - 4 * a * c
     if a == 0.0 or disc <= 0.0:
         return None
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     r1, r2 = q / a, c / q
     return (r1, r2) if r1 < r2 else (r2, r1)
 
@@ -410,6 +410,7 @@ def _h22_floor(m: Mixture, x):
 
 
 _PLATEAU_TOL = 1e-6  # half-width of the bracket certifying an h22 root
+_QBAR_INSET = 1e-12  # landmarks scans the h's this far inside (qbar1, qbar2)
 
 
 def _h22_root_certified(m: Mixture, q: float) -> bool:
@@ -499,7 +500,7 @@ def _edge_root(f, lo):
     return None
 
 
-def landmarks(m: Mixture, eps: float = 1e-12) -> Landmarks:
+def landmarks(m: Mixture) -> Landmarks:
     """Locate the landmark roots; absent landmarks come back as None.
 
     qbar1/qbar2 are the sign changes of t in (0, 1); exactly one genuine
@@ -519,8 +520,8 @@ def landmarks(m: Mixture, eps: float = 1e-12) -> Landmarks:
     h21 = lambda x: eval_h1(m, x)[1]
     h12 = lambda x: eval_h2(m, x)[0]
     h22 = lambda x: _h22(m, x)
-    hi_in = qbar2 - eps if qbar2 < 1 else 1 - 1e-9
-    lo = qbar1 + eps
+    hi_in = qbar2 - _QBAR_INSET if qbar2 < 1 else 1 - 1e-9
+    lo = qbar1 + _QBAR_INSET
     scan_h11 = h11(hi_in if qbar2 == 1.0 else qbar2) > 0
     scan_h21 = h21(qbar1) > 0
     # every scan below but h22's run to 1 - 1e-7 reads this one grid, and

@@ -1,13 +1,13 @@
 """Functional evaluation and certification of candidate measures.
 
-Three things live here. ``cs_energy`` evaluates the variational
-functional
+``_Tables`` is the one walk over a measure's segments; it builds the
+tails, the inner integrals and the variational functional
 
-    Q(nu) = 1/2 * ( int_0^1 xi'(x) nu(dx) + int_0^1 dx / nu((x,1]) )
+    Q(nu) = 1/2 * ( int_0^1 xi'(x) nu(dx) + int_0^1 dx / nu((x,1]) ),
 
 in closed form on constant segments and by a numpy Gauss-Legendre rule
-(``_gauss``) on full ones, so nothing here loads scipy.
-``g_of`` evaluates the optimality gap
+(``_gauss``) on full ones, so nothing here loads scipy or caches.
+``cs_energy`` returns Q(nu). ``g_of`` evaluates the optimality gap
 
     g(u) = int_u^1 ( xi'(t) - int_0^t dr / nu((r,1])^2 ) dt,
 
@@ -22,14 +22,13 @@ and vanishing of g on the support of the density part.
 Accuracy note: the inner integrals over a piece with a linear tail are
 log expressions whose naive forms divide an O(eps) rounding error by the
 piece's density jump; every such piece goes through log1p of the exact
-product instead, so pieces with arbitrarily small jumps stay accurate
-(this matters: the search oracle actively probes that corner).
+product instead, so pieces with arbitrarily small jumps, which the
+search oracle probes, stay accurate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,13 +47,18 @@ _GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in (32, 64))
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Residuals of the three optimality conditions plus the verdict."""
+    """Residuals of the three optimality conditions plus the verdict.
+
+    ``energy`` is Q(nu) of the verified measure, whether or not it
+    passed. It is not part of the v1 record that ``to_dict`` writes.
+    """
 
     normalization_error: float
     min_g: float
     support_residual: float
     passed: bool
     tolerance: float
+    energy: float
 
     def to_dict(self) -> dict:
         return {
@@ -105,23 +109,16 @@ def _gauss(f, a, b, depth=0):
     return _gauss(f, a, mid, depth + 1) + _gauss(f, mid, b, depth + 1)
 
 
-@lru_cache(maxsize=4)
-def _tails(m: Mixture, nu: ParisiMeasure) -> tuple[float, ...]:
-    """nu((lo_i, 1]) at the left edge of each segment i, then the atom.
-
-    Cached on the (mixture, measure) pair, so a certification, which runs
-    the verifier and then the energy on one measure, builds it once.
-    """
-    return (*(tail_mass(nu, m, seg.lo) for seg in nu.segments), nu.atom)
-
-
 class _Tables:
     """Per-segment cumulative closed forms shared by g and the verifier.
 
     T[i]  tail at the left edge of segment i (T[n] is the atom),
-    I[i]  int_0^{lo_i} dr / T(r)^2,
+    I[i]  int_0^{lo_i} dr / T(r)^2 (I[n] is the normalization),
     J[i]  int_0^{lo_i} I,
-    C[i]  tail offset of a full segment (0 when calibrated).
+    C[i]  tail offset of a full segment (0 when calibrated),
+    energy  Q(nu); on a full segment its density integral is taken by
+    parts, so only int sqrt(xi'') needs quadrature, and that is reused
+    for the tail integral when the segment is calibrated.
     """
 
     def __init__(self, m: Mixture, nu: ParisiMeasure):
@@ -131,25 +128,38 @@ class _Tables:
         n = len(segs)
         self.inner = np.array([seg.hi for seg in segs[:-1]])
         self.x1 = xi_deriv(m, 1.0)
-        self.T = T = _tails(m, nu)
+        self.T = T = (*(tail_mass(nu, m, seg.lo) for seg in segs), nu.atom)
         self.C = C = [0.0] * n
         self.I = I = [0.0] * (n + 1)
         self.J = J = [0.0] * (n + 1)
+        total = xi_deriv(m, 1.0, 1) * nu.atom
         for i, seg in enumerate(segs):
+            lo, hi = seg.lo, seg.hi
+            xi_hi = xi_deriv(m, hi)
             if seg.kind == "const":
-                I[i + 1] = I[i] + (seg.hi - seg.lo) / (T[i] * T[i + 1])
+                w = hi - lo
+                I[i + 1] = I[i] + w / (T[i] * T[i + 1])
+                total += seg.value * (xi_hi - xi_deriv(m, lo))
+                total += (w / T[i] if seg.value == 0.0 else
+                          math.log1p(seg.value * w / T[i + 1]) / seg.value)
             else:
-                C[i] = T[i + 1] - xi_deriv(m, seg.hi, 2) ** -0.5
+                d1lo, d1hi = xi_deriv(m, lo, 1), xi_deriv(m, hi, 1)
+                C[i] = T[i + 1] - xi_deriv(m, hi, 2) ** -0.5
+                sq = _gauss(lambda r: np.sqrt(xi_deriv(m, r, 2)), lo, hi)
+                total += (d1lo * xi_deriv(m, lo, 2) ** -0.5
+                          - d1hi * xi_deriv(m, hi, 2) ** -0.5 + sq)
                 if abs(C[i]) < _CALIB_EPS:
-                    I[i + 1] = I[i] + xi_deriv(m, seg.hi, 1) - xi_deriv(m, seg.lo, 1)
+                    I[i + 1] = I[i] + d1hi - d1lo
+                    total += sq
                 else:
-                    I[i + 1] = I[i] + _gauss(lambda r: self._off(i, r),
-                                             seg.lo, seg.hi)
-            J[i + 1] = self._J_in(i, seg.hi, xi_deriv(m, seg.hi))
+                    I[i + 1] = I[i] + _gauss(
+                        lambda r: self._tail(i, r) ** -2.0, lo, hi)
+                    total += _gauss(lambda r: 1.0 / self._tail(i, r), lo, hi)
+            J[i + 1] = self._J_in(i, hi, xi_hi)
+        self.energy = float(0.5 * total)
 
-    def _off(self, i, r):
-        # 1 / T(r)^2 on an off-calibration full segment i
-        return (xi_deriv(self.m, r, 2) ** -0.5 + self.C[i]) ** -2.0
+    def _tail(self, i, r):  # T(r) on full segment i, offset C[i] included
+        return xi_deriv(self.m, r, 2) ** -0.5 + self.C[i]
 
     def _J_in(self, i, x, xi_x):
         """J at x (a float or an array) inside segment i; xi_x is xi(x)."""
@@ -168,8 +178,8 @@ class _Tables:
         # int_lo^x (x - r) dr / T(r)^2 (the double integral by Fubini),
         # with r = lo + w t so that an array of x shares one t-rule
         return base + w * w * _gauss(
-            lambda t: (1 - t) * self._off(i, seg.lo + np.multiply.outer(w, t)),
-            0.0, 1.0)
+            lambda t: (1 - t) * self._tail(
+                i, seg.lo + np.multiply.outer(w, t)) ** -2.0, 0.0, 1.0)
 
     def g(self, xs):
         """g at xs, a 1-D float array that must be ascending; an array back.
@@ -187,10 +197,6 @@ class _Tables:
             if a < b:  # _gauss takes no empty batch
                 js[a:b] = self._J_in(i, xs[a:b], xi[a:b])
         return (self.x1 - xi) - (self.J[-1] - js)
-
-    @property
-    def norm(self) -> float:
-        return self.I[-1]
 
 
 def g_of(m: Mixture, nu: ParisiMeasure, u):
@@ -210,34 +216,8 @@ def g_of(m: Mixture, nu: ParisiMeasure, u):
 
 
 def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
-    """The functional value; closed form except on full segments.
-
-    On a full segment the density integral is integrated by parts so only
-    int sqrt(xi'') needs quadrature, and the same number is reused for the
-    tail integral when the segment is calibrated.
-    """
-    T = _tails(m, nu)
-    total = xi_deriv(m, 1.0, 1) * nu.atom
-    for i, seg in enumerate(nu.segments):
-        w = seg.hi - seg.lo
-        if seg.kind == "const":
-            total += seg.value * (xi_deriv(m, seg.hi) - xi_deriv(m, seg.lo))
-            if seg.value == 0.0:
-                total += w / T[i]
-            else:
-                total += math.log1p(seg.value * w / T[i + 1]) / seg.value
-        else:
-            sq = _gauss(lambda r: np.sqrt(xi_deriv(m, r, 2)), seg.lo, seg.hi)
-            total += (xi_deriv(m, seg.lo, 1) * xi_deriv(m, seg.lo, 2) ** -0.5
-                      - xi_deriv(m, seg.hi, 1) * xi_deriv(m, seg.hi, 2) ** -0.5
-                      + sq)
-            c = T[i + 1] - xi_deriv(m, seg.hi, 2) ** -0.5
-            if abs(c) < _CALIB_EPS:
-                total += sq
-            else:
-                total += _gauss(lambda r: 1.0 / (xi_deriv(m, r, 2) ** -0.5 + c),
-                                seg.lo, seg.hi)
-    return float(0.5 * total)
+    """The functional value Q(nu); closed form except on full segments."""
+    return _Tables(m, nu).energy
 
 
 def _support_points(m: Mixture, nu: ParisiMeasure) -> list[float]:
@@ -266,9 +246,14 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
     points between the two neighbours of the last argmin. The support
     residual is sup |g| over the density support sample. Each point set
     goes to ``_Tables.g`` ascending (the sample sorted).
+
+    The conditions prove optimality only for nu in the cone of
+    ``measure._structure_check`` (density >= 0 and nondecreasing, atom
+    > 0). Membership is not tested here: the builders and ``verify``
+    test it.
     """
     tab = _Tables(m, nu)
-    nerr = abs(tab.norm - xi_deriv(m, 1.0, 1))
+    nerr = abs(tab.I[-1] - xi_deriv(m, 1.0, 1))
     us = _grid(0.0, 1.0, 2048)
     gv = tab.g(us)
     min_g = float(gv.min())
@@ -286,4 +271,5 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
         support_residual=sres,
         passed=bool(nerr <= tol and min_g >= -tol and sres <= tol),
         tolerance=tol,
+        energy=tab.energy,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import criteria
 from ._solve import brentq
-from .energy import VerificationReport, cs_energy, verify_parisi
+from .energy import VerificationReport, verify_parisi
 from .measure import (ParisiMeasure, build_1rsb, build_2rsb, build_mixed,
                       build_rs)
 from .mixture import Mixture, make_mixture, xi_deriv
@@ -166,7 +166,7 @@ def _newton_pair(p, s, pair_fn, lam0, x0):
         if not (0.0 < x + d[0] < 1.0 and 0.0 < t + d[1] < 1.0):
             break
         x, t = x + d[0], t + d[1]
-    return x, t, float(np.abs(fval(x, t)).sum())
+    return float(x), float(t), float(np.abs(fval(x, t)).sum())
 
 
 def _p2_boundaries(s: int, reg: Regime) -> PhaseBoundaries:
@@ -319,7 +319,7 @@ def _certify(m, nu, phase, params, tol):
                     f"normalization {rep.normalization_error:.2e}, "
                     f"min g {rep.min_g:.2e}, "
                     f"support {rep.support_residual:.2e}"))
-    return Classification(phase, params, nu, cs_energy(m, nu), rep)
+    return Classification(phase, params, nu, rep.energy, rep)
 
 
 def _classify_pure(m: Mixture, tol: float) -> Classification:

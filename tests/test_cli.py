@@ -267,6 +267,42 @@ def test_verify_flags_a_failing_measure(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_verify_calls_a_measure_outside_the_cone_unproven(tmp_path, capsys):
+    # the full density decreases near 0: the report's three conditions hold,
+    # and the measure's energy lies below the certified TwoRSB ground state
+    doc = {"segments": [{"lo": 0.0, "hi": 1e-06, "kind": "const", "value": 0.0},
+                        {"lo": 1e-06, "hi": 1.0, "kind": "full"}],
+           "atom": 0.08127127300011638}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "--p", "4", "--s", "38",
+                       "--lambda", "0.9", "--measure", str(path))
+    assert rc == 2
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert set(rep) == {"normalization_error", "min_g", "support_residual",
+                        "pass", "tolerance"}
+    assert len(err.splitlines()) == 1
+    assert "outside the optimisation cone" in err
+    assert "full density is not increasing" in err
+
+
+@pytest.mark.parametrize("p, s, lam, phase", [
+    (4, 38, 0.5, "OneRSB"), (4, 38, 0.95, "TwoRSB"), (4, 38, 0.985, "TwoFRSB"),
+    (4, 38, 0.988, "OneFRSB"), (2, 8, 0.99, "FRSB"), (2, 8, 0.9, "OneFRSB")])
+def test_verify_passes_every_classify_record(tmp_path, capsys, p, s, lam,
+                                             phase):
+    point = ("--p", str(p), "--s", str(s), "--lambda", str(lam))
+    rc, out, _ = run(capsys, "classify", *point)
+    record = json.loads(out)
+    assert rc == 0 and record["phase"] == phase
+    path = tmp_path / "record.json"
+    path.write_text(out)
+    rc, out, err = run(capsys, "verify", *point, "--measure", str(path))
+    assert rc == 0 and err == ""
+    assert json.loads(out) == record["report"]
+
+
 @pytest.mark.parametrize("doc, message", [
     # xi''(0) = 0 for p >= 3, so a full segment from 0 has an infinite tail
     ({"segments": [{"lo": 0, "hi": 1, "kind": "full"}], "atom": 0.1},

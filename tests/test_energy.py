@@ -447,3 +447,42 @@ def test_off_calibration_full_segments_match_generic_quadrature(p, s, which,
         assert g_of(m, nu, u) == pytest.approx(want, abs=1e-11)
     assert np.allclose(g_of(m, nu, np.array(us)), gs, rtol=0, atol=1e-11)
     assert cs_energy(m, nu) == pytest.approx(energy, abs=1e-11)
+
+
+# Q(nu) of a classified measure of each phase, and of the off-calibration
+# measures above (the atom scaled), recorded when the energy had a segment
+# walk of its own (numpy 2.4, x86-64 with AVX-512, as _PINNED_REPORTS)
+_PINNED_ENERGIES = {
+    (2, 2, 1.0, 1.0): 1.414213562373095,
+    (4, 38, 0.5, 1.0): 2.354034396459024,
+    (4, 38, 0.95, 1.0): 1.9363188216908118,
+    (4, 38, 0.985, 1.0): 1.8456654254983598,
+    (4, 38, 0.988, 1.0): 1.836077245378361,
+    (2, 8, 0.99, 1.0): 1.434561758617329,
+    (4, 38, "TwoFRSB", 1 + 1e-6): 1.8474879413642007,
+    (4, 38, "TwoFRSB", 1.01): 1.8475088630991205,
+    (2, 8, 0.9, 1 + 1e-6): 1.5727095702517389,
+    (2, 8, 0.9, 1.01): 1.5727397788562705,
+}
+
+
+def test_the_report_carries_the_energy():
+    # one segment walk gives the certificate and Q(nu): cs_energy, the
+    # report's energy and classify's energy are one number, whether or
+    # not the measure passes, and the v1 record does not carry it
+    phases = set()
+    for (p, s, lam, scale), want in _PINNED_ENERGIES.items():
+        if lam == "TwoFRSB":
+            g = boundaries(p, s).general
+            lam = 0.5 * (g["lambda_2to2F"] + g["lambda_2to1F"])
+        cl = classify(p, s, lam)
+        m = make_mixture(p, s, lam)
+        nu = ParisiMeasure(cl.measure.segments, cl.measure.atom * scale)
+        rep = verify_parisi(m, nu)
+        assert rep.passed == (scale == 1.0), (p, s, lam, scale)
+        assert cs_energy(m, nu) == rep.energy == want, (p, s, lam, scale)
+        if scale == 1.0:
+            phases.add(cl.phase)
+            assert cl.energy == want and cl.report == rep
+        assert "energy" not in rep.to_dict()
+    assert phases == {"RS", "OneRSB", "TwoRSB", "TwoFRSB", "OneFRSB", "FRSB"}

@@ -47,6 +47,26 @@ def test_regime_diagnostics_frozen():
                                                        abs=1e-10)
 
 
+def _numbers(x):
+    # every leaf of nested dicts, lists and tuples but None and strings
+    if isinstance(x, dict):
+        return [v for y in x.values() for v in _numbers(y)]
+    if isinstance(x, (list, tuple)):
+        return [v for y in x for v in _numbers(y)]
+    return [] if x is None or isinstance(x, str) else [x]
+
+
+@pytest.mark.parametrize("p, s", [(5, 5), (2, 8), (4, 18), (4, 28), (4, 38)])
+def test_regime_and_boundaries_give_plain_numbers(p, s):
+    # one family per regime: no numpy scalar leaks into either result
+    b = boundaries(p, s)
+    found = _numbers([regime(p, s).diagnostics, b.regime.diagnostics, b.p2,
+                      b.general, b.diagnostics])
+    assert found or p == s
+    for v in found:
+        assert type(v) in (float, int, bool), (p, s, type(v), v)
+
+
 def test_boundaries_frozen_four_phase():
     g = boundaries(4, 38).general
     assert g["lambda_1to2"] == pytest.approx(0.6093645164854334, abs=1e-9)
