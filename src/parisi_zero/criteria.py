@@ -52,9 +52,10 @@ class Landmarks:
 
     qbar1/qbar2 bound the interval where the first window function
     decreases; the four q's are the zeros of h11, h12, h21, h22 used by
-    the two-level and full-type constructions. q22_edge holds an h22 root
-    that the edge ladder found pressed against 1 but that h22's rounding
-    floor leaves uncertified; q22 is None then.
+    the two-level and full-type constructions, all found on one grid.
+    With qbar2 = 1, q21 = q22 = 1.0 stand for "no root below 1". q22_edge
+    holds an h22 root that the edge ladder found pressed against 1 but
+    that h22's rounding floor leaves uncertified; q22 is None then.
     """
 
     qbar1: float | None = None
@@ -157,8 +158,8 @@ def _tau(m, x):
     hp, hs = _table(m, x, "tau_h", _horner, x, nh, True)
     d1r = m.p * lam * hp + m.s * mu * hs
     d12 = m.p * (m.p - 1) * lam * g2p + m.s * (m.s - 1) * mu * g2s
-    return ((m.p * lam * g1p + m.s * mu * g1s) ** 2
-            + xi_deriv(m, 1.0, 1) * (d1r - d12 - xi_deriv(m, x, 2)))
+    d1 = m.p * lam * g1p + m.s * mu * g1s
+    return d1 * d1 + xi_deriv(m, 1.0, 1) * (d1r - d12 - xi_deriv(m, x, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +339,8 @@ def _kernel(m: Mixture, q):
     # (xi, xi', D1, B, q xi' - xi) at q, all that f12 reads of q; the last is
     # assembled term-by-term so it vanishes cleanly at 0
     _check_q(q)
-    qxp = m.lam * (m.p - 1) * q ** m.p + (1.0 - m.lam) * (m.s - 1) * q ** m.s
+    qxp = (m.lam * (m.p - 1) * np.power(q, m.p)
+           + (1.0 - m.lam) * (m.s - 1) * np.power(q, m.s))
     return xi_deriv(m, q), xi_deriv(m, q, 1), _d1(m, q), _bfun(m, q), qxp
 
 
@@ -346,7 +348,7 @@ def _f2(q, z2, d1, b):
     # (1 - q)^2 (D1 c(z2) - B), after f12's check on z2
     if z2 <= -1.0 if isinstance(z2, float) else np.any(np.asarray(z2) <= -1.0):
         raise ValueError(f"z2 must exceed -1, got {z2}")
-    return (1 - q) ** 2 * (d1 * c_log(z2) - b)
+    return (1 - q) * (1 - q) * (d1 * c_log(z2) - b)
 
 
 def _f12(q, z2, k):
@@ -355,7 +357,7 @@ def _f12(q, z2, k):
     f1 = (-qxp * (1 + z2) / d1
           - q * q * np.log(q * d1 / ((1 + z2) * x1))
           + q * q - 2 * xq * q / x1
-          + xq * q * q * d1 / ((1 + z2) * x1 ** 2))
+          + xq * q * q * d1 / ((1 + z2) * (x1 * x1)))
     return f1, f2
 
 
@@ -506,9 +508,11 @@ def landmarks(m: Mixture) -> Landmarks:
     qbar1/qbar2 are the sign changes of t in (0, 1); exactly one genuine
     change means t stays negative up to 1, so qbar2 := 1 (t(1) itself can
     read as +noise at the knife edge where the lambda-quadratic has a
-    root). The h-roots are then isolated inside (qbar1, qbar2) following
-    the case split on qbar2 and, for h22 with qbar2 = 1, on the sign of
-    the full-type onset quadratic. An h22 root from the edge ladder that
+    root). The h-roots are then isolated inside (qbar1, qbar2) on one
+    4096-point grid, where one kernel pass gives both window pairs,
+    following the case split on qbar2 and, for h22 with qbar2 = 1, on the
+    sign of the full-type onset quadratic; there, where the grid holds no
+    h22 root, the edge ladder looks closer to 1, and a root from it that
     fails its certificate is reported as q22_edge, with q22 None.
     """
     tb = _sign_roots(lambda x: _tau(m, x), 1e-9, 1 - 1e-9)
@@ -524,9 +528,9 @@ def landmarks(m: Mixture) -> Landmarks:
     lo = qbar1 + _QBAR_INSET
     scan_h11 = h11(hi_in if qbar2 == 1.0 else qbar2) > 0
     scan_h21 = h21(qbar1) > 0
-    # every scan below but h22's run to 1 - 1e-7 reads this one grid, and
-    # both window pairs come from one kernel pass over it
-    if scan_h11 or (scan_h21 and qbar2 < 1):
+    # the one grid of every window scan, h22's for q22 included: both
+    # window pairs come from one kernel pass over it
+    if scan_h11 or scan_h21:
         xs = np.linspace(lo, hi_in, 4096)
         (v11, v21), (v12, v22) = _eval_h12(m, xs)
     q11 = q12 = q21 = q22 = q22_edge = None
@@ -538,26 +542,21 @@ def landmarks(m: Mixture) -> Landmarks:
         if r:
             q12 = r[0]
     if scan_h21:
+        q21 = 1.0
         if qbar2 < 1:
             r = _grid_roots(h21, xs, v21)
-            if r:
-                q21 = r[-1]
+            q21 = r[-1] if r else None
+        if qbar2 < 1 or s_of(m.p, m.s, m.lam) > 0:
             r = _grid_roots(h22, xs, v22)
             if r:
                 q22 = r[-1]
+            elif qbar2 == 1.0:
+                q22 = _edge_root(h22, lo)
+                if q22 is None:
+                    q22 = 1.0
+                elif not _h22_root_certified(m, q22):
+                    q22, q22_edge = None, q22
         else:
-            q21 = 1.0
-            if s_of(m.p, m.s, m.lam) > 0:
-                r = _sign_roots(h22, lo, 1 - 1e-7)
-                if r:
-                    q22 = r[-1]
-                else:
-                    q22 = _edge_root(h22, lo)
-                    if q22 is None:
-                        q22 = 1.0
-                    elif not _h22_root_certified(m, q22):
-                        q22, q22_edge = None, q22
-            else:
-                q22 = 1.0
+            q22 = 1.0
     return Landmarks(qbar1=qbar1, qbar2=qbar2, q11=q11, q12=q12, q21=q21,
                      q22=q22, q22_edge=q22_edge)

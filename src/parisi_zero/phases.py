@@ -373,17 +373,16 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
         q, z1, z2 = _solve_two_step(m, lm)
         return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",
                         {"q": q, "z1": z1, "z2": z2}, tol)
-    if (_full_window(lm)
-            and criteria.eval_aux(m, lm.q12)[0] < 0
-            and criteria.eval_aux(m, lm.q22)[0] < 0):
-        return _certify(m, build_mixed(m, lm.q12, lm.q22), "TwoFRSB",
-                        {"q1": lm.q12, "q2": lm.q22}, tol)
-    if (lm.q12 is not None and criteria.eval_aux(m, lm.q12)[0] < 0
-            and not criteria._sign_roots(
-                lambda x: criteria._h22(m, x),
-                lm.q12 + 1e-6, 1 - 1e-6, n=513)):
-        return _certify(m, build_mixed(m, lm.q12, 1.0), "OneFRSB",
-                        {"q1": lm.q12, "variant": "density-above"}, tol)
+    # with t < 0 at q12, h22's last root q22 decides: inside (q12, 1) the
+    # full density ends there, else it runs to 1 (None: h22 not scanned)
+    if (lm.q12 is not None and lm.q22 is not None
+            and criteria.eval_aux(m, lm.q12)[0] < 0):
+        if not _full_window(lm):
+            return _certify(m, build_mixed(m, lm.q12, 1.0), "OneFRSB",
+                            {"q1": lm.q12, "variant": "density-above"}, tol)
+        if criteria.eval_aux(m, lm.q22)[0] < 0:
+            return _certify(m, build_mixed(m, lm.q12, lm.q22), "TwoFRSB",
+                            {"q1": lm.q12, "q2": lm.q22}, tol)
     raise ValueError(
         f"no construction applies (one-step certificate {zmax:.2e}, "
         f"landmarks {lm})")

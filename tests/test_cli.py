@@ -287,6 +287,24 @@ def test_verify_calls_a_measure_outside_the_cone_unproven(tmp_path, capsys):
     assert "full density is not increasing" in err
 
 
+def test_verify_names_the_cone_before_an_integral_that_fails(tmp_path,
+                                                             capsys):
+    # the same shape at (3, 20, 0.9): its full-segment quadrature does not
+    # converge, so there is no report to print, but the cone check still
+    # names the condition the measure breaks
+    doc = {"segments": [{"lo": 0.0, "hi": 1e-06, "kind": "const", "value": 0.0},
+                        {"lo": 1e-06, "hi": 1.0, "kind": "full"}],
+           "atom": 0.2}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "--p", "3", "--s", "20",
+                       "--lambda", "0.9", "--measure", str(path))
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "outside the optimisation cone" in err
+    assert "full density is not increasing" in err
+
+
 @pytest.mark.parametrize("p, s, lam, phase", [
     (4, 38, 0.5, "OneRSB"), (4, 38, 0.95, "TwoRSB"), (4, 38, 0.985, "TwoFRSB"),
     (4, 38, 0.988, "OneFRSB"), (2, 8, 0.99, "FRSB"), (2, 8, 0.9, "OneFRSB")])

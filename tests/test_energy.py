@@ -243,26 +243,27 @@ def test_refined_min_g_matches_a_bounded_minimiser():
 # passed) of the refinement cases and of a classified measure of each
 # phase, recorded before the certificate's array paths were rewritten
 # (numpy 2.4, x86-64 with AVX-512; numpy's SIMD power can move the last
-# bits on another CPU or numpy build)
+# bits on another CPU or numpy build); the entries that read q22 or a
+# band midpoint re-recorded when landmarks took q22 from its shared grid
 _PINNED_REPORTS = {
-    "TwoFRSB construction": (0.0, 0.0, 4.9960036108132044e-15, True),
+    "TwoFRSB construction": (8.8817841970012523e-16, -2.2204460492503131e-16,
+                             4.773959005888173e-15, True),
     "certified (4, 38, 0.95)": (8.8817841970012523e-16, -2.886579864025407e-15,
                                 2.886579864025407e-15, True),
     "certified (2, 8, 0.5)": (8.8817841970012523e-16, 0.0,
                               2.2204460492503131e-16, True),
     "certified (3, 20, 0.9)": (0.0, 0.0, 3.3306690738754696e-16, True),
     "wrong one-step (4, 38, 0.7955) in TwoRSB": (
-        1.7763568394002505e-15, -0.039398975752332199,
-        4.4408920985006262e-16, False),
+        0.0, -0.03939897575233209, 0.0, False),
     "wrong one-step (4, 38, 0.9844) in TwoFRSB": (
-        0.0, -0.00039463907427661482, 1.1102230246251565e-16, False),
+        0.0, -0.0003946390742779471, 4.440892098500626e-16, False),
     "wrong one-step (4, 38, 0.9886) in OneFRSB": (
         0.0, -1.0865910185509087e-05, 4.4408920985006262e-16, False),
     "wrong one-step (3, 20, 0.7584) in TwoRSB": (
-        1.7763568394002505e-15, -0.032870405911002654,
-        5.5511151231257827e-16, False),
+        8.8817841970012523e-16, -0.03287040591100321,
+        2.2204460492503131e-16, False),
     "wrong one-step (3, 20, 0.9654) in TwoFRSB": (
-        8.8817841970012523e-16, -0.0055437546389413006,
+        8.8817841970012523e-16, -0.0055437546389407455,
         2.2204460492503131e-16, False),
     "wrong one-step (3, 20, 0.9834) in OneFRSB": (
         8.8817841970012523e-16, -0.00022547926182969746,
@@ -276,7 +277,9 @@ _PINNED_REPORTS = {
     "certified (2, 4, 1.0)": (4.4408920985006262e-16, 0.0, 0.0, True),
     "certified (4, 38, 0.5)": (7.1054273576010019e-15, 0.0,
                                7.7715611723760958e-16, True),
-    "certified (4, 38, 0.985)": (0.0, 0.0, 4.9960036108132044e-15, True),
+    "certified (4, 38, 0.985)": (8.8817841970012523e-16,
+                                 -2.2204460492503131e-16,
+                                 4.773959005888173e-15, True),
     "certified (4, 38, 0.988)": (1.7763568394002505e-15, 0.0,
                                  2.2204460492503131e-16, True),
     "certified (2, 8, 0.99)": (0.0, 0.0, 0.0, True),
@@ -451,7 +454,8 @@ def test_off_calibration_full_segments_match_generic_quadrature(p, s, which,
 
 # Q(nu) of a classified measure of each phase, and of the off-calibration
 # measures above (the atom scaled), recorded when the energy had a segment
-# walk of its own (numpy 2.4, x86-64 with AVX-512, as _PINNED_REPORTS)
+# walk of its own (numpy 2.4, x86-64 with AVX-512, as _PINNED_REPORTS); the
+# TwoFRSB rows, at a band midpoint, re-recorded with the q22 entries there
 _PINNED_ENERGIES = {
     (2, 2, 1.0, 1.0): 1.414213562373095,
     (4, 38, 0.5, 1.0): 2.354034396459024,
@@ -459,8 +463,8 @@ _PINNED_ENERGIES = {
     (4, 38, 0.985, 1.0): 1.8456654254983598,
     (4, 38, 0.988, 1.0): 1.836077245378361,
     (2, 8, 0.99, 1.0): 1.434561758617329,
-    (4, 38, "TwoFRSB", 1 + 1e-6): 1.8474879413642007,
-    (4, 38, "TwoFRSB", 1.01): 1.8475088630991205,
+    (4, 38, "TwoFRSB", 1 + 1e-6): 1.8474879413642138,
+    (4, 38, "TwoFRSB", 1.01): 1.8475088630991334,
     (2, 8, 0.9, 1 + 1e-6): 1.5727095702517389,
     (2, 8, 0.9, 1.01): 1.5727397788562705,
 }

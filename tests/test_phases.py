@@ -334,6 +334,69 @@ def test_landmarks_turn_down_an_uncertified_edge_root():
     assert "uncertified h22 edge root" in c.detail
 
 
+def _old_one_frsb_rescan(m, lm):
+    # the OneFRSB test as it was before landmarks' grid gave q22: no h22
+    # root on a 513-point rescan of (q12 + 1e-6, 1 - 1e-6)
+    return not criteria._sign_roots(lambda x: criteria._h22(m, x),
+                                    lm.q12 + 1e-6, 1 - 1e-6, n=513)
+
+
+@pytest.mark.parametrize("family", [(4, 38), (3, 20), (5, 57)])
+def test_one_frsb_decision_matches_the_old_rescan(family):
+    # across the TwoFRSB and OneFRSB bands and 1e-7..1e-3 about their upper
+    # ends, wherever the chain reaches the full-type tests, the decision
+    # taken from landmarks' q22 equals the one the rescan took
+    g = boundaries(*family).general
+    lams = list(np.linspace(g["lambda_2to2F"], g["lambda_2to1"], 21)[1:-1])
+    for lb in (g["lambda_2to1F"], g["lambda_2to1"]):
+        lams += [lb + sg * d for d in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+                 for sg in (-1, 1)]
+    decided = set()
+    for lam in lams:
+        m = make_mixture(*family, lam)
+        if phases._zeta_max(m, solve_z(m)) <= phases._ZETA_FLOOR:
+            continue
+        lm = criteria.landmarks(m)
+        if lm.q22_edge is not None or phases._two_step_window(lm):
+            continue
+        if lm.q12 is None or not criteria.eval_aux(m, lm.q12)[0] < 0:
+            continue
+        two = (phases._full_window(lm)
+               and criteria.eval_aux(m, lm.q22)[0] < 0)
+        old = not two and _old_one_frsb_rescan(m, lm)
+        new = lm.q22 is not None and not lm.q12 < lm.q22 < 1.0
+        assert new == old, (family, lam, lm)
+        # the mixed measure itself may still fail its cone check where q22
+        # collapses onto 1 just below lambda_2to1F
+        cl = classify(*family, lam)
+        assert cl.phase == ("OneFRSB" if new else "TwoFRSB" if two
+                            else "Unresolved") or (
+            new and "full density is not increasing" in (cl.detail or "")), cl
+        decided.add(new)
+    assert decided == {True, False}
+
+
+@pytest.mark.parametrize("lam, phase", [
+    (0.95, "TwoRSB"), (0.985, "TwoFRSB"), (0.988, "OneFRSB")])
+def test_one_h22_grid_per_classification(monkeypatch, lam, phase):
+    # h22 is read off landmarks' shared grid: landmarks scans only tau on a
+    # grid of its own, and classify adds only the K scan of the one-step test
+    boundaries(4, 38)  # solved before counting
+    calls = []
+    real = criteria._sign_roots
+
+    def counted(f, lo, hi, n=4096):
+        calls.append((lo, hi, n))
+        return real(f, lo, hi, n)
+
+    monkeypatch.setattr(criteria, "_sign_roots", counted)
+    criteria.landmarks(make_mixture(4, 38, lam))
+    assert calls == [(1e-9, 1 - 1e-9, 4096)]
+    calls.clear()
+    assert classify(4, 38, lam).phase == phase
+    assert calls == [(0.0, 1.0, 1025), (1e-9, 1 - 1e-9, 4096)]
+
+
 def test_two_step_detail_names_the_sign_change_it_missed():
     # on lambda_2to2F of (5, 60) the two-step bracket is 1.3e-10 wide and
     # the stationarity function has one sign across it; the detail says so

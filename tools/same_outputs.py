@@ -1,0 +1,213 @@
+"""Record and compare the outputs a bit-changing refactor must keep.
+
+    python tools/same_outputs.py dump OUT.json [--src DIR]
+    python tools/same_outputs.py diff A.json B.json
+
+``dump`` imports parisi_zero from DIR (default: this checkout's src/) and
+writes three records:
+
+- the 101-point sweeps (``--lambda-grid 0:1:0.01``) of (4,38), (3,20) and
+  (2,4): every CSV row and every .dat row;
+- the boundary constants of all 385 mixed families with p <= 8, s <= 60;
+- a seeded classify probe over the same families: 8 random lambdas a
+  family, plus lambda_b +- d for d in 1e-8, 1e-7, 1e-5, 1e-3 about every
+  interior boundary, with lambda_b the boundary rounded to 9 decimals so
+  that a constant moving in its last bits leaves the points in place
+  (7266 points in (0, 1)).
+
+``diff`` lists verdict or detail changes first (sweep phases and .dat
+phase indices, probe phase, detail and flags, constants that appear or
+vanish), then bit changes: every changed row, and the largest |delta| in
+each column. It exits 1 when any verdict or detail changed, else 0.
+
+Run it on a copy of the parent commit (``git archive``) and on the
+change. A dump takes about 15 s on one core; this is not part of the
+test suite.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+SWEEPS = ((4, 38), (3, 20), (2, 4))
+DISTANCES = (1e-8, 1e-7, 1e-5, 1e-3)
+RANDOM_PER_FAMILY = 8
+SEED = 17
+
+
+def _families():
+    return [(p, s) for p in range(2, 9) for s in range(p + 1, 61)]
+
+
+def _sweeps(main):
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for p, s in SWEEPS:
+            csv = os.path.join(tmp, f"{p}_{s}.csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["sweep", "--p", str(p), "--s", str(s),
+                           "--lambda-grid", "0:1:0.01", "--out", csv])
+            with open(csv) as fh, open(csv[:-4] + ".dat") as fd:
+                out[f"{p},{s}"] = {"rc": rc, "csv": fh.read().splitlines(),
+                                   "dat": fd.read().splitlines()}
+    return out
+
+
+def _probe(pz):
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    rows = []
+    for p, s in _families():
+        lams = [float(v) for v in rng.uniform(0.0, 1.0, RANDOM_PER_FAMILY)]
+        for lb in pz.boundary_lambdas(pz.boundaries(p, s)):
+            lb = round(lb, 9)
+            lams += [lb + sg * d for d in DISTANCES for sg in (-1, 1)
+                     if 0.0 < lb + sg * d < 1.0]
+        for lam in lams:
+            cl = pz.classify(p, s, lam)
+            rep = cl.report
+            rows.append({
+                "key": [p, s, lam], "phase": cl.phase, "detail": cl.detail,
+                "on_boundary": cl.on_boundary,
+                "low_s_unproven": cl.low_s_unproven,
+                "bits": {**{k: v for k, v in cl.params.items()
+                            if isinstance(v, float)},
+                         "energy": cl.energy,
+                         **(rep.to_dict() if rep else {})}})
+    return rows
+
+
+def dump(path, src):
+    sys.path.insert(0, os.path.abspath(src))
+    import parisi_zero as pz
+    from parisi_zero.cli import main
+
+    constants = {}
+    for p, s in _families():
+        b = pz.boundaries(p, s)
+        constants[f"{p},{s}"] = {"regime": b.regime.tag,
+                                 **(b.p2 or {}), **(b.general or {})}
+    doc = {"src": os.path.abspath(src), "sweeps": _sweeps(main),
+           "constants": constants, "probe": _probe(pz)}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    print(f"wrote {len(doc['probe'])} probe points, {len(constants)} "
+          f"families and {len(SWEEPS)} sweeps to {path}")
+
+
+class _Delta:
+    # the changed values of one column, keeping the largest |delta|
+    def __init__(self):
+        self.cols = {}
+
+    def add(self, col, a, b):
+        if a == b:
+            return
+        try:
+            d = abs(float(b) - float(a))
+        except (TypeError, ValueError):
+            d = float("inf")
+        n, worst = self.cols.get(col, (0, 0.0))
+        self.cols[col] = (n + 1, max(worst, d))
+
+    def lines(self):
+        return [f"    {c}: {n} changed, largest |delta| {w:.3g}"
+                for c, (n, w) in sorted(self.cols.items())]
+
+
+def diff(path_a, path_b):
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    verdicts, bits = [], []
+
+    for fam in a["sweeps"]:
+        sa, sb = a["sweeps"][fam], b["sweeps"][fam]
+        if sa["rc"] != sb["rc"] or len(sa["csv"]) != len(sb["csv"]):
+            verdicts.append(f"sweep ({fam}): exit code or row count changed")
+            continue
+        header = sa["csv"][1].split(",")
+        delta, rows = _Delta(), []
+        for ra, rb, da, db in zip(sa["csv"][2:], sb["csv"][2:],
+                                  sa["dat"][1:], sb["dat"][1:]):
+            ca = dict(zip(header, ra.split(",")))
+            cb = dict(zip(header, rb.split(",")))
+            if (ca["phase"] != cb["phase"] or da.split()[1] != db.split()[1]
+                    or ca["boundary_flags"] != cb["boundary_flags"]):
+                verdicts.append(
+                    f"sweep ({fam}) lambda {ca['lambda']}: {ca['phase']} "
+                    f"[{ca['boundary_flags']}] (.dat {da.split()[1]}) -> "
+                    f"{cb['phase']} [{cb['boundary_flags']}] "
+                    f"(.dat {db.split()[1]})")
+            elif ra != rb or da != db:
+                changed = [c for c in header if ca[c] != cb[c]]
+                rows.append(f"    lambda {ca['lambda']}: " + "; ".join(
+                    f"{c} {ca[c]} -> {cb[c]}" for c in changed))
+                for c in changed:
+                    delta.add(c, ca[c], cb[c])
+        if rows:
+            bits += [f"  sweep ({fam}): {len(rows)} rows", *rows,
+                     *delta.lines()]
+
+    delta, rows = _Delta(), []
+    for fam, ca in a["constants"].items():
+        cb = b["constants"][fam]
+        if ca.keys() != cb.keys() or ca["regime"] != cb["regime"] or any(
+                (ca[k] is None) != (cb[k] is None) for k in ca):
+            verdicts.append(f"constants ({fam}): {ca} -> {cb}")
+            continue
+        for k in ca:
+            if k != "regime" and ca[k] != cb[k]:
+                rows.append(f"    ({fam}) {k}: {ca[k]!r} -> {cb[k]!r} "
+                            f"(|delta| {abs(cb[k] - ca[k]):.3g})")
+                delta.add(k, ca[k], cb[k])
+    if rows:
+        bits += [f"  constants: {len(rows)} values", *rows, *delta.lines()]
+
+    delta, rows = _Delta(), []
+    if [r["key"] for r in a["probe"]] != [r["key"] for r in b["probe"]]:
+        verdicts.append("probe: the points differ (a boundary moved across "
+                        "its 9-decimal rounding?)")
+    verdict = ("phase", "detail", "on_boundary", "low_s_unproven")
+    for ra, rb in zip(a["probe"], b["probe"]):
+        if [ra[k] for k in verdict] != [rb[k] for k in verdict]:
+            verdicts.append(f"probe {ra['key']}: {ra['phase']} ({ra['detail']})"
+                            f" -> {rb['phase']} ({rb['detail']})")
+        elif ra["bits"] != rb["bits"]:
+            rows.append(f"    {ra['key']}")
+            for k in ra["bits"].keys() | rb["bits"].keys():
+                delta.add(k, ra["bits"].get(k), rb["bits"].get(k))
+    if rows:
+        bits += [f"  probe: {len(rows)} points", *rows, *delta.lines()]
+
+    print(f"verdict or detail changes: {len(verdicts)}")
+    print("\n".join(f"  {v}" for v in verdicts))
+    print(f"bit changes:{'' if bits else ' none'}")
+    print("\n".join(bits))
+    return 1 if verdicts else 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump")
+    d.add_argument("out")
+    d.add_argument("--src", default=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+    c = sub.add_parser("diff")
+    c.add_argument("a")
+    c.add_argument("b")
+    args = ap.parse_args(argv)
+    if args.cmd == "dump":
+        dump(args.out, args.src)
+        return 0
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
