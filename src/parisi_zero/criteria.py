@@ -351,14 +351,17 @@ def _f2(q, z2, d1, b):
     return (1 - q) * (1 - q) * (d1 * c_log(z2) - b)
 
 
-def _f12(q, z2, k):
+def _f1(q, z2, k):
     xq, x1, d1, b, qxp = k
-    f2 = _f2(q, z2, d1, b)
-    f1 = (-qxp * (1 + z2) / d1
-          - q * q * np.log(q * d1 / ((1 + z2) * x1))
-          + q * q - 2 * xq * q / x1
-          + xq * q * q * d1 / ((1 + z2) * (x1 * x1)))
-    return f1, f2
+    return (-qxp * (1 + z2) / d1
+            - q * q * np.log(q * d1 / ((1 + z2) * x1))
+            + q * q - 2 * xq * q / x1
+            + xq * q * q * d1 / ((1 + z2) * (x1 * x1)))
+
+
+def _f12(q, z2, k):
+    f2 = _f2(q, z2, k[2], k[3])
+    return _f1(q, z2, k), f2
 
 
 def f12(m: Mixture, q, z2):
@@ -370,11 +373,24 @@ def f12(m: Mixture, q, z2):
     return _f12(q, z2, _kernel(m, q))
 
 
+def _tilt(m: Mixture, x, k, first):
+    # z2 of the first window pair (h11, h21) or of the second (h12, h22)
+    w = xi_deriv(m, 1.0, 1) * x / k[1] if first else k[2] / xi_deriv(m, x, 2)
+    return w - 1.0
+
+
 def _pair(m: Mixture, x, k, first):
     # the first window pair (h11, h21) or the second (h12, h22) from k
-    w = xi_deriv(m, 1.0, 1) * x / k[1] if first else k[2] / xi_deriv(m, x, 2)
-    f1, f2 = _f12(x, w - 1.0, k)
+    f1, f2 = _f12(x, _tilt(m, x, k, first), k)
     return f1 / (x * x), f2
+
+
+def _window(m: Mixture, x, first, one, k=None, z2=None):
+    # one window function alone: h11 (first, one), h21 (first), h12 (one) or
+    # h22; a grid pass hands in its kernel k at x and the pair's tilt z2
+    k = _kernel(m, x) if k is None else k
+    z2 = _tilt(m, x, k, first) if z2 is None else z2
+    return _f1(x, z2, k) / (x * x) if one else _f2(x, z2, k[2], k[3])
 
 
 def eval_h1(m: Mixture, x):
@@ -408,11 +424,12 @@ def _h22_floor(m: Mixture, x):
     on p = 2 families near the plateau edge, so this allows 32.
     """
     scale = np.abs(_d1(m, x)) + np.abs(_bfun(m, x))
-    return 32 * np.finfo(float).eps * (1 - x) ** 2 * scale
+    return 32 * np.finfo(float).eps * ((1 - x) * (1 - x)) * scale
 
 
 _PLATEAU_TOL = 1e-6  # half-width of the bracket certifying an h22 root
 _QBAR_INSET = 1e-12  # landmarks scans the h's this far inside (qbar1, qbar2)
+_FIRST, _LAST = slice(1), slice(-1, None)  # _grid_roots' take of one root
 
 
 def _h22_root_certified(m: Mixture, q: float) -> bool:
@@ -423,11 +440,10 @@ def _h22_root_certified(m: Mixture, q: float) -> bool:
     h22 clears _h22_floor at both ends of a bracket within _PLATEAU_TOL
     of q and inside (0, 1), with opposite signs.
     """
-    xs = np.array([max(q - _PLATEAU_TOL, 0.5 * q),
-                   min(q + _PLATEAU_TOL, 0.5 * (1.0 + q))])
-    vs = _h22(m, xs)
-    firm = np.abs(vs) > _h22_floor(m, xs)
-    return bool(vs[0] * vs[1] < 0 and firm.all())
+    ends = [max(q - _PLATEAU_TOL, 0.5 * q),
+            min(q + _PLATEAU_TOL, 0.5 * (1.0 + q))]  # plain floats
+    (va, fa), (vb, fb) = [(_h22(m, x), _h22_floor(m, x)) for x in ends]
+    return bool(va * vb < 0 and abs(va) > fa and abs(vb) > fb)
 
 
 def eval_aux(m: Mixture, x):
@@ -453,18 +469,19 @@ def eval_aux(m: Mixture, x):
 # ---------------------------------------------------------------------------
 
 
-def _sign_roots(f, lo, hi, n=4096):
-    """Roots of f on [lo, hi], ascending, scanned on linspace(lo, hi, n)."""
+def _sign_roots(f, lo, hi, n=4096, **pick):
+    """Roots of f on linspace(lo, hi, n), ascending; pick: see _grid_roots."""
     xs = _grid(lo, hi, n)
-    return _grid_roots(f, xs, np.asarray(f(xs), dtype=float))
+    return _grid_roots(f, xs, np.asarray(f(xs), dtype=float), **pick)
 
 
-def _grid_roots(f, xs, vs):
+def _grid_roots(f, xs, vs, take=slice(None), falling=False):
     """Roots of f from its values vs on the ascending grid xs, ascending.
 
     Each bracket is a pair of neighbouring firm grid values of opposite
     sign, refined by brentq on f; a caller that already holds f on a grid
-    passes it here directly.
+    passes it here directly. Only the roots the caller reads are refined:
+    the slice take (_FIRST, _LAST) of all, or of the falling (+ to -) ones.
 
     Tangency rule: a sign change counts only between grid values that both
     clear a noise floor tied to the function's scale; sub-floor values are
@@ -475,9 +492,11 @@ def _grid_roots(f, xs, vs):
     eps = 1e-14 * max(1.0, float(np.abs(vs).max()))
     firm = np.nonzero(np.abs(vs) > eps)[0]
     a, b = firm[:-1], firm[1:]
-    flips = np.nonzero(vs[a] * vs[b] < 0.0)[0]
+    flip = vs[a] * vs[b] < 0.0
+    if falling:
+        flip &= vs[a] > 0.0
     return [brentq(f, xs[a[i]], xs[b[i]], xtol=1e-14, rtol=8.9e-16)
-            for i in flips]
+            for i in np.nonzero(flip)[0][take]]
 
 
 def _edge_root(f, lo):
@@ -509,48 +528,44 @@ def landmarks(m: Mixture) -> Landmarks:
     change means t stays negative up to 1, so qbar2 := 1 (t(1) itself can
     read as +noise at the knife edge where the lambda-quadratic has a
     root). The h-roots are then isolated inside (qbar1, qbar2) on one
-    4096-point grid, where one kernel pass gives both window pairs,
-    following the case split on qbar2 and, for h22 with qbar2 = 1, on the
-    sign of the full-type onset quadratic; there, where the grid holds no
-    h22 root, the edge ladder looks closer to 1, and a root from it that
-    fails its certificate is reported as q22_edge, with q22 None.
+    4096-point grid, following the case split on qbar2 and, for h22 with
+    qbar2 = 1, on the sign of the full-type onset quadratic; there, where
+    the grid holds no h22 root, the edge ladder looks closer to 1, and a
+    root from it that fails its certificate is reported as q22_edge, with
+    q22 None. One kernel pass over the grid feeds only the window
+    functions that the case split scans, and only the root read of each
+    is refined: the first of h11 and h12, the last of h21 and h22.
     """
     tb = _sign_roots(lambda x: _tau(m, x), 1e-9, 1 - 1e-9)
     if not tb:
         return Landmarks()
     qbar1 = tb[0]
     qbar2 = tb[1] if len(tb) >= 2 else 1.0
-    h11 = lambda x: eval_h1(m, x)[0]
-    h21 = lambda x: eval_h1(m, x)[1]
-    h12 = lambda x: eval_h2(m, x)[0]
-    h22 = lambda x: _h22(m, x)
     hi_in = qbar2 - _QBAR_INSET if qbar2 < 1 else 1 - 1e-9
     lo = qbar1 + _QBAR_INSET
-    scan_h11 = h11(hi_in if qbar2 == 1.0 else qbar2) > 0
-    scan_h21 = h21(qbar1) > 0
-    # the one grid of every window scan, h22's for q22 included: both
-    # window pairs come from one kernel pass over it
-    if scan_h11 or scan_h21:
+    scan_h11 = _window(m, hi_in if qbar2 == 1.0 else qbar2, True, True) > 0
+    scan_h21 = _window(m, qbar1, True, False) > 0
+    h22 = lambda x: _h22(m, x)
+    if scan_h11 or scan_h21:  # the one grid of every window scan
         xs = np.linspace(lo, hi_in, 4096)
-        (v11, v21), (v12, v22) = _eval_h12(m, xs)
+        k, z2 = _kernel(m, xs), {}
+
+    def root(first, one, take):
+        # the root read of one window function; a pair's tilt is taken once
+        if first not in z2:
+            z2[first] = _tilt(m, xs, k, first)
+        f = h22 if not (first or one) else lambda x: _window(m, x, first, one)
+        r = _grid_roots(f, xs, _window(m, xs, first, one, k, z2[first]), take)
+        return r[0] if r else None
+
     q11 = q12 = q21 = q22 = q22_edge = None
     if scan_h11:
-        r = _grid_roots(h11, xs, v11)
-        if r:
-            q11 = r[0]
-        r = _grid_roots(h12, xs, v12)
-        if r:
-            q12 = r[0]
+        q11, q12 = root(True, True, _FIRST), root(False, True, _FIRST)
     if scan_h21:
-        q21 = 1.0
-        if qbar2 < 1:
-            r = _grid_roots(h21, xs, v21)
-            q21 = r[-1] if r else None
+        q21 = root(True, False, _LAST) if qbar2 < 1 else 1.0
         if qbar2 < 1 or s_of(m.p, m.s, m.lam) > 0:
-            r = _grid_roots(h22, xs, v22)
-            if r:
-                q22 = r[-1]
-            elif qbar2 == 1.0:
+            q22 = root(False, False, _LAST)
+            if q22 is None and qbar2 == 1.0:
                 q22 = _edge_root(h22, lo)
                 if q22 is None:
                     q22 = 1.0

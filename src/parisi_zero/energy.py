@@ -42,6 +42,7 @@ _QUAD_EPS = 1e-12  # the 32- and 64-node rules must agree this closely on a piec
 _QUAD_DEPTH = 10  # halvings of a full segment before its integral is given up
 _ZOOM_ROUNDS = 2  # verify_parisi's refinements of min g about the grid argmin
 _ZOOM_POINTS = 65  # each on this many points, 32 steps across two old steps
+_ZOOM_AR = np.arange(float(_ZOOM_POINTS))
 _GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in (32, 64))
 
 
@@ -236,6 +237,13 @@ def _support_points(m: Mixture, nu: ParisiMeasure) -> list[float]:
     return pts
 
 
+def _zoom(a, b):
+    # np.linspace(a, b, _ZOOM_POINTS)'s operations, when b - a > 1e-300
+    us = _ZOOM_AR * ((b - a) / (_ZOOM_POINTS - 1)) + a
+    us[-1] = b
+    return us
+
+
 def verify_parisi(m: Mixture, nu: ParisiMeasure,
                   tol: float = 1e-7) -> VerificationReport:
     """Certify nu against the three optimality conditions at tolerance tol.
@@ -259,8 +267,7 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
     min_g = float(gv.min())
     for _ in range(_ZOOM_ROUNDS):
         i = int(np.argmin(gv))
-        us = np.linspace(us[max(0, i - 1)], us[min(us.size - 1, i + 1)],
-                         _ZOOM_POINTS)
+        us = _zoom(us[max(0, i - 1)], us[min(us.size - 1, i + 1)])
         gv = tab.g(us)
         min_g = min(min_g, float(gv.min()))
     sup_pts = _support_points(m, nu)

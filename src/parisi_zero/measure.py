@@ -218,7 +218,7 @@ def build_mixed(m: Mixture, q1: float, q2: float) -> ParisiMeasure:
     a = xi_deriv(m, 1.0, 1)
     segs = []
     if q1 > 0.0:
-        h12, _ = criteria.eval_h2(m, q1)
+        h12 = criteria._window(m, q1, first=False, one=True)
         if abs(h12) > _RESIDUAL_TOL:
             raise ValueError(f"q1 does not solve its defining equation: {h12:.2e}")
         x1, x2 = xi_deriv(m, q1, 1), xi_deriv(m, q1, 2)

@@ -280,12 +280,14 @@ def boundary_lambdas(b: PhaseBoundaries) -> tuple[float, ...]:
 
 
 def _zeta_max(m: Mixture, z: float) -> float:
-    # zeta' = xi''(x) (1 - x) K(x) / (xi'(1) + z xi'(x)) with
-    # K = xi'(1) + z xi' - D1, so zeta's interior extrema are K's roots
+    """zeta's maximum on [0, 1], 0 at least (zeta(0) = zeta(1) = 0).
+
+    Only K's + to - roots, zeta's interior maxima, are refined: zeta' =
+    xi''(x) (1 - x) K(x) / (xi'(1) + z xi'(x)), K = xi'(1) + z xi' - D1."""
     a = xi_deriv(m, 1.0, 1)
     roots = criteria._sign_roots(
         lambda x: a + z * xi_deriv(m, x, 1) - criteria._d1(m, x),
-        0.0, 1.0, n=1025)
+        0.0, 1.0, n=1025, falling=True)
     return max([0.0] + [float(criteria._zeta_at(m, r, z, a)) for r in roots])
 
 
@@ -295,7 +297,7 @@ def _solve_two_step(m: Mixture, lm: criteria.Landmarks):
         return criteria._c_inv(k[3] / k[2]), k
 
     def phi(q):
-        return criteria._f12(q, *z2_of(q))[0]
+        return criteria._f1(q, *z2_of(q))
 
     lo = max(lm.q11, lm.q22) + 1e-13
     hi = min(lm.q21, lm.q12) - 1e-13
@@ -334,10 +336,10 @@ def _classify_pure(m: Mixture, tol: float) -> Classification:
 
 
 def _plateau_point(m: Mixture):
-    # first root of h22 in (0, 1), certified against h22's rounding
-    # floor; else None
+    # first root of h22 in (0, 1), the only one refined, certified against
+    # h22's rounding floor; else None
     h22 = lambda x: criteria._h22(m, x)
-    roots = criteria._sign_roots(h22, 1e-9, 1 - 1e-9)
+    roots = criteria._sign_roots(h22, 1e-9, 1 - 1e-9, take=criteria._FIRST)
     # a plateau point pressed against 1 leaves every value past it below
     # the scan's firmness floor, so walk the edge ladder toward 1
     q = roots[0] if roots else criteria._edge_root(h22, 1e-9)

@@ -506,6 +506,84 @@ def test_sign_roots_match_the_loop_scan_and_the_grid_path():
     assert found >= 20
 
 
+def _falling_loop(f, xs, vs):
+    # the loop reference again, keeping only the brackets where f falls
+    eps = 1e-14 * max(1.0, float(np.abs(vs).max()))
+    firm = np.nonzero(np.abs(vs) > eps)[0]
+    return [brentq(lambda t: float(f(t)), xs[a], xs[b], xtol=1e-14,
+                   rtol=8.9e-16)
+            for a, b in zip(firm[:-1], firm[1:]) if vs[a] > 0.0 > vs[b]]
+
+
+def test_picked_roots_are_their_elements_of_the_full_list():
+    # the 18 functions of the test above; _grid_roots refines only the
+    # roots its caller reads, and each is bit for bit the full list's
+    cases = [(lambda x: np.sin(10 * x), 0.1, 3.0),
+             (lambda x: np.cos(3 * x) * (x - 0.25), 0.0, 2.0)]
+    for p, s, lam in [(4, 38, 0.8), (4, 38, 0.985), (3, 20, 0.9), (2, 8, 0.9)]:
+        m = make_mixture(p, s, lam)
+        cases += [(lambda x, m=m: criteria._tau(m, x), 1e-9, 1 - 1e-9),
+                  (lambda x, m=m: eval_h1(m, x)[0], 0.05, 1 - 1e-9),
+                  (lambda x, m=m: eval_h1(m, x)[1], 0.05, 1 - 1e-9),
+                  (lambda x, m=m: eval_h2(m, x)[1], 1e-9, 1 - 1e-9)]
+    assert len(cases) == 18
+    several = mixed = 0
+    for f, lo, hi in cases:
+        xs = np.linspace(lo, hi, 4096)
+        vs = f(xs)
+        full = criteria._grid_roots(f, xs, vs)
+        falling = _falling_loop(f, xs, vs)
+        assert falling == [r for r in full if r in falling]
+        for pick, want in (({"take": criteria._FIRST}, full[:1]),
+                           ({"take": criteria._LAST}, full[-1:]),
+                           ({"falling": True}, falling),
+                           ({"falling": True, "take": criteria._LAST},
+                            falling[-1:])):
+            assert criteria._grid_roots(f, xs, vs, **pick) == want, pick
+            assert criteria._sign_roots(f, lo, hi, **pick) == want, pick
+        assert criteria._sign_roots(f, lo, hi) == full
+        several += len(full) > 1
+        mixed += 0 < len(falling) < len(full)
+    assert several >= 5 and mixed >= 5
+
+
+@pytest.mark.parametrize("lam, n_tau, n_read, n_f2", [(0.95, 1, 3, 1),
+                                                   (0.8, 2, 4, 2)])
+def test_landmarks_refines_only_the_roots_it_reads(monkeypatch, lam, n_tau,
+                                                   n_read, n_f2):
+    # one brentq per root landmarks reads: every root of t, the first of h11
+    # and h12, the last of h21 and h22 (q21 = 1.0 at 0.95 is no root). Each
+    # evaluates only the function it brackets, so c, which only h21 and h22
+    # (f2) need, runs on their grid values, in their refinements (the last
+    # n_f2 brentq calls) and once in the h21 probe at qbar1, never for
+    # h11 or h12
+    m = make_mixture(4, 38, lam)
+    evals, tilts = [], []
+    real, real_c = criteria.brentq, criteria.c_log
+
+    def counted(f, a, b, **kw):
+        evals.append(0)
+
+        def g(x):
+            evals[-1] += 1
+            return f(x)
+        return real(g, a, b, **kw)
+
+    def c_counted(z):
+        tilts.append(np.ndim(z))
+        return real_c(z)
+
+    monkeypatch.setattr(criteria, "brentq", counted)
+    monkeypatch.setattr(criteria, "c_log", c_counted)
+    lm = landmarks(m)
+    read = [q for q in (lm.q11, lm.q12, lm.q21, lm.q22)
+            if q is not None and q < 1.0]
+    assert len(read) == n_read and (lm.qbar2 < 1.0) == (n_tau == 2)
+    assert len(evals) == n_tau + n_read
+    assert tilts.count(1) == n_f2
+    assert tilts.count(0) == 1 + sum(evals[-n_f2:])
+
+
 # ------------------------------------------- slope relations (used by c9 too)
 def _fd(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2 * h)

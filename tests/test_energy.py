@@ -490,3 +490,21 @@ def test_the_report_carries_the_energy():
             assert cl.energy == want and cl.report == rep
         assert "energy" not in rep.to_dict()
     assert phases == {"RS", "OneRSB", "TwoRSB", "TwoFRSB", "OneFRSB", "FRSB"}
+
+
+def test_zoom_points_are_linspace_bit_for_bit():
+    # verify_parisi's zoom copies np.linspace's operations onto a stored
+    # arange; neighbours two steps apart on the 2048-point grid (the first
+    # round) and the narrower spans of later rounds are among the pairs
+    import parisi_zero.energy as energy
+    grid = np.linspace(0.0, 1.0, 2048)
+    pairs = [(grid[i], grid[i + 2]) for i in range(2046)]
+    rng = np.random.default_rng(18)
+    for i in rng.integers(0, 2046, 200):
+        zoom = energy._zoom(grid[i], grid[i + 2])
+        pairs += [(zoom[j], zoom[j + 2]) for j in range(63)]
+    pairs += [tuple(map(float, ab)) for ab in rng.uniform(0.0, 1.0, (5000, 2))]
+    pairs += [(0.0, 1.0), (0.3, 0.3), (1.0 - 1e-12, 1.0), (2.0, -3.5)]
+    for a, b in pairs:
+        want = np.linspace(a, b, energy._ZOOM_POINTS)
+        assert np.array_equal(energy._zoom(a, b), want), (a, b)

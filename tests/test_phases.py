@@ -385,9 +385,9 @@ def test_one_h22_grid_per_classification(monkeypatch, lam, phase):
     calls = []
     real = criteria._sign_roots
 
-    def counted(f, lo, hi, n=4096):
+    def counted(f, lo, hi, n=4096, **kw):
         calls.append((lo, hi, n))
-        return real(f, lo, hi, n)
+        return real(f, lo, hi, n, **kw)
 
     monkeypatch.setattr(criteria, "_sign_roots", counted)
     criteria.landmarks(make_mixture(4, 38, lam))
@@ -543,6 +543,36 @@ def test_zeta_max_matches_a_dense_grid():
             top = criteria._sign_roots(lambda x: _k(m, z, x), 0.0, 1.0,
                                        n=1025)[-1]
             assert 1.0 - 2.0 / 1024 < top < 1.0, (p, s, lam)
+
+
+def _zeta_max_all_roots(m, z):
+    # the one-step test before it refined only K's falling roots: zeta at
+    # every root of K
+    a = xi_deriv(m, 1.0, 1)
+    roots = criteria._sign_roots(lambda x: _k(m, z, x), 0.0, 1.0, n=1025)
+    return max([0.0] + [float(criteria._zeta_at(m, r, z, a)) for r in roots])
+
+
+def test_zeta_max_equals_the_all_roots_reference():
+    # on the four lambda-sweep families, across lambda and next to every
+    # interior boundary; zeta's minima (K's rising roots) never set zmax
+    rising = positive = 0
+    for p, s in [(4, 38), (3, 20), (4, 28), (2, 8)]:
+        lams = list(np.linspace(0.005, 0.995, 100))
+        lams += [lb + d for lb in phases.boundary_lambdas(boundaries(p, s))
+                 for d in (-1e-4, -1e-7, 1e-7, 1e-4)]
+        for lam in lams:
+            m = make_mixture(p, s, lam)
+            z = solve_z(m)
+            if z == 0.0:
+                continue
+            want = _zeta_max_all_roots(m, z)
+            assert phases._zeta_max(m, z) == want, (p, s, lam)
+            ks = criteria._sign_roots(lambda x: _k(m, z, x), 0.0, 1.0, n=1025)
+            rising += len(ks) > len(criteria._sign_roots(
+                lambda x: _k(m, z, x), 0.0, 1.0, n=1025, falling=True))
+            positive += want > phases._ZETA_FLOOR
+    assert rising >= 50 and positive >= 50
 
 
 def test_boundary_solve_failure_comes_back_unresolved(monkeypatch):

@@ -164,3 +164,40 @@ def test_wsum_scalar_path_matches_array_path():
             want = criteria._wsum(n, np.array([x]))[0]
             assert criteria._wsum(n, x) == want, (n, x)
             assert criteria._wsum(n, np.float64(x)) == want, (n, x)
+
+
+@pytest.mark.parametrize("p, s, lam", FAMILIES[:-1])
+def test_single_window_functions_equal_their_pair_components(p, s, lam):
+    # landmarks scans and refines each window function alone, from a shared
+    # kernel and tilt on its grid and on plain floats in brentq: the same
+    # bits as that function's component of eval_h1 or eval_h2
+    m = make_mixture(p, s, lam)
+    xs = np.array(_unit_xs())
+    k = criteria._kernel(m, xs)
+    for first, pair in ((True, criteria.eval_h1), (False, criteria.eval_h2)):
+        z2 = criteria._tilt(m, xs, k, first)
+        for one, i in ((True, 0), (False, 1)):
+            want = pair(m, xs)[i]
+            for got in (criteria._window(m, xs, first, one),
+                        criteria._window(m, xs, first, one, k, z2)):
+                assert np.array_equal(got, want), (first, one)
+            for x, w in zip(xs.tolist(), want.tolist()):
+                for inp in (x, np.float64(x)):
+                    got = criteria._window(m, inp, first, one)
+                    assert got == w, (first, one, x)
+
+
+@pytest.mark.parametrize("p, s, lam", FAMILIES)
+def test_h22_floor_scalar_path_matches_array_path(p, s, lam):
+    # a float squares (1 - x) by multiplying, as an array does; with ** it
+    # called pow, which read 6.339273394163732e-29 below at (2, 4) where
+    # the array path reads 6.339273394163731e-29
+    m = make_mixture(p, s, lam)
+    for x in _unit_xs():
+        want = criteria._h22_floor(m, np.array([x]))[0]
+        assert criteria._h22_floor(m, x) == want, x
+        assert criteria._h22_floor(m, np.float64(x)) == want, x
+    m = make_mixture(2, 4, 0.088515112500023)
+    x = 0.9999999768672516
+    assert criteria._h22_floor(m, x) == 6.339273394163731e-29
+    assert criteria._h22_floor(m, np.array([x]))[0] == 6.339273394163731e-29
