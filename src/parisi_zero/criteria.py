@@ -429,7 +429,6 @@ def _h22_floor(m: Mixture, x):
 
 _PLATEAU_TOL = 1e-6  # half-width of the bracket certifying an h22 root
 _QBAR_INSET = 1e-12  # landmarks scans the h's this far inside (qbar1, qbar2)
-_FIRST, _LAST = slice(1), slice(-1, None)  # _grid_roots' take of one root
 
 
 def _h22_root_certified(m: Mixture, q: float) -> bool:
@@ -469,19 +468,19 @@ def eval_aux(m: Mixture, x):
 # ---------------------------------------------------------------------------
 
 
-def _sign_roots(f, lo, hi, n=4096, **pick):
-    """Roots of f on linspace(lo, hi, n), ascending; pick: see _grid_roots."""
+def _sign_roots(f, lo, hi, n=4096, falling=False):
+    """Roots of f on linspace(lo, hi, n), ascending (see _grid_roots)."""
     xs = _grid(lo, hi, n)
-    return _grid_roots(f, xs, np.asarray(f(xs), dtype=float), **pick)
+    return _grid_roots(f, xs, np.asarray(f(xs), dtype=float), falling)
 
 
-def _grid_roots(f, xs, vs, take=slice(None), falling=False):
+def _grid_roots(f, xs, vs, falling=False):
     """Roots of f from its values vs on the ascending grid xs, ascending.
 
     Each bracket is a pair of neighbouring firm grid values of opposite
     sign, refined by brentq on f; a caller that already holds f on a grid
-    passes it here directly. Only the roots the caller reads are refined:
-    the slice take (_FIRST, _LAST) of all, or of the falling (+ to -) ones.
+    passes it here directly. With falling, only the brackets where f falls
+    from + to - are refined, for a caller that reads no other root.
 
     Tangency rule: a sign change counts only between grid values that both
     clear a noise floor tied to the function's scale; sub-floor values are
@@ -496,7 +495,7 @@ def _grid_roots(f, xs, vs, take=slice(None), falling=False):
     if falling:
         flip &= vs[a] > 0.0
     return [brentq(f, xs[a[i]], xs[b[i]], xtol=1e-14, rtol=8.9e-16)
-            for i in np.nonzero(flip)[0][take]]
+            for i in np.nonzero(flip)[0]]
 
 
 def _edge_root(f, lo):
@@ -532,9 +531,9 @@ def landmarks(m: Mixture) -> Landmarks:
     qbar2 = 1, on the sign of the full-type onset quadratic; there, where
     the grid holds no h22 root, the edge ladder looks closer to 1, and a
     root from it that fails its certificate is reported as q22_edge, with
-    q22 None. One kernel pass over the grid feeds only the window
-    functions that the case split scans, and only the root read of each
-    is refined: the first of h11 and h12, the last of h21 and h22.
+    q22 None. The grid is built only when a root is read from it, and its
+    one kernel pass feeds only the scanned window functions; the first
+    root of h11 and h12 is read, the last of h21 and h22.
     """
     tb = _sign_roots(lambda x: _tau(m, x), 1e-9, 1 - 1e-9)
     if not tb:
@@ -545,26 +544,27 @@ def landmarks(m: Mixture) -> Landmarks:
     lo = qbar1 + _QBAR_INSET
     scan_h11 = _window(m, hi_in if qbar2 == 1.0 else qbar2, True, True) > 0
     scan_h21 = _window(m, qbar1, True, False) > 0
+    scan_h22 = scan_h21 and (qbar2 < 1 or s_of(m.p, m.s, m.lam) > 0)
     h22 = lambda x: _h22(m, x)
-    if scan_h11 or scan_h21:  # the one grid of every window scan
+    if scan_h11 or scan_h22:  # the one grid of every window scan
         xs = np.linspace(lo, hi_in, 4096)
         k, z2 = _kernel(m, xs), {}
 
-    def root(first, one, take):
-        # the root read of one window function; a pair's tilt is taken once
+    def root(first, one):
+        # the first root of h11 or h12 (one), the last of h21 or h22
         if first not in z2:
             z2[first] = _tilt(m, xs, k, first)
         f = h22 if not (first or one) else lambda x: _window(m, x, first, one)
-        r = _grid_roots(f, xs, _window(m, xs, first, one, k, z2[first]), take)
-        return r[0] if r else None
+        r = _grid_roots(f, xs, _window(m, xs, first, one, k, z2[first]))
+        return (r[0] if one else r[-1]) if r else None
 
     q11 = q12 = q21 = q22 = q22_edge = None
     if scan_h11:
-        q11, q12 = root(True, True, _FIRST), root(False, True, _FIRST)
+        q11, q12 = root(True, True), root(False, True)
     if scan_h21:
-        q21 = root(True, False, _LAST) if qbar2 < 1 else 1.0
-        if qbar2 < 1 or s_of(m.p, m.s, m.lam) > 0:
-            q22 = root(False, False, _LAST)
+        q21 = root(True, False) if qbar2 < 1 else 1.0
+        if scan_h22:
+            q22 = root(False, False)
             if q22 is None and qbar2 == 1.0:
                 q22 = _edge_root(h22, lo)
                 if q22 is None:

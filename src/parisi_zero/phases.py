@@ -336,10 +336,10 @@ def _classify_pure(m: Mixture, tol: float) -> Classification:
 
 
 def _plateau_point(m: Mixture):
-    # first root of h22 in (0, 1), the only one refined, certified against
-    # h22's rounding floor; else None
+    # first root of h22 in (0, 1), certified against h22's rounding
+    # floor; else None
     h22 = lambda x: criteria._h22(m, x)
-    roots = criteria._sign_roots(h22, 1e-9, 1 - 1e-9, take=criteria._FIRST)
+    roots = criteria._sign_roots(h22, 1e-9, 1 - 1e-9)
     # a plateau point pressed against 1 leaves every value past it below
     # the scan's firmness floor, so walk the edge ladder toward 1
     q = roots[0] if roots else criteria._edge_root(h22, 1e-9)

@@ -515,9 +515,9 @@ def _falling_loop(f, xs, vs):
             for a, b in zip(firm[:-1], firm[1:]) if vs[a] > 0.0 > vs[b]]
 
 
-def test_picked_roots_are_their_elements_of_the_full_list():
-    # the 18 functions of the test above; _grid_roots refines only the
-    # roots its caller reads, and each is bit for bit the full list's
+def test_falling_roots_are_their_elements_of_the_full_list():
+    # the 18 functions of the test above; with falling, _grid_roots refines
+    # only the + to - brackets, and each root is bit for bit the full list's
     cases = [(lambda x: np.sin(10 * x), 0.1, 3.0),
              (lambda x: np.cos(3 * x) * (x - 0.25), 0.0, 2.0)]
     for p, s, lam in [(4, 38, 0.8), (4, 38, 0.985), (3, 20, 0.9), (2, 8, 0.9)]:
@@ -527,24 +527,18 @@ def test_picked_roots_are_their_elements_of_the_full_list():
                   (lambda x, m=m: eval_h1(m, x)[1], 0.05, 1 - 1e-9),
                   (lambda x, m=m: eval_h2(m, x)[1], 1e-9, 1 - 1e-9)]
     assert len(cases) == 18
-    several = mixed = 0
+    mixed = 0
     for f, lo, hi in cases:
         xs = np.linspace(lo, hi, 4096)
         vs = f(xs)
         full = criteria._grid_roots(f, xs, vs)
         falling = _falling_loop(f, xs, vs)
         assert falling == [r for r in full if r in falling]
-        for pick, want in (({"take": criteria._FIRST}, full[:1]),
-                           ({"take": criteria._LAST}, full[-1:]),
-                           ({"falling": True}, falling),
-                           ({"falling": True, "take": criteria._LAST},
-                            falling[-1:])):
-            assert criteria._grid_roots(f, xs, vs, **pick) == want, pick
-            assert criteria._sign_roots(f, lo, hi, **pick) == want, pick
+        assert criteria._grid_roots(f, xs, vs, falling=True) == falling
+        assert criteria._sign_roots(f, lo, hi, falling=True) == falling
         assert criteria._sign_roots(f, lo, hi) == full
-        several += len(full) > 1
         mixed += 0 < len(falling) < len(full)
-    assert several >= 5 and mixed >= 5
+    assert mixed >= 5
 
 
 @pytest.mark.parametrize("lam, n_tau, n_read, n_f2", [(0.95, 1, 3, 1),
@@ -552,11 +546,11 @@ def test_picked_roots_are_their_elements_of_the_full_list():
 def test_landmarks_refines_only_the_roots_it_reads(monkeypatch, lam, n_tau,
                                                    n_read, n_f2):
     # one brentq per root landmarks reads: every root of t, the first of h11
-    # and h12, the last of h21 and h22 (q21 = 1.0 at 0.95 is no root). Each
-    # evaluates only the function it brackets, so c, which only h21 and h22
-    # (f2) need, runs on their grid values, in their refinements (the last
-    # n_f2 brentq calls) and once in the h21 probe at qbar1, never for
-    # h11 or h12
+    # and h12, the last of h21 and h22 (q21 = 1.0 at 0.95 is no root); each
+    # window function has one sign change here. Each refinement evaluates
+    # only the function it brackets, so c, which only h21 and h22 (f2)
+    # need, runs on their grid values, in their refinements (the last n_f2
+    # brentq calls) and once in the h21 probe at qbar1, never for h11 or h12
     m = make_mixture(4, 38, lam)
     evals, tilts = [], []
     real, real_c = criteria.brentq, criteria.c_log
@@ -582,6 +576,26 @@ def test_landmarks_refines_only_the_roots_it_reads(monkeypatch, lam, n_tau,
     assert len(evals) == n_tau + n_read
     assert tilts.count(1) == n_f2
     assert tilts.count(0) == 1 + sum(evals[-n_f2:])
+
+
+@pytest.mark.parametrize("lam, grid", [(0.995, False), (0.95, True)])
+def test_landmarks_builds_its_grid_only_to_read_a_root(monkeypatch, lam,
+                                                      grid):
+    # at (4, 38, 0.995) only h21's probe is positive, qbar2 = 1 and the
+    # onset quadratic is not positive, so q21 = q22 = 1.0 without a scan
+    # and the kernel runs on scalars alone; at 0.95 the grid is scanned
+    m = make_mixture(4, 38, lam)
+    dims, real = [], criteria._kernel
+
+    def counted(m, x):
+        dims.append(np.ndim(x))
+        return real(m, x)
+
+    monkeypatch.setattr(criteria, "_kernel", counted)
+    lm = landmarks(m)
+    assert (lm.qbar2 == 1.0 and criteria.s_of(4, 38, lam) <= 0) == (not grid)
+    assert (lm.q21 == lm.q22 == 1.0 and lm.q11 is None) == (not grid)
+    assert dims.count(1) == int(grid)
 
 
 # ------------------------------------------- slope relations (used by c9 too)
