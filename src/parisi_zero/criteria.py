@@ -403,12 +403,6 @@ def eval_h2(m: Mixture, x):
     return _pair(m, x, _kernel(m, x), False)
 
 
-def _eval_h12(m: Mixture, x):
-    # (eval_h1(m, x), eval_h2(m, x)) on one kernel
-    k = _kernel(m, x)
-    return _pair(m, x, k, True), _pair(m, x, k, False)
-
-
 def _h22(m: Mixture, x):
     # eval_h2(m, x)[1] without xi, xi' and h12's logs
     _check_q(x)

@@ -8,10 +8,11 @@ it from many starts with the module's own dense BFGS, `minimize`, on
 numpy alone. The functional is smooth in the search parameters
 (stick-breaking fractions sin^2 v for the jump locations, squares v^2
 for the jump sizes, a log for the atom), so its gradient is exact and
-closed form too: one backward pass through the tail recursion, then
-the chain rule through the parametrization. A jump at 0, on its
-neighbour or at 1, and a jump size of 0, are finite points of that
-search, where the solver converges instead of crawling toward them.
+closed form too. `step_energy` and the search share one evaluator: one
+pass down the tail recursion and one up, on plain floats, then the chain
+rule through the parametrization. A jump at 0, on its neighbour or at 1,
+and a jump size of 0, are finite points of that search, where the solver
+converges instead of crawling toward them.
 Each level k is warm-started from the level k-1 optimum with a
 near-zero jump inserted into its widest gap, so the reported energies
 are nonincreasing in k by construction.
@@ -136,49 +137,56 @@ def _functional(terms, xi1, qs, adds, atom):
     half of xi'(1) atom + sum_j [c_j (xi(e_{j+1}) - xi(e_j)) + L_j] with
     L_j = log(1 + c_j w_j / T_{j+1}) / c_j (w_j / T_{j+1} where c_j = 0).
     terms are xi's (weight, exponent) pairs, ``Mixture.terms[0]``, and
-    xi1 is xi'(1); plain floats throughout.
+    xi1 is xi'(1); plain floats throughout. One pass down the edges takes
+    xi, xi' (one loop over the terms) and the tails, one up the partials.
     """
     k = len(qs)
-    edges = [0.0, *qs, 1.0]
     cs = list(accumulate(adds, initial=0.0))
-    xs = [0.0, *(sum(w * x ** n for w, n in terms) for x in qs),
-          sum(w for w, _ in terms)]
-    widths = [edges[j + 1] - edges[j] for j in range(k + 1)]
-    tails = [0.0] * (k + 2)
-    logs = [0.0] * (k + 1)
-    tails[k + 1] = atom
+    widths, dxs, logs = [0.0] * (k + 1), [0.0] * (k + 1), [0.0] * (k + 1)
+    tails = [0.0] * (k + 1) + [atom]
+    dxi = [0.0] * k  # xi'(q_i)
+    hi, x_hi, t = 1.0, 0.0, atom
+    for wt, _ in terms:
+        x_hi += wt
     total = xi1 * atom
     for j in range(k, -1, -1):
-        w, c, t = widths[j], cs[j], tails[j + 1]
-        total += c * (xs[j + 1] - xs[j])
+        lo = x_lo = 0.0
+        if j:
+            lo, d = qs[j - 1], 0.0
+            for wt, n in terms:
+                x_lo += wt * lo ** n
+                d += wt * n * lo ** (n - 1)
+            dxi[j - 1] = d
+        w, c, dx = hi - lo, cs[j], x_hi - x_lo
+        widths[j], dxs[j] = w, dx
+        total += c * dx
         if c == 0.0:
             logs[j] = w / t
         elif w > 0.0:
             logs[j] = math.log1p(c * w / t) / c
         total += logs[j]
-        tails[j] = t + c * w
-    # backward pass: g_t is d(total)/dT_j, T_0 feeding nothing
-    g_t = 0.0
-    g_w = [0.0] * (k + 1)
-    g_c = [0.0] * (k + 1)
+        t = tails[j] = t + c * w
+        hi, x_hi = lo, x_lo
+    # upward pass: g_t is d(total)/dT_j, T_0 feeding nothing; c_0 = 0 fixed
+    g_t = g_w0 = 0.0
+    g_qs, g_c = [0.0] * k, [0.0] * (k + 1)
     for j in range(k + 1):
         w, c, t, t0 = widths[j], cs[j], tails[j + 1], tails[j]
         r = w / t
-        x = c * r
-        if x < 1e-3:
-            # the direct form below cancels; its series in x, exact at c = 0
-            dl_dc = r * r * (-0.5 + x * (2 / 3 + x * (-0.75 + x * 0.8)))
-        else:
-            dl_dc = (w / t0 - logs[j]) / c
-        g_w[j] = 1.0 / t0 + g_t * c
-        g_c[j] = xs[j + 1] - xs[j] + dl_dc + g_t * w
+        g_w = 1.0 / t0 + g_t * c
+        if j:
+            x = c * r
+            if x < 1e-3:
+                # the direct form cancels; the series in x is exact at c = 0
+                dl_dc = r * r * (-0.5 + x * (2 / 3 + x * (-0.75 + x * 0.8)))
+            else:
+                dl_dc = (w / t0 - logs[j]) / c
+            g_c[j] = dxs[j] + dl_dc + g_t * w
+            g_qs[j - 1] = 0.5 * (g_w0 - g_w - adds[j - 1] * dxi[j - 1])
         g_t -= r / t0
-    g_qs = [0.5 * (g_w[i] - g_w[i + 1]
-                   - adds[i] * sum(w * n * q ** (n - 1) for w, n in terms))
-            for i, q in enumerate(qs)]
+        g_w0 = g_w
     # add i raises every density level c_j with j > i
-    g_adds = [0.0] * k
-    acc = 0.0
+    g_adds, acc = [0.0] * k, 0.0
     for i in range(k - 1, -1, -1):
         acc += g_c[i + 1]
         g_adds[i] = 0.5 * acc
@@ -214,11 +222,9 @@ def _pack(qs, adds, atom):
 
 
 def _unpack(v, k):
-    """(qs, adds, atom) as plain floats; jump locations by stick-breaking,
+    """(qs, adds, atom) of the float list v; jump locations by stick-breaking,
     q_i = q_{i-1} + (1 - q_{i-1}) sin^2 v_i, and jump sizes v_i^2."""
-    v = v.tolist()
-    qs = []
-    acc = 0.0
+    qs, acc = [], 0.0
     for x in v[:k]:
         acc += (1.0 - acc) * math.sin(x) ** 2
         qs.append(acc)
@@ -229,9 +235,9 @@ def _unpack(v, k):
 
 def _objective(v, k, terms, xi1):
     """Energy at search vector v and its exact gradient in v."""
+    v = v.tolist()
     qs, adds, atom = _unpack(v, k)
     e, g_qs, g_adds, g_atom = _functional(terms, xi1, qs, adds, atom)
-    v = v.tolist()
     grad = [0.0] * (2 * k + 1)
     # 1 - q_i = prod_{m <= i} cos^2 v_m, so grad_l = sin(2 v_l)
     # (1 - q_{l-1}) S_l with S_l = g_{q,l} + cos^2(v_{l+1}) S_{l+1}
@@ -324,7 +330,7 @@ def _chain(m: Mixture, kmax: int, restarts: int, seed: int):
             # the warm split replays the previous optimum, so level k can
             # never regress past float noise even if every solve stalls
             best_e = energies[k - 1] + 1e-15
-            best_t = _unpack(starts[0], k)
+            best_t = _unpack(starts[0].tolist(), k)
             best_vec = _flat(best_t)
 
         for v0 in starts:
@@ -332,7 +338,7 @@ def _chain(m: Mixture, kmax: int, restarts: int, seed: int):
                            maxiter=3000 * (2 * k + 1))
             # ties broken by the smaller parameter vector, so the pick is a
             # pure function of the start set and not of evaluation order
-            cand_t = _unpack(res.x, k)
+            cand_t = _unpack(res.x.tolist(), k)
             cand_vec = _flat(cand_t)
             if (float(res.fun), cand_vec) < (best_e, best_vec):
                 best_e = float(res.fun)

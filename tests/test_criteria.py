@@ -323,16 +323,6 @@ def test_horner_pass_equals_separate_runs_per_length():
                                for n in ns], (ns, x, weighted)
 
 
-def test_both_pairs_evaluator_equals_eval_h1_and_eval_h2():
-    xs = np.concatenate([np.linspace(1e-3, 1 - 1e-3, 4096),
-                         1.0 - np.logspace(-9, -4, 6)])
-    for p, s, lam in GRID_MIXTURES + [(4, 38, 0.95), (3, 3, 1.0)]:
-        m = make_mixture(p, s, lam)
-        (h11, h21), (h12, h22) = criteria._eval_h12(m, xs)
-        for got, want in zip((h11, h21, h12, h22), eval_h1(m, xs) + eval_h2(m, xs)):
-            assert np.array_equal(got, want), (p, s, lam)
-
-
 def test_h22_evaluator_equals_eval_h2():
     xs = np.concatenate([np.linspace(1e-9, 1 - 1e-9, 513),
                          1.0 - np.logspace(-9, -4, 6)])
@@ -353,8 +343,7 @@ def test_no_kernel_call_modifies_the_callers_x():
              lambda: criteria._bfun(m, xs), lambda: criteria._tau(m, xs),
              lambda: criteria._kernel(m, xs), lambda: f12(m, xs, 0.5 + 0 * xs),
              lambda: eval_h1(m, xs), lambda: eval_h2(m, xs),
-             lambda: criteria._eval_h12(m, xs), lambda: criteria._h22(m, xs),
-             lambda: criteria._h22_floor(m, xs)]
+             lambda: criteria._h22(m, xs), lambda: criteria._h22_floor(m, xs)]
     for call in calls:
         call()
         assert np.array_equal(xs, keep)
@@ -364,7 +353,7 @@ def test_h22_evaluator_raises_f12s_domain_error():
     m = make_mixture(4, 38, 0.7)
     for q in (0.0, 1.0, -0.5, 1.5, np.float64(0.0), np.float64(1.0),
               np.array([0.5, 1.0]), np.array([0.0, 0.5])):
-        for fn in (criteria._h22, eval_h2, eval_h1, criteria._eval_h12):
+        for fn in (criteria._h22, eval_h2, eval_h1):
             with pytest.raises(ValueError, match="q must lie in"):
                 fn(m, q)
 

@@ -1,6 +1,7 @@
 """Variational oracle over step measures: exactness, chains, saturation."""
 import math
 import warnings
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -183,6 +184,146 @@ def test_gradient_matches_central_differences():
                         assert g[i] == 0.0 and fd == 0.0, (k, i)
                     else:
                         assert abs(g[i] - fd) <= 1e-6 * (1 + abs(fd)), (k, i)
+
+
+# The evaluator as first written, with lists for the edges, widths and xi
+# values and generator sums for xi and xi', kept verbatim: the one-pass
+# `_functional` and `_objective` must match it bit for bit.
+def ref_functional(terms, xi1, qs, adds, atom):
+    k = len(qs)
+    edges = [0.0, *qs, 1.0]
+    cs = list(accumulate(adds, initial=0.0))
+    xs = [0.0, *(sum(w * x ** n for w, n in terms) for x in qs),
+          sum(w for w, _ in terms)]
+    widths = [edges[j + 1] - edges[j] for j in range(k + 1)]
+    tails = [0.0] * (k + 2)
+    logs = [0.0] * (k + 1)
+    tails[k + 1] = atom
+    total = xi1 * atom
+    for j in range(k, -1, -1):
+        w, c, t = widths[j], cs[j], tails[j + 1]
+        total += c * (xs[j + 1] - xs[j])
+        if c == 0.0:
+            logs[j] = w / t
+        elif w > 0.0:
+            logs[j] = math.log1p(c * w / t) / c
+        total += logs[j]
+        tails[j] = t + c * w
+    # backward pass: g_t is d(total)/dT_j, T_0 feeding nothing
+    g_t = 0.0
+    g_w = [0.0] * (k + 1)
+    g_c = [0.0] * (k + 1)
+    for j in range(k + 1):
+        w, c, t, t0 = widths[j], cs[j], tails[j + 1], tails[j]
+        r = w / t
+        x = c * r
+        if x < 1e-3:
+            # the direct form below cancels; its series in x, exact at c = 0
+            dl_dc = r * r * (-0.5 + x * (2 / 3 + x * (-0.75 + x * 0.8)))
+        else:
+            dl_dc = (w / t0 - logs[j]) / c
+        g_w[j] = 1.0 / t0 + g_t * c
+        g_c[j] = xs[j + 1] - xs[j] + dl_dc + g_t * w
+        g_t -= r / t0
+    g_qs = [0.5 * (g_w[i] - g_w[i + 1]
+                   - adds[i] * sum(w * n * q ** (n - 1) for w, n in terms))
+            for i, q in enumerate(qs)]
+    # add i raises every density level c_j with j > i
+    g_adds = [0.0] * k
+    acc = 0.0
+    for i in range(k - 1, -1, -1):
+        acc += g_c[i + 1]
+        g_adds[i] = 0.5 * acc
+    return 0.5 * total, g_qs, g_adds, 0.5 * (xi1 + g_t)
+
+
+def ref_unpack(v, k):
+    v = v.tolist()
+    qs = []
+    acc = 0.0
+    for x in v[:k]:
+        acc += (1.0 - acc) * math.sin(x) ** 2
+        qs.append(acc)
+    adds = [min(abs(x), oracle._ROOT_ADD_CAP) ** 2 for x in v[k:2 * k]]
+    atom = math.exp(min(max(v[2 * k], oracle._LOG_FLOOR),
+                        oracle._LOG_ATOM_CAP))
+    return qs, adds, atom
+
+
+def ref_objective(v, k, terms, xi1):
+    qs, adds, atom = ref_unpack(v, k)
+    e, g_qs, g_adds, g_atom = ref_functional(terms, xi1, qs, adds, atom)
+    v = v.tolist()
+    grad = [0.0] * (2 * k + 1)
+    # 1 - q_i = prod_{m <= i} cos^2 v_m, so grad_l = sin(2 v_l)
+    # (1 - q_{l-1}) S_l with S_l = g_{q,l} + cos^2(v_{l+1}) S_{l+1}
+    acc = cos2 = 0.0
+    for i in range(k - 1, -1, -1):
+        acc = g_qs[i] + cos2 * acc
+        cos2 = math.cos(v[i]) ** 2
+        rest = 1.0 - qs[i - 1] if i else 1.0
+        grad[i] = math.sin(2.0 * v[i]) * rest * acc
+    # past its cap a parameter is inert
+    for i in range(k):
+        if abs(v[k + i]) < oracle._ROOT_ADD_CAP:
+            grad[k + i] = 2.0 * v[k + i] * g_adds[i]
+    if oracle._LOG_FLOOR < v[2 * k] < oracle._LOG_ATOM_CAP:
+        grad[2 * k] = atom * g_atom
+    return e, np.asarray(grad)
+
+
+def test_objective_equals_the_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for p, s, lam in [(4, 18, 0.5), (2, 5, 0.6), (4, 38, 0.985), (3, 3, 1.0)]:
+        m = make_mixture(p, s, lam)
+        terms, xi1 = m.terms[0], xi_deriv(m, 1.0, 1)
+        for k in range(7):
+            for trial in range(40):
+                v = rng.normal(0.0, 1.5, size=2 * k + 1)
+                if trial % 8 == 1:
+                    # the atom's log past either clip bound, jump sizes'
+                    # roots past e^5
+                    v[2 * k] = 7.0 if trial % 16 == 1 else -60.0
+                    v[k:2 * k:2] = -160.0
+                    v[k + 1:2 * k:2] = 150.0
+                elif trial % 8 == 2 and k >= 1:
+                    # a jump at 0 with a zero size, one on its neighbour,
+                    # one at 1
+                    v[0] = v[k] = 0.0
+                    v[min(1, k - 1)] = 0.0
+                    v[k - 1] = 0.5 * math.pi
+                elif trial % 8 == 3 and k >= 1:
+                    # every jump at 1, the last one with a zero size
+                    v[0] = 0.5 * math.pi
+                    v[2 * k - 1] = 0.0
+                elif trial % 8 == 4:
+                    # zero sizes and jumps piled on their neighbours
+                    v[rng.random(2 * k + 1) < 0.5] = 0.0
+                e, g = oracle._objective(v, k, terms, xi1)
+                e_ref, g_ref = ref_objective(v, k, terms, xi1)
+                assert e == e_ref, (p, s, lam, k, v)
+                assert g.tolist() == g_ref.tolist(), (p, s, lam, k, v)
+
+
+def test_step_energy_equals_the_reference_bit_for_bit():
+    m = make_mixture(4, 38, 0.985)
+    terms, xi1 = m.terms[0], xi_deriv(m, 1.0, 1)
+    jump_sets = [((0.3, 0.2), (0.3, 0.5)),
+                 ((0.0, 0.0), (0.4, 1.5), (0.4, 0.0), (1.0, 0.7)),
+                 ((0.25, 0.0), (1.0, 3.0), (1.0, 0.0)),
+                 ((1.0, 0.5),), ((0.0, 0.4),), ()]
+    rng = np.random.default_rng(29)
+    for k in range(1, 7):
+        # locations drawn from a few values, so some repeat or sit at 0, 1
+        qs = np.sort(rng.choice([0.0, 0.1, 0.5, 0.77, 0.999, 1.0], size=k))
+        adds = rng.exponential(1.0, size=k) * (rng.random(k) < 0.7)
+        jump_sets.append(tuple(zip(qs.tolist(), adds.tolist())))
+    for jumps in jump_sets:
+        for atom in (1e-3, 0.4, 2.0):
+            sm = StepMeasure(jumps, atom)
+            want = ref_functional(terms, xi1, [q for q, _ in jumps],
+                                  [a for _, a in jumps], atom)[0]
+            assert step_energy(m, sm) == want, (jumps, atom)
 
 
 def test_small_add_partial_matches_mpmath():

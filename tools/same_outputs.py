@@ -4,7 +4,7 @@
     python tools/same_outputs.py diff A.json B.json
 
 ``dump`` imports parisi_zero from DIR (default: this checkout's src/) and
-writes three records:
+writes four records:
 
 - the 101-point sweeps (``--lambda-grid 0:1:0.01``) of (4,38), (3,20) and
   (2,4): every CSV row and every .dat row;
@@ -13,16 +13,22 @@ writes three records:
   family, plus lambda_b +- d for d in 1e-8, 1e-7, 1e-5, 1e-3 about every
   interior boundary, with lambda_b the boundary rounded to 9 decimals so
   that a constant moving in its last bits leaves the points in place
-  (7266 points in (0, 1)).
+  (7266 points in (0, 1));
+- seeded oracle profiles (4 restarts) at two fixed points in each of the
+  six phases: 4 seeds a point at kmax k + 1 for a k-step phase and 2 for
+  a full one, as criterion 7 runs them, and one seed a point at kmax 4
+  (60 profiles): the level energies, measures, saturation and the
+  step_energy of each level's measure.
 
 ``diff`` lists verdict or detail changes first (sweep phases and .dat
 phase indices, probe phase, detail and flags, constants that appear or
-vanish), then bit changes: every changed row, and the largest |delta| in
-each column. It exits 1 when any verdict or detail changed, else 0.
+vanish, oracle saturation levels), then bit changes: every changed row,
+and the largest |delta| in each column. It exits 1 when any verdict or
+detail changed, else 0.
 
 Run it on a copy of the parent commit (``git archive``) and on the
-change. A dump takes about 15 s on one core; this is not part of the
-test suite.
+change. A dump takes about 20 s on one core, the oracle record about 3 s
+of it; this is not part of the test suite.
 """
 from __future__ import annotations
 
@@ -38,6 +44,16 @@ SWEEPS = ((4, 38), (3, 20), (2, 4))
 DISTANCES = (1e-8, 1e-7, 1e-5, 1e-3)
 RANDOM_PER_FAMILY = 8
 SEED = 17
+# two points inside each phase; a k-step phase's chain runs to k + 1
+ORACLE_POINTS = (("RS", 0, 2, 5, 1.0), ("RS", 0, 2, 9, 1.0),
+                 ("OneRSB", 1, 4, 18, 0.5), ("OneRSB", 1, 3, 20, 0.3),
+                 ("TwoRSB", 2, 4, 38, 0.8), ("TwoRSB", 2, 3, 20, 0.75),
+                 ("TwoFRSB", None, 4, 38, 0.984),
+                 ("TwoFRSB", None, 3, 20, 0.965),
+                 ("OneFRSB", None, 4, 38, 0.9886),
+                 ("OneFRSB", None, 3, 20, 0.983),
+                 ("FRSB", None, 2, 8, 0.98), ("FRSB", None, 2, 4, 0.95))
+ORACLE_SEEDS = (1, 2, 3, 4)
 
 
 def _families():
@@ -83,6 +99,24 @@ def _probe(pz):
     return rows
 
 
+def _oracle(pz):
+    runs = [(ph, p, s, lam, 2 if k is None else k + 1, seed)
+            for ph, k, p, s, lam in ORACLE_POINTS for seed in ORACLE_SEEDS]
+    runs += [(ph, p, s, lam, 4, 0) for ph, _, p, s, lam in ORACLE_POINTS]
+    rows = []
+    for ph, p, s, lam, kmax, seed in runs:
+        m = pz.make_mixture(p, s, lam)
+        prof = pz.oracle_profile(m, kmax=kmax, restarts=4, seed=seed)
+        rows.append({
+            "key": [ph, p, s, lam, kmax, seed],
+            "saturation": prof.saturation, "energies": list(prof.energies),
+            "measures": [[[list(j) for j in sm.jumps], sm.atom]
+                         for sm in prof.measures],
+            "step_energies": [pz.step_energy(m, sm)
+                              for sm in prof.measures]})
+    return rows
+
+
 def dump(path, src):
     sys.path.insert(0, os.path.abspath(src))
     import parisi_zero as pz
@@ -94,11 +128,13 @@ def dump(path, src):
         constants[f"{p},{s}"] = {"regime": b.regime.tag,
                                  **(b.p2 or {}), **(b.general or {})}
     doc = {"src": os.path.abspath(src), "sweeps": _sweeps(main),
-           "constants": constants, "probe": _probe(pz)}
+           "constants": constants, "probe": _probe(pz),
+           "oracle": _oracle(pz)}
     with open(path, "w") as fh:
         json.dump(doc, fh)
     print(f"wrote {len(doc['probe'])} probe points, {len(constants)} "
-          f"families and {len(SWEEPS)} sweeps to {path}")
+          f"families, {len(SWEEPS)} sweeps and {len(doc['oracle'])} oracle "
+          f"profiles to {path}")
 
 
 class _Delta:
@@ -184,6 +220,30 @@ def diff(path_a, path_b):
                 delta.add(k, ra["bits"].get(k), rb["bits"].get(k))
     if rows:
         bits += [f"  probe: {len(rows)} points", *rows, *delta.lines()]
+
+    delta, rows = _Delta(), []
+    if [r["key"] for r in a["oracle"]] != [r["key"] for r in b["oracle"]]:
+        verdicts.append("oracle: the profiles differ")
+    for ra, rb in zip(a["oracle"], b["oracle"]):
+        if (ra["saturation"] != rb["saturation"]
+                or len(ra["energies"]) != len(rb["energies"])):
+            verdicts.append(f"oracle {ra['key']}: saturates at "
+                            f"{ra['saturation']} -> {rb['saturation']}")
+            continue
+        changed = False
+        for k, (ma, mb) in enumerate(zip(ra["measures"], rb["measures"])):
+            cols = [(f"E({k})", ra["energies"][k], rb["energies"][k]),
+                    (f"step_energy({k})", ra["step_energies"][k],
+                     rb["step_energies"][k]), ("atom", ma[1], mb[1])]
+            for (qa, aa), (qb, ab) in zip(ma[0], mb[0]):
+                cols += [("jump q", qa, qb), ("jump size", aa, ab)]
+            for col, va, vb in cols:
+                changed |= va != vb
+                delta.add(col, va, vb)
+        if changed:
+            rows.append(f"    {ra['key']}")
+    if rows:
+        bits += [f"  oracle: {len(rows)} profiles", *rows, *delta.lines()]
 
     print(f"verdict or detail changes: {len(verdicts)}")
     print("\n".join(f"  {v}" for v in verdicts))
