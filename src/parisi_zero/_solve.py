@@ -6,7 +6,9 @@ Minimization without Derivatives* (1973), ch. 4, for every root and
 stationarity condition. It is transcribed here from scipy's ``brentq``
 (its C loop), with the same operations in the same order, so it returns
 the same iterates bit for bit while keeping scipy itself off the import
-path of every caller that needs nothing else from it.
+path of every caller that needs nothing else from it. A caller may pass
+f(a) and f(b) as fa and fb; the iterates are scipy's whenever they equal
+f(a) and f(b).
 
 Where scipy's C loop divides by zero it gets inf or NaN, which fails the
 interpolation step's acceptance test and falls back to bisection; the
@@ -20,27 +22,28 @@ from __future__ import annotations
 _RTOL = 4 * 2.220446049250313e-16  # scipy's floor on brentq's rtol
 
 
-def _value(f, x):
-    fx = float(f(x))
+def _value(fx, x):
+    fx = float(fx)
     if fx != fx:
         raise ValueError(f"The function value at x={x} is NaN; "
                          "solver cannot continue.")
     return fx
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
+def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100, fa=None, fb=None):
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Converged when the bracket's half width falls below
-    (xtol + rtol * |x|) / 2; f is called with Python floats.
+    (xtol + rtol * |x|) / 2; f is called with Python floats. fa and fb,
+    where given, stand for f(a) and f(b) and are checked alike.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < _RTOL:
         raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
     xpre, xcur = float(a), float(b)
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
+    fpre = _value(f(xpre) if fa is None else fa, xpre)
+    fcur = _value(f(xcur) if fb is None else fb, xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -92,6 +95,6 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur)
+        fcur = _value(f(xcur), xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
                        f"value is {xcur:f}")

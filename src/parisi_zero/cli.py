@@ -133,24 +133,32 @@ def _cmd_boundaries(args, tol) -> int:
     return 0
 
 
+_BAD_GRID = "empty or malformed lambda grid"
+
+
 def _parse_grid(spec: str, count):
-    # (lo, hi, number of points), or None when malformed; allocates nothing
+    # (lo, hi, number of points), or why the spec is refused; allocates nothing
     parts = spec.split(":")
     try:
         if len(parts) == 3:
             lo, hi, step = (float(t) for t in parts)
             if step <= 0 or hi < lo:
-                return None
-            n = int(round((hi - lo) / step)) + 1
+                return _BAD_GRID
+            steps = (hi - lo) / step
+            n = int(round(steps))
+            if abs(steps - n) > 1e-9 * max(1, n):
+                return (f"lambda grid step {parts[2]} does not divide "
+                        f"{parts[1]} - {parts[0]}")
+            n += 1
         elif len(parts) == 2 and count:
             lo, hi = (float(t) for t in parts)
             n = int(count)
             if n < 1 or hi < lo:
-                return None
+                return _BAD_GRID
         else:
-            return None
+            return _BAD_GRID
     except (ValueError, OverflowError):
-        return None
+        return _BAD_GRID
     return lo, hi, n
 
 
@@ -166,8 +174,8 @@ def _cmd_sweep(args, tol) -> int:
               file=sys.stderr)
         return 1
     spec = _parse_grid(args.lambda_grid, args.count)
-    if spec is None:
-        print("sweep: empty or malformed lambda grid", file=sys.stderr)
+    if isinstance(spec, str):
+        print(f"sweep: {spec}", file=sys.stderr)
         return 1
     if spec[2] > _MAX_GRID:
         print(f"sweep: lambda grid of {spec[2]} points exceeds the "

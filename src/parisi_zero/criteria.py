@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -220,17 +221,26 @@ def _c_prime(z):
     return float(out) if out.ndim == 0 else out
 
 
+_c_doubling = lru_cache(maxsize=None)(c_log)  # c(2^k), kept as _c_inv meets it
+
+
 def _c_inv(y):
-    # unique z > 0 with c(z) = y, for y in (0, 1/2)
+    # unique z > 0 with c(z) = y, for y in (0, 1/2): Brent on [0, 2^k] from
+    # c(0) = 1/2 (exact) and the first kept c(2^k) <= y, then one Newton step
+    # from c at Brent's root, which tightens the residual to the floor
     if not 0.0 < y < 0.5:
         raise ValueError(f"c_inv needs y in (0, 1/2), got {y}")
     hi = 1.0
-    while c_log(hi) > y:
+    while _c_doubling(hi) > y:
         hi *= 2
-    z = brentq(lambda t: c_log(t) - y, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    # one Newton step tightens the residual to the floor
-    z -= (c_log(z) - y) / _c_prime(z)
-    return z
+    cs = {0.0: 0.5, hi: _c_doubling(hi)}  # c at every point Brent reads
+
+    def f(t):
+        cs[t] = c = c_log(t)
+        return c - y
+
+    z = brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16, fa=0.5 - y, fb=cs[hi] - y)
+    return z - (cs[z] - y) / _c_prime(z)
 
 
 def solve_z(m: Mixture) -> float:
@@ -335,13 +345,24 @@ def _check_q(q):
         raise ValueError(f"q must lie in (0, 1), got {q}")
 
 
+# a float's powers p, s, p-1, s-1 in one np.power call, all >= 3 (mixture's rule)
+_kernel_exps = lru_cache(maxsize=None)(
+    lambda p, s: np.array([p, s, p - 1, s - 1], float))
+
+
 def _kernel(m: Mixture, q):
     # (xi, xi', D1, B, q xi' - xi) at q, all that f12 reads of q; the last is
     # assembled term-by-term so it vanishes cleanly at 0
     _check_q(q)
-    qxp = (m.lam * (m.p - 1) * np.power(q, m.p)
-           + (1.0 - m.lam) * (m.s - 1) * np.power(q, m.s))
-    return xi_deriv(m, q), xi_deriv(m, q, 1), _d1(m, q), _bfun(m, q), qxp
+    if isinstance(q, float) and not m.is_pure and m.p >= 4:  # xi_deriv's bits
+        qp, qs, qp1, qs1 = np.power(q, _kernel_exps(m.p, m.s)).tolist()
+        ((c0, _), (d0, _)), ((c1, _), (d1, _)) = m.terms[:2]
+        xq, x1 = c0 * qp + d0 * qs, c1 * qp1 + d1 * qs1
+    else:
+        qp, qs = np.power(q, m.p), np.power(q, m.s)
+        xq, x1 = xi_deriv(m, q), xi_deriv(m, q, 1)
+    qxp = m.lam * (m.p - 1) * qp + (1.0 - m.lam) * (m.s - 1) * qs
+    return xq, x1, _d1(m, q), _bfun(m, q), qxp
 
 
 def _f2(q, z2, d1, b):
@@ -488,8 +509,8 @@ def _grid_roots(f, xs, vs, falling=False):
     flip = vs[a] * vs[b] < 0.0
     if falling:
         flip &= vs[a] > 0.0
-    return [brentq(f, xs[a[i]], xs[b[i]], xtol=1e-14, rtol=8.9e-16)
-            for i in np.nonzero(flip)[0]]
+    return [brentq(f, xs[a[i]], xs[b[i]], xtol=1e-14, rtol=8.9e-16,
+                   fa=vs[a[i]], fb=vs[b[i]]) for i in np.nonzero(flip)[0]]
 
 
 def _edge_root(f, lo):
@@ -509,7 +530,7 @@ def _edge_root(f, lo):
             continue
         fx = float(f(x))
         if fa != 0.0 and fx != 0.0 and (fa > 0.0) != (fx > 0.0):
-            return brentq(f, a, x, xtol=1e-14, rtol=8.9e-16)
+            return brentq(f, a, x, xtol=1e-14, rtol=8.9e-16, fa=fa, fb=fx)
         a, fa = x, fx
     return None
 

@@ -117,6 +117,7 @@ class _Tables:
     I[i]  int_0^{lo_i} dr / T(r)^2 (I[n] is the normalization),
     J[i]  int_0^{lo_i} I,
     C[i]  tail offset of a full segment (0 when calibrated),
+    at_lo[i]  (xi, xi') at the left edge of a full segment, for J,
     energy  Q(nu); on a full segment its density integral is taken by
     parts, so only int sqrt(xi'') needs quadrature, and that is reused
     for the tail integral when the segment is calibrated.
@@ -131,6 +132,7 @@ class _Tables:
         self.x1 = xi_deriv(m, 1.0)
         self.T = T = (*(tail_mass(nu, m, seg.lo) for seg in segs), nu.atom)
         self.C = C = [0.0] * n
+        self.at_lo = [None] * n
         self.I = I = [0.0] * (n + 1)
         self.J = J = [0.0] * (n + 1)
         total = xi_deriv(m, 1.0, 1) * nu.atom
@@ -145,6 +147,7 @@ class _Tables:
                           math.log1p(seg.value * w / T[i + 1]) / seg.value)
             else:
                 d1lo, d1hi = xi_deriv(m, lo, 1), xi_deriv(m, hi, 1)
+                self.at_lo[i] = xi_deriv(m, lo), d1lo
                 C[i] = T[i + 1] - xi_deriv(m, hi, 2) ** -0.5
                 sq = _gauss(lambda r: np.sqrt(xi_deriv(m, r, 2)), lo, hi)
                 total += (d1lo * xi_deriv(m, lo, 2) ** -0.5
@@ -173,9 +176,8 @@ class _Tables:
                 return base + w * w / (2 * T * T)
             return base + (w * w / (T * T)) * _phi(seg.value * w / T)
         if abs(self.C[i]) < _CALIB_EPS:
-            m = self.m
-            return (base + xi_x - xi_deriv(m, seg.lo)
-                    - xi_deriv(m, seg.lo, 1) * w)
+            xi_lo, d1_lo = self.at_lo[i]
+            return base + xi_x - xi_lo - d1_lo * w
         # int_lo^x (x - r) dr / T(r)^2 (the double integral by Fubini),
         # with r = lo + w t so that an array of x shares one t-rule
         return base + w * w * _gauss(
@@ -252,8 +254,9 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
     it are tabled per family, see ``mixture``) and on a zoom about the
     grid argmin: _ZOOM_ROUNDS times, g on _ZOOM_POINTS evenly spaced
     points between the two neighbours of the last argmin. The support
-    residual is sup |g| over the density support sample. Each point set
-    goes to ``_Tables.g`` ascending (the sample sorted).
+    residual is sup |g| over the density support sample, read from the
+    grid pass when every sample point is a grid point. Point sets go to
+    ``_Tables.g`` ascending.
 
     The conditions prove optimality only for nu in the cone of
     ``measure._structure_check`` (density >= 0 and nondecreasing, atom
@@ -262,16 +265,18 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
     """
     tab = _Tables(m, nu)
     nerr = abs(tab.I[-1] - xi_deriv(m, 1.0, 1))
-    us = _grid(0.0, 1.0, 2048)
-    gv = tab.g(us)
+    us = grid = _grid(0.0, 1.0, 2048)
+    gv = g_grid = tab.g(grid)
     min_g = float(gv.min())
     for _ in range(_ZOOM_ROUNDS):
         i = int(np.argmin(gv))
         us = _zoom(us[max(0, i - 1)], us[min(us.size - 1, i + 1)])
         gv = tab.g(us)
         min_g = min(min_g, float(gv.min()))
-    sup_pts = _support_points(m, nu)
-    sres = float(np.abs(tab.g(np.sort(sup_pts))).max()) if sup_pts else 0.0
+    pts, n = _support_points(m, nu), grid.size - 1
+    on = all(grid[round(x * n)] == x for x in pts)  # a one-step measure's 0.0
+    g_sup = g_grid[[round(x * n) for x in pts]] if on else tab.g(np.sort(pts))
+    sres = float(np.abs(g_sup).max(initial=0.0))
     return VerificationReport(
         normalization_error=float(nerr),
         min_g=min_g,

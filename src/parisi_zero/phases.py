@@ -182,7 +182,8 @@ def _p2_boundaries(s: int, reg: Regime) -> PhaseBoundaries:
     res_entry = None
     for i in range(len(xs) - 1):
         if vs[i] < 0.0 < vs[i + 1]:
-            lam_1to1f = brentq(entry, xs[i], xs[i + 1], xtol=1e-13)
+            lam_1to1f = brentq(entry, xs[i], xs[i + 1], xtol=1e-13,
+                               fa=vs[i], fb=vs[i + 1])
             res_entry = abs(entry(lam_1to1f))
             break
     diag = {"residual_1to1F": res_entry,
@@ -292,22 +293,24 @@ def _zeta_max(m: Mixture, z: float) -> float:
 
 
 def _solve_two_step(m: Mixture, lm: criteria.Landmarks):
-    def z2_of(q):  # the tilt z2 that zeroes f2 at q, and the kernel there
-        k = criteria._kernel(m, q)
-        return criteria._c_inv(k[3] / k[2]), k
+    seen = {}  # q -> (z2, kernel) at every q phi was evaluated at
 
-    def phi(q):
-        return criteria._f1(q, *z2_of(q))
+    def phi(q):  # f1 at the tilt z2 that zeroes f2 at q
+        k = criteria._kernel(m, q)
+        z2 = criteria._c_inv(k[3] / k[2])
+        seen[q] = z2, k
+        return criteria._f1(q, z2, k)
 
     lo = max(lm.q11, lm.q22) + 1e-13
     hi = min(lm.q21, lm.q12) - 1e-13
     if not lo < hi:
         raise ValueError("two-step bracket is empty")
-    if phi(lo) * phi(hi) > 0:
+    f_lo, f_hi = phi(lo), phi(hi)
+    if f_lo * f_hi > 0:
         raise ValueError(f"two-step stationarity function has no sign change "
                          f"on [{lo!r}, {hi!r}]")
-    q = brentq(phi, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    z2, k = z2_of(q)
+    q = brentq(phi, lo, hi, xtol=1e-14, rtol=8.9e-16, fa=f_lo, fb=f_hi)
+    z2, k = seen[q]
     z1 = q * k[2] / k[1] - 1.0 - z2
     return q, z1, z2
 

@@ -163,6 +163,24 @@ def test_sweep_count_form_and_bad_grids(tmp_path, capsys):
         assert "grid" in err
 
 
+def test_sweep_refuses_a_step_that_does_not_divide_the_span(tmp_path, capsys):
+    # 0:1:0.3 used to write the lambdas 0, 1/3, 2/3, 1, not the step asked for
+    out = tmp_path / "d.csv"
+    for grid in ("0:1:0.3", "0.2:0.6:0.15", "0.97:1.0:0.0007"):
+        rc, _, err = run(capsys, "sweep", "--p", "4", "--s", "18",
+                         "--lambda-grid", grid, "--out", str(out))
+        assert rc == 1, grid
+        assert len(err.splitlines()) == 1 and "does not divide" in err, err
+        assert not out.exists()
+    # a step that divides its span up to rounding keeps its grid
+    rc, _, _ = run(capsys, "sweep", "--p", "4", "--s", "18",
+                   "--lambda-grid", "0.2:0.6:0.1", "--out", str(out))
+    assert rc == 0
+    lams = [l.split(",")[SWEEP_COLUMNS.index("lambda")]
+            for l in out.read_text().splitlines()[2:]]
+    assert [round(float(l), 12) for l in lams] == [0.2, 0.3, 0.4, 0.5, 0.6]
+
+
 def test_sweep_rejects_huge_grids_and_bad_jobs(tmp_path, capsys):
     # rejected as usage errors before any grid is allocated: one line on
     # stderr, exit 1, no output files

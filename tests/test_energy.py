@@ -508,3 +508,57 @@ def test_zoom_points_are_linspace_bit_for_bit():
     for a, b in pairs:
         want = np.linspace(a, b, energy._ZOOM_POINTS)
         assert np.array_equal(energy._zoom(a, b), want), (a, b)
+
+
+def _verify_before(m, nu, tol=1e-7):
+    # energy.verify_parisi as it was before support points on the grid read
+    # g from the grid pass: a fourth g pass over the whole support sample
+    import parisi_zero.energy as energy
+    tab = energy._Tables(m, nu)
+    nerr = abs(tab.I[-1] - xi_deriv(m, 1.0, 1))
+    us = energy._grid(0.0, 1.0, 2048)
+    gv = tab.g(us)
+    min_g = float(gv.min())
+    for _ in range(energy._ZOOM_ROUNDS):
+        i = int(np.argmin(gv))
+        us = energy._zoom(us[max(0, i - 1)], us[min(us.size - 1, i + 1)])
+        gv = tab.g(us)
+        min_g = min(min_g, float(gv.min()))
+    sup_pts = energy._support_points(m, nu)
+    sres = float(np.abs(tab.g(np.sort(sup_pts))).max()) if sup_pts else 0.0
+    return energy.VerificationReport(
+        normalization_error=float(nerr),
+        min_g=min_g,
+        support_residual=sres,
+        passed=bool(nerr <= tol and min_g >= -tol and sres <= tol),
+        tolerance=tol,
+        energy=tab.energy,
+    )
+
+
+def test_support_on_the_grid_reads_the_grid_pass(monkeypatch):
+    # a one-step measure's one support point is 0.0, point 0 of the grid:
+    # three g passes (grid and two zooms), not four, and the same report
+    import parisi_zero.energy as energy
+    passes = []
+    real = energy._Tables.g
+    monkeypatch.setattr(energy._Tables, "g",
+                        lambda tab, xs: passes.append(xs.size) or real(tab, xs))
+    want_passes = {"RS": 3, "OneRSB": 3, "TwoRSB": 4, "TwoFRSB": 4,
+                   "OneFRSB": 4, "FRSB": 4}
+    seen = set()
+    for p, s, lam in ((2, 4, 1.0), (4, 38, 0.5), (3, 20, 0.3), (4, 38, 0.8),
+                      (3, 20, 0.75), (4, 38, 0.984), (3, 20, 0.965),
+                      (4, 38, 0.9886), (2, 8, 0.3), (2, 8, 0.98),
+                      (2, 4, 0.95)):
+        cl = classify(p, s, lam)
+        m = make_mixture(p, s, lam)
+        for scale in (1.0, 1.01):
+            nu = ParisiMeasure(cl.measure.segments, cl.measure.atom * scale)
+            passes.clear()
+            got = verify_parisi(m, nu)
+            assert len(passes) == want_passes[cl.phase], (p, s, lam, passes)
+            assert passes[:3] == [2048, 65, 65]
+            assert got == _verify_before(m, nu), (p, s, lam, scale)
+        seen.add(cl.phase)
+    assert seen == set(want_passes)

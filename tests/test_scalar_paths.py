@@ -6,10 +6,13 @@ compared with ==, never with a tolerance. numpy's SIMD power and the C
 library's pow (Python's **) differ in the last bit for a few percent of
 inputs, so a fast path that used ** would fail here.
 """
+import math
+
 import numpy as np
 import pytest
 
-from parisi_zero import criteria, energy, make_mixture, xi_deriv
+from parisi_zero import criteria, energy, make_mixture, phases, xi_deriv
+from parisi_zero._solve import brentq
 from parisi_zero.measure import ParisiMeasure, Segment
 
 FAMILIES = [(2, 3, 0.4), (2, 4, 0.7), (2, 30, 0.2), (3, 20, 0.8),
@@ -201,3 +204,97 @@ def test_h22_floor_scalar_path_matches_array_path(p, s, lam):
     x = 0.9999999768672516
     assert criteria._h22_floor(m, x) == 6.339273394163731e-29
     assert criteria._h22_floor(m, np.array([x]))[0] == 6.339273394163731e-29
+
+
+def _scan_of(m, x, fx, z):
+    # which scan's function gave fx at x: the tau, K, h11, h12, h21 or h22
+    # scan of landmarks and _zeta_max
+    a = xi_deriv(m, 1.0, 1)
+    named = {"tau": lambda: criteria._tau(m, x),
+             "h22": lambda: criteria._h22(m, x),
+             "K": lambda: a + z * xi_deriv(m, x, 1) - criteria._d1(m, x)}
+    for first, one, name in ((True, True, "h11"), (False, True, "h12"),
+                             (True, False, "h21")):
+        named[name] = lambda f=first, o=one: criteria._window(m, x, f, o)
+    hits = [name for name, f in named.items() if f() == fx]
+    assert len(hits) == 1, (x, fx, hits)
+    return hits[0]
+
+
+def test_scan_bracket_ends_are_the_functions_values(monkeypatch):
+    # _grid_roots hands brentq the grid values at each bracket's ends in
+    # place of evaluating them; the iterates stay scipy's only because
+    # each equals f at that end as a plain float, bit for bit
+    calls = []
+    real = criteria.brentq
+
+    def rec(f, a, b, **kw):
+        calls.append((f, a, b, kw))
+        return real(f, a, b, **kw)
+
+    monkeypatch.setattr(criteria, "brentq", rec)
+    seen = set()
+    for p, s, lam0 in FAMILIES[:-1]:
+        for lam in (lam0, 0.3, 0.6, 0.9, 0.95, 0.97, 0.98, 0.985, 0.99):
+            m = make_mixture(p, s, lam)
+            z = criteria.solve_z(m)
+            calls.clear()
+            criteria.landmarks(m)
+            if z > 0.0:
+                phases._zeta_max(m, z)
+            for f, a, b, kw in calls:
+                if f.__qualname__.startswith("_c_inv"):
+                    continue  # the tilt inversion, tested below
+                for x, fx in ((a, kw["fa"]), (b, kw["fb"])):
+                    assert fx == f(float(x)), (p, s, lam, x)
+                    seen.add(_scan_of(m, float(x), fx, z))
+    assert seen == {"tau", "K", "h11", "h12", "h21", "h22"}
+
+
+def _c_inv_before(y):
+    # criteria._c_inv as it was before it kept c(2^k) and reused c at the
+    # root: every doubling and both bracket ends evaluated on each call
+    if not 0.0 < y < 0.5:
+        raise ValueError(f"c_inv needs y in (0, 1/2), got {y}")
+    hi = 1.0
+    while criteria.c_log(hi) > y:
+        hi *= 2
+    z = brentq(lambda t: criteria.c_log(t) - y, 0.0, hi, xtol=1e-15,
+               rtol=8.9e-16)
+    # one Newton step tightens the residual to the floor
+    z -= (criteria.c_log(z) - y) / criteria._c_prime(z)
+    return z
+
+
+def _outcome(f, y):
+    try:
+        return f(y)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_c_inv_matches_its_previous_version_bit_for_bit():
+    rng = np.random.default_rng(19)
+    ys = [*map(float, rng.uniform(0.0, 0.5, 8000)),
+          *map(float, 10.0 ** -rng.uniform(1.0, 120.0, 1000)),
+          *map(float, 0.5 - 10.0 ** -rng.uniform(1.0, 16.0, 1000)),
+          np.nextafter(0.5, 0.0), 0.25, 1.0 / 3.0, 5e-324, 1e-300]
+    for y in ys:
+        # below about 1e-100, z^3 overflows in the Newton step in both
+        assert _outcome(criteria._c_inv, y) == _outcome(_c_inv_before, y), y
+    for y in (0.0, 0.5, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            criteria._c_inv(y)
+
+
+@pytest.mark.parametrize("p, s, lam", FAMILIES)
+def test_kernel_scalar_path_matches_array_path(p, s, lam):
+    # for p >= 4 a float's xi, xi' and q xi' - xi come from one np.power
+    # call: the same bits as the array path
+    m = make_mixture(p, s, lam)
+    xs = np.array(_unit_xs())
+    want = list(zip(*(v.tolist() for v in criteria._kernel(m, xs))))
+    for x, w in zip(xs.tolist(), want):
+        for inp in (x, np.float64(x)):
+            assert criteria._kernel(m, inp) == w, x

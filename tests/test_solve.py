@@ -62,10 +62,17 @@ def test_package_root_solves_match_scipy(monkeypatch):
     assert any(f.__name__ == "entry" for f, _, _, _ in phs)
     monkeypatch.undo()
     for f, a, b, kw in crit + phs:
-        _same_root(f, a, b, **kw)
+        # end values a caller passes are f at the ends, bit for bit; scipy
+        # takes none, so they are stripped before the replay
+        ends = {k: kw.pop(k) for k in ("fa", "fb") if k in kw}
+        for k, x in (("fa", a), ("fb", b)):
+            if k in ends:
+                assert ends[k] == f(x), (f, x)
+        r = _same_root(f, a, b, **kw)
+        assert _solve.brentq(f, a, b, **kw, **ends) == r
 
 
-@pytest.mark.parametrize("f, a, b, kw", [
+_SYNTHETIC = [
     # several roots in the bracket: the same one is found
     (lambda x: math.sin(10 * x), 0.1, 3.0, {}),
     (lambda x: math.cos(7 * x) + 0.1, 0.0, 1.35, {"xtol": 1e-14}),
@@ -85,9 +92,38 @@ def test_package_root_solves_match_scipy(monkeypatch):
      {"xtol": 1e-14, "rtol": 8.9e-16}),
     # the end with the smaller value first
     (lambda x: 0.7 - x ** 3, 1.0, 0.0, {}),
-])
+]
+
+
+@pytest.mark.parametrize("f, a, b, kw", _SYNTHETIC)
 def test_brentq_synthetic_cases_match_scipy(f, a, b, kw):
     _same_root(f, a, b, **kw)
+
+
+@pytest.mark.parametrize("f, a, b, kw", _SYNTHETIC)
+def test_passed_end_values_give_the_same_bits(f, a, b, kw):
+    # the iterates are those of evaluating the ends, minus those two calls
+    fa, fb = f(a), f(b)
+    plain, passed = [], []
+    r = _solve.brentq(_logged(f, plain), a, b, **kw)
+    assert _solve.brentq(_logged(f, passed), a, b, fa=fa, fb=fb, **kw) == r
+    assert plain[:2] == [float(a), float(b)] and passed == plain[2:]
+    # one end alone may be passed
+    assert _solve.brentq(f, a, b, fb=fb, **kw) == r
+
+
+def test_passed_end_values_are_checked_like_evaluated_ones():
+    f = lambda x: x - 0.5
+    for ends in ({"fa": math.nan}, {"fb": math.nan},
+                 {"fa": np.float64("nan"), "fb": 0.5}):
+        with pytest.raises(ValueError, match="NaN"):
+            _solve.brentq(f, 0.0, 1.0, **ends)
+    for fa, fb in ((1.0, 2.0), (-1.0, -0.5), (np.float64(3.0), 0.25)):
+        with pytest.raises(ValueError, match="different signs"):
+            _solve.brentq(f, 0.0, 1.0, fa=fa, fb=fb)
+    # an exact zero passed at either end comes back at once, as evaluated
+    assert _solve.brentq(f, 0.0, 1.0, fa=0.0, fb=0.5) == 0.0
+    assert _solve.brentq(f, 0.0, 1.0, fa=-0.5, fb=0.0) == 1.0
 
 
 def test_errors_keep_scipy_types():
