@@ -1,13 +1,16 @@
 """End-to-end CLI behavior through in-process main() calls."""
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import parisi_zero
+from parisi_zero import cli
 from parisi_zero.cli import PHASE_INDEX, SCHEMA_TAG, SWEEP_COLUMNS, main
 
 
@@ -447,13 +450,18 @@ check("oracle")
 """
 
 
-def run_script(script, tmp_path):
+def _child_env():
+    # a child interpreter that imports this checkout's package
     src = os.path.dirname(os.path.dirname(parisi_zero.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_script(script, tmp_path):
     return subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          env=env, capture_output=True, text=True,
+                          env=_child_env(), capture_output=True, text=True,
                           timeout=120)
 
 
@@ -532,3 +540,95 @@ def test_sweep_does_not_depend_on_the_start_method(tmp_path):
     for ext in (".csv", ".dat"):
         assert ((tmp_path / ("1" + ext)).read_bytes()
                 == (tmp_path / ("2" + ext)).read_bytes()), ext
+
+
+_ENTRY_CASES = {
+    "classify": ["classify", "--p", "4", "--s", "38", "--lambda", "0.95"],
+    "sweep": ["sweep", "--p", "4", "--s", "38", "--lambda-grid",
+              "0.980:0.991", "--count", "12", "--jobs", "2",
+              "--out", "band.csv"],
+    "unresolved": ["classify", "--p", "4", "--s", "18", "--lambda", "0.5",
+                   "--tol", "1e-30"],
+    "usage": ["classify", "--p", "4", "--s", "18"],  # no --lambda
+}
+
+
+def _script_target():
+    # what the installed parisi-zero script runs: the target that
+    # pyproject.toml's [project.scripts] names, called as sys.exit(f())
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml",
+              "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["parisi-zero"]
+    module, func = target.split(":")
+    return f"import sys; from {module} import {func}; sys.exit({func}())"
+
+
+@pytest.mark.parametrize("case", _ENTRY_CASES)
+def test_process_entries_print_write_and_exit_as_main(case, tmp_path, capsys,
+                                                       monkeypatch):
+    # python -m parisi_zero.cli and the console script's target give
+    # main()'s stdout, stderr, exit code and files, byte for byte
+    argv = _ENTRY_CASES[case]
+    dirs = {name: tmp_path / name for name in ("main", "module", "script")}
+    for d in dirs.values():
+        d.mkdir()
+    monkeypatch.chdir(dirs["main"])
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    want = (rc, *capsys.readouterr())
+    assert rc == {"classify": 0, "sweep": 0, "unresolved": 2, "usage": 1}[case]
+    heads = {"module": ["-m", "parisi_zero.cli"],
+             "script": ["-c", _script_target()]}
+    procs = {name: subprocess.Popen([sys.executable, *head, *argv],
+                                    cwd=dirs[name], env=_child_env(),
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+             for name, head in heads.items()}
+    files = sorted(f.name for f in dirs["main"].iterdir())
+    assert files == (["band.csv", "band.dat"] if case == "sweep" else [])
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == want, name
+        assert sorted(f.name for f in dirs[name].iterdir()) == files, name
+        for f in files:
+            assert ((dirs[name] / f).read_bytes()
+                    == (dirs["main"] / f).read_bytes()), (name, f)
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    # only the process entry freezes the heap; in-process callers of
+    # main(), a pooled sweep included, keep a collector that collects
+    frozen = gc.get_freeze_count()
+    for argv in (_ENTRY_CASES["classify"],
+                 [*_ENTRY_CASES["sweep"][:-1], str(tmp_path / "band.csv")]):
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == frozen, argv
+    capsys.readouterr()
+
+
+def test_entry_freezes_the_heap_only_after_main_returns(monkeypatch, capsys):
+    calls = []
+
+    def traced_main():
+        calls.append("main")
+        try:
+            return main()
+        finally:
+            calls.append("main returned")
+
+    monkeypatch.setattr(cli, "main", traced_main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["parisi-zero", *_ENTRY_CASES["unresolved"]])
+    assert cli.run() == 2
+    assert calls == ["main", "main returned", "freeze"]
+    # a usage error leaves main() through SystemExit and still freezes
+    calls.clear()
+    monkeypatch.setattr(sys, "argv", ["parisi-zero", *_ENTRY_CASES["usage"]])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 1
+    assert calls == ["main", "main returned", "freeze"]
+    capsys.readouterr()
