@@ -231,16 +231,19 @@ def _c_inv(y):
     if not 0.0 < y < 0.5:
         raise ValueError(f"c_inv needs y in (0, 1/2), got {y}")
     hi = 1.0
-    while _c_doubling(hi) > y:
+    while (c_hi := _c_doubling(hi)) > y:
         hi *= 2
-    cs = {0.0: 0.5, hi: _c_doubling(hi)}  # c at every point Brent reads
+    if not c_hi > 0.0:  # z * z overflows in c from 2^512 on
+        raise ValueError(f"c_inv needs y >= c(2^511) ~ 5.3e-152, got {y}")
+    cs = {0.0: 0.5, hi: c_hi}  # c at every point Brent reads
 
     def f(t):
         cs[t] = c = c_log(t)
         return c - y
 
-    z = brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16, fa=0.5 - y, fb=cs[hi] - y)
-    return z - (cs[z] - y) / _c_prime(z)
+    z = brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16, fa=0.5 - y, fb=c_hi - y)
+    dc = _c_prime(z)  # < 0, but 0 once z^3 overflows (z past ~5.6e102)
+    return z - (cs[z] - y) / dc if -math.inf < dc < 0.0 else z
 
 
 def solve_z(m: Mixture) -> float:

@@ -279,12 +279,34 @@ def test_c_inv_matches_its_previous_version_bit_for_bit():
     ys = [*map(float, rng.uniform(0.0, 0.5, 8000)),
           *map(float, 10.0 ** -rng.uniform(1.0, 120.0, 1000)),
           *map(float, 0.5 - 10.0 ** -rng.uniform(1.0, 16.0, 1000)),
+          *map(float, np.geomspace(0.5, 5e-324, 1000)),
           np.nextafter(0.5, 0.0), 0.25, 1.0 / 3.0, 5e-324, 1e-300]
     for y in ys:
-        # below about 1e-100, z^3 overflows in the Newton step in both
-        assert _outcome(criteria._c_inv, y) == _outcome(_c_inv_before, y), y
+        before = _outcome(_c_inv_before, y)
+        got = _outcome(criteria._c_inv, y)
+        if before is not ZeroDivisionError:
+            assert got == before, y
+            continue
+        # below about 1e-100 z^3 overflows and the previous Newton step
+        # divided by c' = 0: now Brent's root stands, and below c(2^511)
+        # the bracket's overflow is refused
+        assert got is ValueError or (
+            math.isfinite(got)
+            and abs(criteria.c_log(got) - y) <= 4 * math.ulp(y)), y
     for y in (0.0, 0.5, -1.0, math.nan):
         with pytest.raises(ValueError):
+            criteria._c_inv(y)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_c_inv_of_a_tiny_y_is_a_root_or_refused():
+    # a numpy scalar takes the same path as a float
+    for y in (1e-101, 1e-120, 1e-150, np.float64(1e-120)):
+        z = criteria._c_inv(y)
+        assert math.isfinite(z)
+        assert abs(criteria.c_log(float(z)) - y) <= 4 * math.ulp(y), y
+    for y in (5e-152, 1e-200, 5e-324, np.float64(1e-200)):
+        with pytest.raises(ValueError, match="c_inv needs"):
             criteria._c_inv(y)
 
 
