@@ -368,8 +368,13 @@ def _classify_p2(m: Mixture, b: PhaseBoundaries, tol: float) -> Classification:
 def _classify_general(m: Mixture, tol: float) -> Classification:
     z = criteria.solve_z(m)
     zmax = _zeta_max(m, z)
+    # near x = 1, zeta ~ -xi''(1) K(1) (1 - x)^2 / (2 xi'(1) (1 + z)): a
+    # negative K(1) = (1 + z) xi'(1) - xi''(1) breaks the one-step measure
+    # however small zmax reads (cubic in the distance below lambda_2to1)
     if zmax <= _ZETA_FLOOR:
-        return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
+        d2 = xi_deriv(m, 1.0, 2)
+        if (1 + z) * xi_deriv(m, 1.0, 1) - d2 >= -1e-12 * d2:
+            return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
     lm = criteria.landmarks(m)
     if lm.q22_edge is not None:
         raise ValueError(f"uncertified h22 edge root q22 = {lm.q22_edge!r}: "

@@ -30,57 +30,23 @@ PHASES = {"TwoPhase": ["OneRSB", "TwoRSB", "OneRSB"],
           "FourPhase": ["OneRSB", "TwoRSB", "TwoFRSB", "OneFRSB", "OneRSB"],
           "P2Family": ["OneRSB", "OneFRSB", "FRSB"]}
 
+_NO_SIGN_CHANGE = "Unresolved: two-step stationarity function has no sign change"
+
 # (p, s, boundary, +-k) -> the verdict at lambda_boundary +- 10**-k today:
 # a phase, or "Unresolved: " and the start of its detail
 KNOWN_DEFECTS = {
-    # Just below lambda_2to1, zeta's maximum is cubic in d and falls under
-    # _ZETA_FLOOR, and the one-step measure, within about 1e-12 of the
-    # optimal energy, certifies: a wrong OneRSB (ROADMAP item 2).
-    (3, 14, "2to1", -5): "OneRSB",
-    (3, 14, "2to1", -6): "OneRSB",
-    (3, 14, "2to1", -7): "OneRSB",
-    (3, 14, "2to1", -8): "OneRSB",
-    (3, 20, "2to1", -5): "OneRSB",
-    (3, 20, "2to1", -6): "OneRSB",
-    (3, 20, "2to1", -7): "OneRSB",
-    (3, 20, "2to1", -8): "OneRSB",
-    (4, 28, "2to1", -5): "OneRSB",
-    (4, 28, "2to1", -6): "OneRSB",
-    (4, 28, "2to1", -7): "OneRSB",
-    (4, 28, "2to1", -8): "OneRSB",
-    (4, 38, "2to1", -5): "OneRSB",
-    (4, 38, "2to1", -6): "OneRSB",
-    (4, 38, "2to1", -7): "OneRSB",
-    (4, 38, "2to1", -8): "OneRSB",
-    (5, 40, "2to1", -5): "OneRSB",
-    (5, 40, "2to1", -6): "OneRSB",
-    (5, 40, "2to1", -7): "OneRSB",
-    (5, 40, "2to1", -8): "OneRSB",
-    (5, 57, "2to1", -5): "OneRSB",
-    (5, 57, "2to1", -6): "OneRSB",
-    (5, 57, "2to1", -7): "OneRSB",
-    (5, 57, "2to1", -8): "OneRSB",
-    (6, 50, "2to1", -5): "OneRSB",
-    (6, 50, "2to1", -6): "OneRSB",
-    (6, 50, "2to1", -7): "OneRSB",
-    (6, 50, "2to1", -8): "OneRSB",
-    # The same cause inside the window: lambda_2to1 +- 1e-9 is shifted to
-    # lambda_2to1 - 1e-10 and comes back an on-boundary OneRSB, where the
-    # lower side is TwoRSB or OneFRSB (ROADMAP item 2 chooses).
-    (3, 14, "2to1", -9): "OneRSB",
-    (3, 14, "2to1", +9): "OneRSB",
-    (3, 20, "2to1", -9): "OneRSB",
-    (3, 20, "2to1", +9): "OneRSB",
-    (4, 28, "2to1", -9): "OneRSB",
-    (4, 28, "2to1", +9): "OneRSB",
-    (4, 38, "2to1", -9): "OneRSB",
-    (4, 38, "2to1", +9): "OneRSB",
-    (5, 40, "2to1", -9): "OneRSB",
-    (5, 40, "2to1", +9): "OneRSB",
-    (5, 57, "2to1", -9): "OneRSB",
-    (5, 57, "2to1", +9): "OneRSB",
-    (6, 50, "2to1", -9): "OneRSB",
-    (6, 50, "2to1", +9): "OneRSB",
+    # Just below lambda_2to1 the two-step bracket [max(q11, q22),
+    # min(q21, q12)] closes on x = 1 (within about 4d) and float64 loses
+    # phi's sign change there (ROADMAP item 1). K(1) < 0 refuses the
+    # one-step measure, so these read Unresolved, not a wrong OneRSB.
+    (3, 14, "2to1", -7): _NO_SIGN_CHANGE,
+    (3, 14, "2to1", -8): _NO_SIGN_CHANGE,
+    (4, 28, "2to1", -7): _NO_SIGN_CHANGE,
+    (4, 28, "2to1", -8): _NO_SIGN_CHANGE,
+    (5, 40, "2to1", -7): _NO_SIGN_CHANGE,
+    (5, 40, "2to1", -8): _NO_SIGN_CHANGE,
+    (6, 50, "2to1", -7): _NO_SIGN_CHANGE,
+    (6, 50, "2to1", -8): _NO_SIGN_CHANGE,
     # Below lambda_1Fto1 (p = 2) the plateau point collapses onto x = 1
     # and float64 loses it (ROADMAP item 1).
     (2, 4, "1Fto1", -4): "Unresolved: no plateau point found",

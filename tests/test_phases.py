@@ -545,6 +545,20 @@ def test_zeta_max_matches_a_dense_grid():
             assert 1.0 - 2.0 / 1024 < top < 1.0, (p, s, lam)
 
 
+def test_one_step_test_refuses_a_negative_k_at_one():
+    # just below lambda_2to1, zeta's maximum is cubic in d and falls under
+    # the floor, but K(1) = (1 + z) xi'(1) - xi''(1) < 0 puts zeta above
+    # 0 just below x = 1: the point keeps its interval phase, not OneRSB
+    for p, s, phase in ((4, 38, "OneFRSB"), (3, 14, "TwoRSB"),
+                        (5, 57, "OneFRSB")):
+        lam = boundaries(p, s).general["lambda_2to1"] - 1e-6
+        m = make_mixture(p, s, lam)
+        z = solve_z(m)
+        assert phases._zeta_max(m, z) <= phases._ZETA_FLOOR
+        assert (1 + z) * xi_deriv(m, 1.0, 1) < xi_deriv(m, 1.0, 2)
+        assert classify(p, s, lam).phase == phase, (p, s)
+
+
 def _zeta_max_all_roots(m, z):
     # the one-step test before it refined only K's falling roots: zeta at
     # every root of K
