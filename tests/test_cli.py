@@ -621,7 +621,8 @@ def test_entry_freezes_the_heap_only_after_main_returns(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "main", traced_main)
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(sys, "argv", ["parisi-zero", *_ENTRY_CASES["unresolved"]])
+    monkeypatch.setattr(sys, "argv",
+                        ["parisi-zero", *_ENTRY_CASES["unresolved"]])
     assert cli.run() == 2
     assert calls == ["main", "main returned", "freeze"]
     # a usage error leaves main() through SystemExit and still freezes

@@ -30,7 +30,8 @@ PHASES = {"TwoPhase": ["OneRSB", "TwoRSB", "OneRSB"],
           "FourPhase": ["OneRSB", "TwoRSB", "TwoFRSB", "OneFRSB", "OneRSB"],
           "P2Family": ["OneRSB", "OneFRSB", "FRSB"]}
 
-_NO_SIGN_CHANGE = "Unresolved: two-step stationarity function has no sign change"
+_NO_SIGN_CHANGE = ("Unresolved: two-step stationarity function has no "
+                   "sign change")
 
 # (p, s, boundary, +-k) -> the verdict at lambda_boundary +- 10**-k today:
 # a phase, or "Unresolved: " and the start of its detail
