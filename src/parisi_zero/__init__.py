@@ -17,7 +17,7 @@ from .mixture import Mixture, make_mixture, xi_deriv
 from .oracle import (OracleProfile, StepMeasure, minimize_k, oracle_profile,
                      step_energy)
 from .phases import (Classification, PhaseBoundaries, Regime, boundaries,
-                     boundary_lambdas, classify, regime)
+                     boundary_lambdas, classify, interval_phase, regime)
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,6 @@ __all__ = [
     "StepMeasure", "OracleProfile", "step_energy", "minimize_k",
     "oracle_profile",
     "Regime", "PhaseBoundaries", "Classification", "regime", "boundaries",
-    "classify", "boundary_lambdas",
+    "classify", "boundary_lambdas", "interval_phase",
     "__version__",
 ]

@@ -21,6 +21,7 @@ All functions accept scalars or ndarrays in x and are pure.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -207,18 +208,12 @@ def c_log(z):
     return out
 
 
-def _c_prime(z):
-    if isinstance(z, float) and -1.0 < z < math.inf:
-        if abs(z) < 1e-4:
-            return float(-1.0 / 6 + z / 6 - 3 * z * z / 20
-                         + 2 * np.power(z, 3) / 15)
+def _c_prime(z: float) -> float:
+    # c'(z) for a float z >= 0; -0.0 where z^3 overflows, past z ~ 5.6e102
+    if z < 1e-4:
+        return float(-1 / 6 + z / 6 - 3 * z * z / 20 + 2 * np.power(z, 3) / 15)
+    with np.errstate(over="ignore") if z > 1e102 else contextlib.nullcontext():
         return float((2 * z - (2 + z) * np.log1p(z)) / np.power(z, 3))
-    z = np.asarray(z, dtype=float)
-    series = -1.0 / 6 + z / 6 - 3 * z * z / 20 + 2 * z ** 3 / 15
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (2 * z - (2 + z) * np.log1p(z)) / z ** 3
-    out = np.where(np.abs(z) < 1e-4, series, direct)
-    return float(out) if out.ndim == 0 else out
 
 
 _c_doubling = lru_cache(maxsize=None)(c_log)  # c(2^k), kept as _c_inv meets it

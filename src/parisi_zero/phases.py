@@ -18,6 +18,7 @@ flagged, never silent).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ from .measure import (ParisiMeasure, build_1rsb, build_2rsb, build_mixed,
 from .mixture import Mixture, make_mixture, xi_deriv
 
 __all__ = ["Regime", "PhaseBoundaries", "Classification", "regime",
-           "boundaries", "classify", "boundary_lambdas"]
+           "boundaries", "classify", "boundary_lambdas", "interval_phase"]
 
 _ZETA_FLOOR = 1e-11  # zeta vanishes identically at both endpoints; the
 # interior maximum is tested against this, never against strict negativity
@@ -39,6 +40,14 @@ _OWN_EPS = 1e-9
 _BISECT_TOL = 1e-6
 _SEED_TOL = 1e-4
 _SYSTEM_TOL = 1e-7
+# the paper's scenarios: a regime's phases and boundary keys, in lambda order
+_SCENARIOS = {
+    "AllOneRSB": ("OneRSB",),
+    "P2Family": ("OneRSB", "lambda_1to1F", "OneFRSB", "lambda_1Fto1", "FRSB"),
+    "TwoPhase": ("OneRSB", "lambda_1to2", "TwoRSB", "lambda_2to1", "OneRSB"),
+    "FourPhase": ("OneRSB", "lambda_1to2", "TwoRSB", "lambda_2to2F", "TwoFRSB",
+                  "lambda_2to1F", "OneFRSB", "lambda_2to1", "OneRSB"),
+}
 
 
 @dataclass(frozen=True)
@@ -178,8 +187,7 @@ def _p2_boundaries(s: int, reg: Regime) -> PhaseBoundaries:
 
     xs = np.linspace(1e-3, 1 - 1e-3, 257)
     vs = [entry(x) for x in xs]
-    lam_1to1f = None
-    res_entry = None
+    lam_1to1f = res_entry = None
     for i in range(len(xs) - 1):
         if vs[i] < 0.0 < vs[i + 1]:
             lam_1to1f = brentq(entry, xs[i], xs[i + 1], xtol=1e-13,
@@ -188,8 +196,6 @@ def _p2_boundaries(s: int, reg: Regime) -> PhaseBoundaries:
             break
     diag = {"residual_1to1F": res_entry,
             "onset_quadratic_at_1Fto1": criteria.s_of(2, s, lam_f)}
-    if lam_1to1f is not None and lam_f < 1.0 and not lam_1to1f < lam_f:
-        raise RuntimeError("p=2 boundary ordering violated")
     return PhaseBoundaries(reg, p2={"lambda_1to1F": lam_1to1f,
                                     "lambda_1Fto1": lam_f},
                            diagnostics=diag)
@@ -210,7 +216,7 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
     if reg.tag == "Pure" or reg.tag == "AllOneRSB":
         return PhaseBoundaries(reg)
     if reg.tag == "P2Family":
-        return _p2_boundaries(s, reg)
+        return _ordered(_p2_boundaries(s, reg))
 
     l1, l2 = criteria.lambda_stars(p, s).roots
     lam_2to1 = brentq(lambda t: criteria.psi(p, s, t), l1, min(l2, 1 - 1e-12),
@@ -258,21 +264,34 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
                           len(memo))
         diag["onset_quadratic_at_2to1F"] = criteria.s_of(p, s, lam_2to1f)
         general.update(lambda_2to2F=lam_2to2f, lambda_2to1F=lam_2to1f)
-        if not 0 < lam_1to2 < lam_2to2f < lam_2to1f < lam_2to1 < 1:
-            raise RuntimeError("four-phase boundary ordering violated")
-    elif not lam_1to2 < lam_2to1:
-        raise RuntimeError("two-phase boundary ordering violated")
-    return PhaseBoundaries(reg, general=general, diagnostics=diag)
+    return _ordered(PhaseBoundaries(reg, general=general, diagnostics=diag))
+
+
+def _ordered(b: PhaseBoundaries) -> PhaseBoundaries:
+    # the solved constants rise in their scenario's order inside (0, 1]
+    vals = b.p2 or b.general or {}
+    chain = [0.0, *(v for k in _SCENARIOS[b.regime.tag][1::2]
+                    if (v := vals[k]) is not None)]
+    if not all(lo < hi <= 1.0 for lo, hi in zip(chain, chain[1:])):
+        raise RuntimeError(f"{b.regime.tag} boundary ordering violated")
+    return b
 
 
 def boundary_lambdas(b: PhaseBoundaries) -> tuple[float, ...]:
-    """The family's interior boundary lambdas, ascending."""
-    vals: list[float] = []
-    if b.p2:
-        vals += [v for v in b.p2.values() if v is not None and 0.0 < v < 1.0]
-    if b.general:
-        vals += list(b.general.values())
-    return tuple(sorted(vals))
+    """The family's interior boundary lambdas, ascending (scenario order)."""
+    vals = b.p2 or b.general or {}
+    return tuple(v for k in _SCENARIOS.get(b.regime.tag, ())[1::2]
+                 if (v := vals[k]) is not None and 0.0 < v < 1.0)
+
+
+def interval_phase(p: int, s: int, lam: float) -> str:
+    """The phase the paper's scenario for (p, s) puts at lam: on a boundary
+    the lower side's, and for a pure model RS at exponent 2, else OneRSB."""
+    m = make_mixture(p, s, lam)
+    if m.is_pure:
+        return "RS" if m.exponent == 2 else "OneRSB"
+    b = boundaries(p, s)
+    return _SCENARIOS[b.regime.tag][2 * bisect_left(boundary_lambdas(b), lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +384,23 @@ def _classify_p2(m: Mixture, b: PhaseBoundaries, tol: float) -> Classification:
     return _certify(m, build_mixed(m, 0.0, 1.0), "FRSB", {}, tol)
 
 
+def _k1(m: Mixture, z: float):
+    # K(1) = (1 + z) xi'(1) - xi''(1), and xi''(1)
+    d2 = xi_deriv(m, 1.0, 2)
+    return (1 + z) * xi_deriv(m, 1.0, 1) - d2, d2
+
+
+def _one_step(m: Mixture, z: float, zmax: float) -> bool:
+    # zeta ~ -xi''(1) K(1) (1 - x)^2 / (2 xi'(1) (1 + z)) near x = 1: K(1) < 0
+    # breaks the one-step measure however small zmax reads (cubic in d)
+    return zmax <= _ZETA_FLOOR and (k := _k1(m, z))[0] >= -1e-12 * k[1]
+
+
 def _classify_general(m: Mixture, tol: float) -> Classification:
     z = criteria.solve_z(m)
     zmax = _zeta_max(m, z)
-    # near x = 1, zeta ~ -xi''(1) K(1) (1 - x)^2 / (2 xi'(1) (1 + z)): a
-    # negative K(1) = (1 + z) xi'(1) - xi''(1) breaks the one-step measure
-    # however small zmax reads (cubic in the distance below lambda_2to1)
-    if zmax <= _ZETA_FLOOR:
-        d2 = xi_deriv(m, 1.0, 2)
-        if (1 + z) * xi_deriv(m, 1.0, 1) - d2 >= -1e-12 * d2:
-            return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
+    if _one_step(m, z, zmax):
+        return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
     lm = criteria.landmarks(m)
     if lm.q22_edge is not None:
         raise ValueError(f"uncertified h22 edge root q22 = {lm.q22_edge!r}: "
@@ -395,7 +421,7 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
                             {"q1": lm.q12, "q2": lm.q22}, tol)
     raise ValueError(
         f"no construction applies (one-step certificate {zmax:.2e}, "
-        f"landmarks {lm})")
+        f"K(1) {_k1(m, z)[0]:.2e}, landmarks {lm})")
 
 
 def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
@@ -415,19 +441,15 @@ def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
     except RuntimeError as exc:
         return Classification("Unresolved", {}, None, None, None,
                               low_s_unproven=low_s, detail=str(exc))
-    lam_eff, near = lam, False
-    for lb in boundary_lambdas(b):
-        if abs(lam - lb) <= _OWN_EPS:
-            lam_eff, near = lb - 1e-10, True
-            break
-    m_eff = make_mixture(p, s, lam_eff) if near else m
+    near = [lb for lb in boundary_lambdas(b) if abs(lam - lb) <= _OWN_EPS]
+    m_eff = make_mixture(p, s, near[0] - 1e-10) if near else m
     try:
         cl = (_classify_p2(m_eff, b, tol) if p == 2
               else _classify_general(m_eff, tol))
     except ValueError as exc:
         return Classification("Unresolved", {}, None, None, None,
-                              on_boundary=near, low_s_unproven=low_s,
+                              on_boundary=bool(near), low_s_unproven=low_s,
                               detail=str(exc))
     if near or low_s:
-        cl = replace(cl, on_boundary=near, low_s_unproven=low_s)
+        cl = replace(cl, on_boundary=bool(near), low_s_unproven=low_s)
     return cl

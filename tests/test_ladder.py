@@ -3,7 +3,8 @@
 Fourteen families, each interior phase boundary lambda_b, at
 lambda = lambda_b +- 10**-k for k = 3 ... 9 (points outside [0, 1]
 skipped): 418 points. Each point's interval phase is the phase that the
-solved boundaries put there.
+solved boundaries put there, read from the package's scenario table
+(`interval_phase`), which the classifier's test chain never reads.
 
 - A point off the ownership window (k <= 8) must come back unflagged
   with its interval phase.
@@ -20,15 +21,12 @@ point whose verdict changes, or an unlisted failure, fails it too.
 """
 import pytest
 
-from parisi_zero import boundaries, classify
+from parisi_zero import boundaries, classify, interval_phase
 from parisi_zero.phases import boundary_lambdas
 
 FAMILIES = [(4, 38), (3, 20), (4, 28), (5, 40), (3, 12), (6, 50), (2, 4),
             (2, 8), (2, 30), (2, 60), (4, 18), (3, 14), (5, 57), (2, 200)]
 RUNGS = range(3, 10)  # d = 10**-k
-PHASES = {"TwoPhase": ["OneRSB", "TwoRSB", "OneRSB"],
-          "FourPhase": ["OneRSB", "TwoRSB", "TwoFRSB", "OneFRSB", "OneRSB"],
-          "P2Family": ["OneRSB", "OneFRSB", "FRSB"]}
 
 _NO_SIGN_CHANGE = ("Unresolved: two-step stationarity function has no "
                    "sign change")
@@ -86,9 +84,6 @@ def ladder():
     out = []
     for p, s in FAMILIES:
         b = boundaries(p, s)
-        names = PHASES.get(b.regime.tag)
-        if names is None:  # AllOneRSB: no interior boundary
-            continue
         cuts = boundary_lambdas(b)
         for key, lb in {**(b.p2 or {}), **(b.general or {})}.items():
             if lb not in cuts:  # None, or not inside (0, 1)
@@ -98,8 +93,8 @@ def ladder():
                     lam = lb + side * 10.0 ** -k
                     if 0.0 <= lam <= 1.0:
                         row = (p, s, key.removeprefix("lambda_"), side * k)
-                        out.append((row, names[sum(lam > c for c in cuts)],
-                                    names[cuts.index(lb)],
+                        out.append((row, interval_phase(p, s, lam),
+                                    interval_phase(p, s, lb),
                                     classify(p, s, lam)))
     return out
 

@@ -7,10 +7,12 @@ from scipy.optimize import brentq
 
 from parisi_zero import criteria, phases
 from parisi_zero import (
+    Regime,
     boundaries,
     classify,
     eval_h1,
     eval_h2,
+    interval_phase,
     lambda_stars,
     make_mixture,
     psi,
@@ -336,9 +338,10 @@ def test_landmarks_turn_down_an_uncertified_edge_root():
 
 def _old_one_frsb_rescan(m, lm):
     # the OneFRSB test as it was before landmarks' grid gave q22: no h22
-    # root on a 513-point rescan of (q12 + 1e-6, 1 - 1e-6)
-    return not criteria._sign_roots(lambda x: criteria._h22(m, x),
-                                    lm.q12 + 1e-6, 1 - 1e-6, n=513)
+    # root on a 513-point rescan of (q12 + 1e-6, 1 - 1e-6), which is empty
+    # where q12 is within 2e-6 of 1 (as 1e-7 below lambda_2to1)
+    return lm.q12 + 1e-6 >= 1 - 1e-6 or not criteria._sign_roots(
+        lambda x: criteria._h22(m, x), lm.q12 + 1e-6, 1 - 1e-6, n=513)
 
 
 @pytest.mark.parametrize("family", [(4, 38), (3, 20), (5, 57)])
@@ -354,7 +357,8 @@ def test_one_frsb_decision_matches_the_old_rescan(family):
     decided = set()
     for lam in lams:
         m = make_mixture(*family, lam)
-        if phases._zeta_max(m, solve_z(m)) <= phases._ZETA_FLOOR:
+        z = solve_z(m)
+        if phases._one_step(m, z, phases._zeta_max(m, z)):
             continue
         lm = criteria.landmarks(m)
         if lm.q22_edge is not None or phases._two_step_window(lm):
@@ -408,39 +412,69 @@ def test_two_step_detail_names_the_sign_change_it_missed():
         "two-step stationarity function has no sign change on ["), c.detail
 
 
-def _expected_phase(family, lam):
-    kind, cuts = family
-    if lam == 1.0:
-        return "RS" if kind == "p2" else "OneRSB"
-    if lam == 0.0:
-        return "OneRSB"
-    if kind == "all1":
-        return "OneRSB"
-    names = {"two": ["OneRSB", "TwoRSB", "OneRSB"],
-             "four": ["OneRSB", "TwoRSB", "TwoFRSB", "OneFRSB", "OneRSB"],
-             "p2": ["OneRSB", "OneFRSB", "FRSB"]}[kind]
-    return names[sum(lam > c for c in cuts)]
-
-
 def test_phase_map_matches_interval_prediction():
-    families = {
-        (4, 18): ("all1", ()),
-        (4, 28): ("two", tuple(boundaries(4, 28).general[k]
-                               for k in ("lambda_1to2", "lambda_2to1"))),
-        (4, 38): ("four", tuple(boundaries(4, 38).general[k]
-                                for k in ("lambda_1to2", "lambda_2to2F",
-                                          "lambda_2to1F", "lambda_2to1"))),
-        (2, 4): ("p2", tuple(boundaries(2, 4).p2.values())),
-        (2, 8): ("p2", tuple(boundaries(2, 8).p2.values())),
-    }
     grid = np.linspace(0.0, 1.0, 200)
-    for (p, s), family in families.items():
-        cuts = family[1]
+    for p, s in [(4, 18), (4, 28), (4, 38), (2, 4), (2, 8)]:
+        cuts = phases.boundary_lambdas(boundaries(p, s))
         for lam in grid:
             if any(abs(lam - c) < 1e-6 for c in cuts):
                 continue
             got = classify(p, s, float(lam)).phase
-            assert got == _expected_phase(family, float(lam)), (p, s, lam)
+            assert got == interval_phase(p, s, float(lam)), (p, s, lam)
+
+
+def test_interval_phase_rules():
+    # a lambda on a boundary takes the lower side's phase, and neighbouring
+    # intervals differ; the phases themselves are held against classify
+    for p, s in [(4, 28), (4, 38), (2, 8)]:
+        for c in phases.boundary_lambdas(boundaries(p, s)):
+            assert interval_phase(p, s, c) == interval_phase(p, s, c - 1e-6)
+            assert interval_phase(p, s, c) != interval_phase(p, s, c + 1e-6)
+    # pure models: RS at exponent 2, else OneRSB
+    assert interval_phase(2, 8, 1.0) == interval_phase(2, 2, 0.5) == "RS"
+    assert interval_phase(4, 38, 1.0) == interval_phase(4, 38, 0.0) == "OneRSB"
+    assert interval_phase(2, 8, 0.0) == interval_phase(3, 3, 0.5) == "OneRSB"
+    # (2, 3) has no constant inside (0, 1): OneRSB throughout, as classify
+    # reads it
+    assert {interval_phase(2, 3, lam) for lam in (0.1, 0.5, 0.999)} == {
+        "OneRSB"}
+    with pytest.raises(ValueError):
+        interval_phase(4, 38, 1.5)
+
+
+def test_boundaries_refuse_constants_out_of_scenario_order():
+    four = {"lambda_1to2": 0.6, "lambda_2to2F": 0.98, "lambda_2to1F": 0.987,
+            "lambda_2to1": 0.99}
+    phases._ordered(phases.PhaseBoundaries(Regime("FourPhase"), general=four))
+    for bad in ({"lambda_2to1F": 0.97}, {"lambda_1to2": 0.0},
+                {"lambda_2to1": 1.5}):
+        with pytest.raises(RuntimeError, match="FourPhase boundary ordering"):
+            phases._ordered(phases.PhaseBoundaries(
+                Regime("FourPhase"), general={**four, **bad}))
+    with pytest.raises(RuntimeError, match="P2Family boundary ordering"):
+        phases._ordered(phases.PhaseBoundaries(
+            Regime("P2Family"), p2={"lambda_1to1F": 0.95,
+                                    "lambda_1Fto1": 0.9}))
+    # a missing p = 2 constant is skipped, and lambda_1Fto1 may sit at 1
+    phases._ordered(phases.PhaseBoundaries(
+        Regime("P2Family"), p2={"lambda_1to1F": None, "lambda_1Fto1": 1.0}))
+
+
+def test_certified_phase_matches_the_interval_away_from_boundaries():
+    # seeded draws over the families with p <= 8 and s <= 60, lambda at
+    # least 1e-3 from every boundary: each comes back certified, with the
+    # phase its scenario puts there
+    rng = np.random.default_rng(2022)
+    families = [(p, s) for p in range(2, 9) for s in range(p + 1, 61)]
+    for _ in range(100):
+        p, s = families[rng.integers(len(families))]
+        cuts = phases.boundary_lambdas(boundaries(p, s))
+        lam = float(rng.uniform(0.0, 1.0))
+        while any(abs(lam - c) < 1e-3 for c in cuts):
+            lam = float(rng.uniform(0.0, 1.0))
+        cl = classify(p, s, lam)
+        assert cl.report is not None and cl.report.passed, (p, s, lam, cl)
+        assert cl.phase == interval_phase(p, s, lam), (p, s, lam)
 
 
 def test_exactly_on_a_boundary_is_flagged():
@@ -554,9 +588,26 @@ def test_one_step_test_refuses_a_negative_k_at_one():
         lam = boundaries(p, s).general["lambda_2to1"] - 1e-6
         m = make_mixture(p, s, lam)
         z = solve_z(m)
-        assert phases._zeta_max(m, z) <= phases._ZETA_FLOOR
+        zmax = phases._zeta_max(m, z)
+        assert zmax <= phases._ZETA_FLOOR
         assert (1 + z) * xi_deriv(m, 1.0, 1) < xi_deriv(m, 1.0, 2)
+        assert not phases._one_step(m, z, zmax)
         assert classify(p, s, lam).phase == phase, (p, s)
+
+
+def test_no_construction_detail_names_k_at_one():
+    # at lambda_2to1 +- 1e-9 of (4, 38) both points are shifted to the
+    # lower side, where zeta's maximum passes but K(1) < 0 refuses the
+    # one-step measure; the detail names that K(1), not only zeta's maximum
+    lb = boundaries(4, 38).general["lambda_2to1"]
+    for lam in (lb - 1e-9, lb + 1e-9):
+        c = classify(4, 38, lam)
+        assert c.phase == "Unresolved" and c.on_boundary, c
+        assert c.detail.startswith(
+            "no construction applies (one-step certificate 0.00e+00, "
+            "K(1) -"), c.detail
+        k1 = float(c.detail.split("K(1) ")[1].split(",")[0])
+        assert -1e-6 < k1 < -1e-12 * xi_deriv(make_mixture(4, 38, lb), 1.0, 2)
 
 
 def _zeta_max_all_roots(m, z):

@@ -2,6 +2,7 @@
 
     python tools/same_outputs.py dump OUT.json [--src DIR]
     python tools/same_outputs.py diff A.json B.json
+    python tools/same_outputs.py ladder [--src DIR]
 
 ``dump`` imports parisi_zero from DIR (default: this checkout's src/) and
 writes four records:
@@ -29,6 +30,14 @@ detail changed, else 0.
 Run it on a copy of the parent commit (``git archive``) and on the
 change. A dump takes about 20 s on one core, the oracle record about 3 s
 of it; this is not part of the test suite.
+
+``ladder`` classifies the same 385 families at lambda_b +- 10**-k for
+k = 3 ... 8 about every interior boundary lambda_b (points outside
+(0, 1) skipped) and at 16 seeded random lambdas a family: 12442 points,
+about 15 s on one core. It holds each certified phase against
+``interval_phase`` (so DIR must have it), prints the wrong and
+Unresolved counts by regime, boundary, rung and detail, and exits 1
+when any point is wrong.
 """
 from __future__ import annotations
 
@@ -37,8 +46,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
+import time
+from collections import Counter
 
 SWEEPS = ((4, 38), (3, 20), (2, 4))
 DISTANCES = (1e-8, 1e-7, 1e-5, 1e-3)
@@ -54,6 +66,8 @@ ORACLE_POINTS = (("RS", 0, 2, 5, 1.0), ("RS", 0, 2, 9, 1.0),
                  ("OneFRSB", None, 3, 20, 0.983),
                  ("FRSB", None, 2, 8, 0.98), ("FRSB", None, 2, 4, 0.95))
 ORACLE_SEEDS = (1, 2, 3, 4)
+LADDER_RUNGS = range(3, 9)  # d = 10**-k
+LADDER_RANDOM = 16
 
 
 def _families():
@@ -117,9 +131,88 @@ def _oracle(pz):
     return rows
 
 
-def dump(path, src):
+def _import(src):
     sys.path.insert(0, os.path.abspath(src))
-    import parisi_zero as pz
+    import parisi_zero
+
+    return parisi_zero
+
+
+def _ladder_points(pz):
+    # (p, s, regime, boundary key or "random", signed rung or None, lambda)
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    out = []
+    for p, s in _families():
+        b = pz.boundaries(p, s)
+        tag = b.regime.tag
+        out += [(p, s, tag, "random", None, float(v))
+                for v in rng.uniform(0.0, 1.0, LADDER_RANDOM)]
+        cuts = pz.boundary_lambdas(b)
+        for key, lb in {**(b.p2 or {}), **(b.general or {})}.items():
+            if lb not in cuts:  # None, or not inside (0, 1)
+                continue
+            out += [(p, s, tag, key.removeprefix("lambda_"), sg * k,
+                     lb + sg * 10.0 ** -k)
+                    for k in LADDER_RUNGS for sg in (-1, 1)
+                    if 0.0 < lb + sg * 10.0 ** -k < 1.0]
+    return out
+
+
+def _reason(detail):
+    # an Unresolved detail without its numbers
+    return re.split(r" [\[(=]|:", detail or "")[0]
+
+
+def ladder(src):
+    pz = _import(src)
+    t0 = time.process_time()
+    points = _ladder_points(pz)
+    wrong, unresolved, far = [], 0, 0
+    tally = {name: Counter() for name in ("regime", "boundary", "rung",
+                                          "detail")}
+    regimes = Counter(pz.regime(p, s).tag for p, s in _families())
+    for p, s, tag, key, rung, lam in points:
+        cl = pz.classify(p, s, lam)
+        want = pz.interval_phase(p, s, lam)
+        if cl.phase == "Unresolved":
+            kind = "Unresolved"
+            unresolved += 1
+            far += rung is not None and abs(rung) <= 7
+            tally["detail"][_reason(cl.detail)] += 1
+        elif cl.phase != want or cl.on_boundary:
+            kind = "wrong"
+            wrong.append((p, s, key, rung, want, cl.phase))
+        else:
+            continue
+        side = "" if rung is None else " below" if rung < 0 else " above"
+        for name, label in (("regime", tag), ("boundary", key + side),
+                            ("rung", "random" if rung is None
+                             else f"{rung:+d}")):
+            tally[name][label, kind] += 1
+    print(f"ladder: {len(points)} points over {len(_families())} families ("
+          + ", ".join(f"{n} {tag}" for tag, n in sorted(regimes.items()))
+          + f") in {time.process_time() - t0:.1f} s CPU")
+    print(f"wrong: {len(wrong)}; Unresolved: {unresolved}, {far} of them "
+          f"at d >= 1e-7 from a boundary")
+    for name in ("regime", "boundary", "rung"):
+        labels = sorted(regimes if name == "regime"
+                        else {label for label, _ in tally[name]})
+        print(f"by {name} (wrong / Unresolved):")
+        for label in labels:
+            print(f"  {label}: {tally[name][label, 'wrong']} / "
+                  f"{tally[name][label, 'Unresolved']}")
+    print("Unresolved by detail:")
+    for reason, n in tally["detail"].most_common():
+        print(f"  {n:5d}  {reason}")
+    for p, s, key, rung, want, got in wrong:
+        print(f"  wrong: ({p},{s}) {key} {rung}: {got}, interval {want}")
+    return 1 if wrong else 0
+
+
+def dump(path, src):
+    pz = _import(src)
     from parisi_zero.cli import main
 
     constants = {}
@@ -262,10 +355,14 @@ def main(argv=None):
     c = sub.add_parser("diff")
     c.add_argument("a")
     c.add_argument("b")
+    lad = sub.add_parser("ladder")
+    lad.add_argument("--src", default=d.get_default("src"))
     args = ap.parse_args(argv)
     if args.cmd == "dump":
         dump(args.out, args.src)
         return 0
+    if args.cmd == "ladder":
+        return ladder(args.src)
     return diff(args.a, args.b)
 
 
