@@ -90,8 +90,10 @@ def _row(p, s, lam, cl, blams) -> dict:
 
 def _cmd_classify(args, tol) -> int:
     cl = classify(args.p, args.s, args.lam, tol=tol)
-    blams = (() if make_mixture(args.p, args.s, args.lam).is_pure
-             else boundary_lambdas(boundaries(args.p, args.s)))
+    blams = ()
+    mm = make_mixture(args.p, args.s, args.lam)
+    if not mm.is_pure:
+        blams = boundary_lambdas(boundaries(args.p, args.s))
     if args.format == "csv":
         _emit_csv([_row(args.p, args.s, args.lam, cl, blams)],
                   SWEEP_COLUMNS, sys.stdout)

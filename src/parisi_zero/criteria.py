@@ -21,7 +21,6 @@ All functions accept scalars or ndarrays in x and are pure.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -212,7 +211,7 @@ def _c_prime(z: float) -> float:
     # c'(z) for a float z >= 0; -0.0 where z^3 overflows, past z ~ 5.6e102
     if z < 1e-4:
         return float(-1 / 6 + z / 6 - 3 * z * z / 20 + 2 * np.power(z, 3) / 15)
-    with np.errstate(over="ignore") if z > 1e102 else contextlib.nullcontext():
+    with np.errstate(over="ignore"):
         return float((2 * z - (2 + z) * np.log1p(z)) / np.power(z, 3))
 
 

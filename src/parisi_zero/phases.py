@@ -187,7 +187,8 @@ def _p2_boundaries(s: int, reg: Regime) -> PhaseBoundaries:
 
     xs = np.linspace(1e-3, 1 - 1e-3, 257)
     vs = [entry(x) for x in xs]
-    lam_1to1f = res_entry = None
+    lam_1to1f = None
+    res_entry = None
     for i in range(len(xs) - 1):
         if vs[i] < 0.0 < vs[i + 1]:
             lam_1to1f = brentq(entry, xs[i], xs[i + 1], xtol=1e-13,
@@ -267,11 +268,16 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
     return _ordered(PhaseBoundaries(reg, general=general, diagnostics=diag))
 
 
+def _chain(b: PhaseBoundaries) -> list[float]:
+    # the solved constants in their scenario's order, None skipped
+    vals = b.p2 or b.general or {}
+    return [v for k in _SCENARIOS.get(b.regime.tag, ())[1::2]
+            if (v := vals[k]) is not None]
+
+
 def _ordered(b: PhaseBoundaries) -> PhaseBoundaries:
     # the solved constants rise in their scenario's order inside (0, 1]
-    vals = b.p2 or b.general or {}
-    chain = [0.0, *(v for k in _SCENARIOS[b.regime.tag][1::2]
-                    if (v := vals[k]) is not None)]
+    chain = [0.0, *_chain(b)]
     if not all(lo < hi <= 1.0 for lo, hi in zip(chain, chain[1:])):
         raise RuntimeError(f"{b.regime.tag} boundary ordering violated")
     return b
@@ -279,9 +285,7 @@ def _ordered(b: PhaseBoundaries) -> PhaseBoundaries:
 
 def boundary_lambdas(b: PhaseBoundaries) -> tuple[float, ...]:
     """The family's interior boundary lambdas, ascending (scenario order)."""
-    vals = b.p2 or b.general or {}
-    return tuple(v for k in _SCENARIOS.get(b.regime.tag, ())[1::2]
-                 if (v := vals[k]) is not None and 0.0 < v < 1.0)
+    return tuple(v for v in _chain(b) if 0.0 < v < 1.0)
 
 
 def interval_phase(p: int, s: int, lam: float) -> str:
@@ -441,15 +445,19 @@ def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
     except RuntimeError as exc:
         return Classification("Unresolved", {}, None, None, None,
                               low_s_unproven=low_s, detail=str(exc))
-    near = [lb for lb in boundary_lambdas(b) if abs(lam - lb) <= _OWN_EPS]
-    m_eff = make_mixture(p, s, near[0] - 1e-10) if near else m
+    lam_eff, near = lam, False
+    for lb in boundary_lambdas(b):
+        if abs(lam - lb) <= _OWN_EPS:
+            lam_eff, near = lb - 1e-10, True
+            break
+    m_eff = make_mixture(p, s, lam_eff) if near else m
     try:
         cl = (_classify_p2(m_eff, b, tol) if p == 2
               else _classify_general(m_eff, tol))
     except ValueError as exc:
         return Classification("Unresolved", {}, None, None, None,
-                              on_boundary=bool(near), low_s_unproven=low_s,
+                              on_boundary=near, low_s_unproven=low_s,
                               detail=str(exc))
     if near or low_s:
-        cl = replace(cl, on_boundary=bool(near), low_s_unproven=low_s)
+        cl = replace(cl, on_boundary=near, low_s_unproven=low_s)
     return cl

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py dump OUT.json [--src DIR]
     python tools/same_outputs.py diff A.json B.json
-    python tools/same_outputs.py ladder [--src DIR]
+    python tools/same_outputs.py ladder
 
 ``dump`` imports parisi_zero from DIR (default: this checkout's src/) and
 writes four records:
@@ -31,13 +31,15 @@ Run it on a copy of the parent commit (``git archive``) and on the
 change. A dump takes about 20 s on one core, the oracle record about 3 s
 of it; this is not part of the test suite.
 
-``ladder`` classifies the same 385 families at lambda_b +- 10**-k for
-k = 3 ... 8 about every interior boundary lambda_b (points outside
-(0, 1) skipped) and at 16 seeded random lambdas a family: 12442 points,
-about 15 s on one core. It holds each certified phase against
-``interval_phase`` (so DIR must have it), prints the wrong and
-Unresolved counts by regime, boundary, rung and detail, and exits 1
-when any point is wrong.
+``ladder`` imports this checkout's src/ and classifies the same 385
+families at lambda_b +- 10**-k for k = 3 ... 8 about every interior
+boundary lambda_b (points outside (0, 1) skipped) and at 16 seeded
+random lambdas a family: 12442 points, about 15 s on one core. It holds
+each certified phase against ``interval_phase``, prints the wrong and
+Unresolved counts by regime, boundary, rung and detail, and how many
+Unresolved points lie at least 1e-7 from a boundary (a rung's distance
+is its 10**-k, a random lambda's that to the nearest boundary), and
+exits 1 when any point is wrong.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -68,6 +71,8 @@ ORACLE_POINTS = (("RS", 0, 2, 5, 1.0), ("RS", 0, 2, 9, 1.0),
 ORACLE_SEEDS = (1, 2, 3, 4)
 LADDER_RUNGS = range(3, 9)  # d = 10**-k
 LADDER_RANDOM = 16
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
 
 
 def _families():
@@ -139,7 +144,9 @@ def _import(src):
 
 
 def _ladder_points(pz):
-    # (p, s, regime, boundary key or "random", signed rung or None, lambda)
+    # (p, s, regime, boundary key or "random", signed rung or None, lambda,
+    # distance from a boundary: a rung's nominal 10**-k, a random lambda's
+    # to the nearest one)
     import numpy as np
 
     rng = np.random.default_rng(SEED)
@@ -147,14 +154,15 @@ def _ladder_points(pz):
     for p, s in _families():
         b = pz.boundaries(p, s)
         tag = b.regime.tag
-        out += [(p, s, tag, "random", None, float(v))
-                for v in rng.uniform(0.0, 1.0, LADDER_RANDOM)]
         cuts = pz.boundary_lambdas(b)
+        out += [(p, s, tag, "random", None, float(v),
+                 min((abs(v - c) for c in cuts), default=math.inf))
+                for v in rng.uniform(0.0, 1.0, LADDER_RANDOM)]
         for key, lb in {**(b.p2 or {}), **(b.general or {})}.items():
             if lb not in cuts:  # None, or not inside (0, 1)
                 continue
             out += [(p, s, tag, key.removeprefix("lambda_"), sg * k,
-                     lb + sg * 10.0 ** -k)
+                     lb + sg * 10.0 ** -k, 10.0 ** -k)
                     for k in LADDER_RUNGS for sg in (-1, 1)
                     if 0.0 < lb + sg * 10.0 ** -k < 1.0]
     return out
@@ -165,21 +173,22 @@ def _reason(detail):
     return re.split(r" [\[(=]|:", detail or "")[0]
 
 
-def ladder(src):
-    pz = _import(src)
+def ladder():
+    pz = _import(SRC)
     t0 = time.process_time()
     points = _ladder_points(pz)
-    wrong, unresolved, far = [], 0, 0
+    wrong, unresolved, far = [], 0, Counter()
     tally = {name: Counter() for name in ("regime", "boundary", "rung",
                                           "detail")}
     regimes = Counter(pz.regime(p, s).tag for p, s in _families())
-    for p, s, tag, key, rung, lam in points:
+    for p, s, tag, key, rung, lam, dist in points:
         cl = pz.classify(p, s, lam)
         want = pz.interval_phase(p, s, lam)
         if cl.phase == "Unresolved":
             kind = "Unresolved"
             unresolved += 1
-            far += rung is not None and abs(rung) <= 7
+            if dist >= 1e-7:
+                far["random" if rung is None else "rung"] += 1
             tally["detail"][_reason(cl.detail)] += 1
         elif cl.phase != want or cl.on_boundary:
             kind = "wrong"
@@ -194,8 +203,9 @@ def ladder(src):
     print(f"ladder: {len(points)} points over {len(_families())} families ("
           + ", ".join(f"{n} {tag}" for tag, n in sorted(regimes.items()))
           + f") in {time.process_time() - t0:.1f} s CPU")
-    print(f"wrong: {len(wrong)}; Unresolved: {unresolved}, {far} of them "
-          f"at d >= 1e-7 from a boundary")
+    print(f"wrong: {len(wrong)}; Unresolved: {unresolved}, {far.total()} "
+          f"of them at d >= 1e-7 from a boundary ({far['rung']} on "
+          f"rungs, {far['random']} at random lambdas)")
     for name in ("regime", "boundary", "rung"):
         labels = sorted(regimes if name == "regime"
                         else {label for label, _ in tally[name]})
@@ -350,19 +360,17 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="cmd", required=True)
     d = sub.add_parser("dump")
     d.add_argument("out")
-    d.add_argument("--src", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+    d.add_argument("--src", default=SRC)
     c = sub.add_parser("diff")
     c.add_argument("a")
     c.add_argument("b")
-    lad = sub.add_parser("ladder")
-    lad.add_argument("--src", default=d.get_default("src"))
+    sub.add_parser("ladder")
     args = ap.parse_args(argv)
     if args.cmd == "dump":
         dump(args.out, args.src)
         return 0
     if args.cmd == "ladder":
-        return ladder(args.src)
+        return ladder()
     return diff(args.a, args.b)
 
 
