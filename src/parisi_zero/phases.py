@@ -2,11 +2,10 @@
 
 A (p, s) family falls into one of five regimes decided by a sign chain
 on two lambda-quadratics and the slope function Psi. Within a regime the
-phase boundaries in lambda are solved here once (Brent's method on the
-gap between two window roots, then a two-dimensional Newton polish on
-the defining pair of window functions, with the residual certified
-below 1e-7). classify()
-then resolves a single (p, s, lambda): it walks the test chain
+phase boundaries in lambda are solved here once, each in closed form or
+as one Brent root of a number the criteria compute, and those where a
+window pair meets are certified by that pair's residual below 1e-7.
+classify() then resolves a single (p, s, lambda): it walks the test chain
 one-step -> two-step -> two-transition -> one-transition, constructs the
 winning candidate measure, and only returns a phase once the optimality
 verifier passes; anything else comes back as Unresolved with the reason
@@ -18,6 +17,7 @@ flagged, never silent).
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -37,8 +37,6 @@ __all__ = ["Regime", "PhaseBoundaries", "Classification", "regime",
 _ZETA_FLOOR = 1e-11  # zeta vanishes identically at both endpoints; the
 # interior maximum is tested against this, never against strict negativity
 _OWN_EPS = 1e-9
-_BISECT_TOL = 1e-6
-_SEED_TOL = 1e-4
 _SYSTEM_TOL = 1e-7
 # the paper's scenarios: a regime's phases and boundary keys, in lambda order
 _SCENARIOS = {
@@ -122,80 +120,47 @@ def _gap(lo, hi):
     return None if lo is None or hi is None or hi >= 1.0 else hi - lo
 
 
-def _find_flip(window_at, pred, roots, lo, hi, m_lo, m_hi):
-    """A lambda next to where pred turns from False (at lo) to True (at hi).
-
-    Brent's method runs on the signed margin _gap(*roots(lm)) once both
-    ends have one of the right sign (m_lo, m_hi; None where unknown), and
-    stops within _SEED_TOL of the flip: that only has to reach the Newton
-    polish's basin. Until then, or where the margin is undefined inside
-    the bracket, each step halves the bracket on pred. Returns the point
-    and the number of halvings.
-    """
-    def f(t):
-        v = _gap(*roots(window_at(t)))
-        if v is None:
-            raise ValueError("margin undefined inside its bracket")
-        return 0.0 if abs(v) < _SEED_TOL else v  # a zero stops brentq
-
-    steps = 0
-    while hi - lo > _BISECT_TOL:
-        if m_lo is not None and m_hi is not None and m_lo < 0 < m_hi:
-            try:
-                return brentq(f, lo, hi, xtol=_SEED_TOL), steps
-            except ValueError:
-                pass
-        mid = 0.5 * (lo + hi)
-        lm = window_at(mid)
-        if pred(lm):
-            hi, m_hi = mid, _gap(*roots(lm))
-        else:
-            lo, m_lo = mid, _gap(*roots(lm))
-        steps += 1
-    return hi, steps
+def _root(key, f, lo, hi, **kw):
+    # brentq on the defining function of lambda_<key>: a bracket without a
+    # sign change is a failed solve, which classify reports as Unresolved
+    try:
+        return brentq(f, lo, hi, **kw)
+    except ValueError as exc:
+        raise RuntimeError(f"lambda_{key} not bracketed: {exc}") from exc
 
 
-def _newton_pair(p, s, pair_fn, lam0, x0):
-    """Polish a simultaneous zero of a window pair in (x, lambda)."""
-    def fval(x, t):
-        return np.asarray(pair_fn(make_mixture(p, s, t), x), dtype=float)
-
-    x, t = float(x0), float(lam0)
-    for _ in range(25):
-        f0 = fval(x, t)
-        if float(np.abs(f0).sum()) < 5e-14:
-            break
-        hx, ht = 1e-7, 1e-8
-        jx = (fval(x + hx, t) - fval(x - hx, t)) / (2 * hx)
-        jt = (fval(x, t + ht) - fval(x, t - ht)) / (2 * ht)
-        try:
-            d = np.linalg.solve(np.column_stack([jx, jt]), -f0)
-        except np.linalg.LinAlgError:
-            break
-        if not (0.0 < x + d[0] < 1.0 and 0.0 < t + d[1] < 1.0):
-            break
-        x, t = x + d[0], t + d[1]
-    return float(x), float(t), float(np.abs(fval(x, t)).sum())
+def _certify_pair(key, pair_fn, p, s, lam, x, n, diag):
+    # lambda_<key> holds only where both functions of its window pair
+    # vanish at one place x (None: no place was read at lam)
+    res = (math.inf if x is None
+           else float(np.abs(pair_fn(make_mixture(p, s, lam), x)).sum()))
+    if not res <= _SYSTEM_TOL:
+        raise RuntimeError(f"lambda_{key} residual {res:.2e} too large")
+    diag.update({f"x_star_{key}": x, f"residual_{key}": res,
+                 f"evaluations_{key}": n})
+    return lam
 
 
 def _p2_boundaries(s: int, reg: Regime) -> PhaseBoundaries:
     lam_f = s * s * (s - 1) / ((s - 2) * (s * s + s + 6))
+    # lambda_1to1F, where 2 lam z = s (1 - lam) at lam's tilt z: with lam =
+    # s / (s + 2z), xi'(1) = 2s(1 + z) / (s + 2z), so z solves c(z) =
+    # 1 / xi'(1). c's excess over 1 / xi'(1) is z (1/3 - 1/s) + O(z^2)
+    # near 0, so s = 3 has no root; the bracket is lam in [1e-3, 0.999]
+    zs = []  # every z the solve read
 
-    def entry(lam):
-        mm = make_mixture(2, s, lam)
-        return 2 * lam * criteria.solve_z(mm) - s * (1 - lam)
+    def excess(z):
+        zs.append(z)
+        return criteria.c_log(z) - (s + 2 * z) / (2 * s * (1 + z))
 
-    xs = np.linspace(1e-3, 1 - 1e-3, 257)
-    vs = [entry(x) for x in xs]
-    lam_1to1f = None
-    res_entry = None
-    for i in range(len(xs) - 1):
-        if vs[i] < 0.0 < vs[i + 1]:
-            lam_1to1f = brentq(entry, xs[i], xs[i + 1], xtol=1e-13,
-                               fa=vs[i], fb=vs[i + 1])
-            res_entry = abs(entry(lam_1to1f))
-            break
-    diag = {"residual_1to1F": res_entry,
+    lo, hi = (s * (1 - t) / (2 * t) for t in (1 - 1e-3, 1e-3))
+    lam_1to1f = res_entry = None
+    if (f_lo := excess(lo)) > 0.0:
+        z = _root("1to1F", excess, lo, hi, xtol=1e-13, fa=f_lo)
+        lam_1to1f = s / (s + 2 * z)
+        res_entry = abs(2 * lam_1to1f * criteria.solve_z(
+            make_mixture(2, s, lam_1to1f)) - s * (1 - lam_1to1f))
+    diag = {"residual_1to1F": res_entry, "evaluations_1to1F": len(zs),
             "onset_quadratic_at_1Fto1": criteria.s_of(2, s, lam_f)}
     return PhaseBoundaries(reg, p2={"lambda_1to1F": lam_1to1f,
                                     "lambda_1Fto1": lam_f},
@@ -206,12 +171,16 @@ def _p2_boundaries(s: int, reg: Regime) -> PhaseBoundaries:
 def boundaries(p: int, s: int) -> PhaseBoundaries:
     """All phase-boundary lambdas of the family, solved and certified.
 
-    Cached per (p, s): sweeps and repeated classifications reuse the
-    solve. Each system boundary is where two window roots meet (q11 and
-    q21 at lambda_1to2, q12 and q22 at lambda_2to2F); Brent's method on
-    their gap only seeds the Newton polish (see _find_flip), and the
-    polished pair residuals, checked below 1e-7, alone certify them.
-    The diagnostics count the landmark scans and halvings of each.
+    Cached per (p, s). lambda_2to1F (the onset quadratic's first root)
+    and lambda_1Fto1 are closed forms; each other constant is one Brent
+    root: lambda_2to1 of Psi above l1, the lambda-quadratic's first root;
+    lambda_1to2 of zeta's largest interior maximum, the one-step test's
+    number, below l1; lambda_2to2F of the gap q22 - q12 in [l1,
+    lambda_2to1F]; lambda_1to1F of p = 2's tilt equation in z (see
+    _p2_boundaries). The window pairs certify two of them: h11
+    and h21 at zeta's peak, h12 and h22 midway between q12 and q22 must
+    vanish within 1e-7. A failed solve raises RuntimeError. The
+    diagnostics hold each one's place, residual and evaluation count.
     """
     reg = regime(p, s)
     if reg.tag == "Pure" or reg.tag == "AllOneRSB":
@@ -220,51 +189,40 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
         return _ordered(_p2_boundaries(s, reg))
 
     l1, l2 = criteria.lambda_stars(p, s).roots
-    lam_2to1 = brentq(lambda t: criteria.psi(p, s, t), l1, min(l2, 1 - 1e-12),
-                      xtol=1e-13)
+    psi_at = lambda t: criteria.psi(p, s, t)
+    lam_2to1 = _root("2to1", psi_at, l1, min(l2, 1 - 1e-12), xtol=1e-13)
     diag = {"psi_at_2to1": criteria.psi(p, s, lam_2to1),
-            "lambda_1to2_psi_zero": brentq(lambda t: criteria.psi(p, s, t),
-                                           1e-6, l1, xtol=1e-13)}
+            "lambda_1to2_psi_zero": _root("1to2_psi_zero", psi_at, 1e-6, l1,
+                                          xtol=1e-13)}
 
-    memo: dict[float, criteria.Landmarks] = {}  # one landmark scan per lambda
+    peaks = {}  # lambda -> zeta's peak there, (value, place) or None
 
-    def window_at(t):
-        if t not in memo:
-            memo[t] = criteria.landmarks(make_mixture(p, s, t))
-        return memo[t]
+    def peak(t):
+        m = make_mixture(p, s, t)
+        peaks[t] = pk = _zeta_peak(m, criteria.solve_z(m))
+        return -1.0 if pk is None else pk[0]
 
-    anchor = l1 if _two_step_window(window_at(l1)) else next(
-        (t for t in np.linspace(0.02, lam_2to1 - 1e-3, 49)
-         if _two_step_window(window_at(t))), None)
-    if anchor is None:
-        raise RuntimeError(f"no two-step window found for ({p}, {s})")
-
-    def solve(key, pred, roots, pair_fn, lo, hi, n0):
-        # the flip of pred in [lo, hi], one end of which is the anchor,
-        # polished on pair_fn from the midpoint of the two window roots
-        m = _gap(*roots(memo[anchor]))
-        t, steps = _find_flip(window_at, pred, roots, lo, hi,
-                              m if lo == anchor else None,
-                              m if hi == anchor else None)
-        x, lam, res = _newton_pair(p, s, pair_fn, t,
-                                   0.5 * sum(roots(window_at(t))))
-        if res > _SYSTEM_TOL:
-            raise RuntimeError(f"lambda_{key} residual {res:.2e} too large")
-        diag.update({f"x_star_{key}": x, f"residual_{key}": res,
-                     f"landmarks_{key}": len(memo) - n0,
-                     f"halvings_{key}": steps})
-        return lam
-
-    lam_1to2 = solve("1to2", _two_step_window, lambda lm: (lm.q11, lm.q21),
-                     criteria.eval_h1, 1e-3, anchor, 0)
-    general = {"lambda_1to2": lam_1to2, "lambda_2to1": lam_2to1}
+    lam = _root("1to2", peak, 1e-3, l1, xtol=1e-13)
+    x = None if peaks[lam] is None else peaks[lam][1]
+    general = {"lambda_1to2": _certify_pair("1to2", criteria.eval_h1, p, s,
+                                            lam, x, len(peaks), diag),
+               "lambda_2to1": lam_2to1}
     if reg.tag == "FourPhase":
         lam_2to1f = criteria.s_roots(p, s).roots[0]
-        lam_2to2f = solve("2to2F", _full_window, lambda lm: (lm.q12, lm.q22),
-                          criteria.eval_h2, anchor, lam_2to1f - 1e-6,
-                          len(memo))
+        window = {}  # lambda -> landmarks there
+
+        def gap(t):
+            window[t] = lm = criteria.landmarks(make_mixture(p, s, t))
+            g = _gap(lm.q12, lm.q22)
+            return 1.0 if g is None else g  # q22 at 1 (or absent): past it
+
+        lam = _root("2to2F", gap, l1, lam_2to1f, xtol=1e-13)
+        lm = window[lam]
+        x = None if None in (lm.q12, lm.q22) else 0.5 * (lm.q12 + lm.q22)
         diag["onset_quadratic_at_2to1F"] = criteria.s_of(p, s, lam_2to1f)
-        general.update(lambda_2to2F=lam_2to2f, lambda_2to1F=lam_2to1f)
+        general.update(lambda_2to2F=_certify_pair(
+            "2to2F", criteria.eval_h2, p, s, lam, x, len(window), diag),
+            lambda_2to1F=lam_2to1f)
     return _ordered(PhaseBoundaries(reg, general=general, diagnostics=diag))
 
 
@@ -303,8 +261,8 @@ def interval_phase(p: int, s: int, lam: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_max(m: Mixture, z: float) -> float:
-    """zeta's maximum on [0, 1], 0 at least (zeta(0) = zeta(1) = 0).
+def _zeta_peak(m: Mixture, z: float):
+    """zeta's largest interior maximum as (value, place), None if none.
 
     Only K's + to - roots, zeta's interior maxima, are refined: zeta' =
     xi''(x) (1 - x) K(x) / (xi'(1) + z xi'(x)), K = xi'(1) + z xi' - D1."""
@@ -312,7 +270,14 @@ def _zeta_max(m: Mixture, z: float) -> float:
     roots = criteria._sign_roots(
         lambda x: a + z * xi_deriv(m, x, 1) - criteria._d1(m, x),
         0.0, 1.0, n=1025, falling=True)
-    return max([0.0] + [float(criteria._zeta_at(m, r, z, a)) for r in roots])
+    return max(((float(criteria._zeta_at(m, r, z, a)), r) for r in roots),
+               default=None)
+
+
+def _zeta_max(m: Mixture, z: float) -> float:
+    """zeta's maximum on [0, 1], 0 at least (zeta(0) = zeta(1) = 0)."""
+    peak = _zeta_peak(m, z)
+    return 0.0 if peak is None else max(0.0, peak[0])
 
 
 def _solve_two_step(m: Mixture, lm: criteria.Landmarks):

@@ -113,8 +113,9 @@ def test_boundaries_json_says_how_each_system_boundary_was_solved(capsys):
     assert rc == 0
     diag = json.loads(out)["diagnostics"]
     for key in ("1to2", "2to2F"):
-        assert diag["landmarks_" + key] > 0
-        assert 0 <= diag["halvings_" + key] <= diag["landmarks_" + key]
+        assert diag["evaluations_" + key] > 0
+        assert 0 < diag["x_star_" + key] < 1
+        assert diag["residual_" + key] <= 1e-7
     # the CSV form carries the constants and residuals only
     rc, out, _ = run(capsys, "boundaries", "--p", "4", "--s", "38",
                      "--format", "csv")

@@ -202,6 +202,18 @@ def test_verifier_rejects_one_step_in_a_two_step_phase():
     assert rep.min_g < -1e-7
 
 
+# the middle of each phase band of three families, from the boundary
+# constants the pinned reports below were recorded with; held as literals,
+# so a last-bit move of a solved constant leaves those inputs in place
+_BAND_MIDPOINTS = {
+    (4, 38): (0.30468225824271694, 0.7955245744550353, 0.9844164192320981,
+              0.988563923540578, 0.9949898205207983),
+    (3, 20): (0.2823055532691572, 0.7584364883461386, 0.965362519740145,
+              0.983398645781318, 0.9941670611181544),
+    (2, 8): (0.13458590634472692, 0.6132183849772056, 0.9786324786324787),
+}
+
+
 def _refinement_cases():
     """(name, mixture, measure): the measures classification certifies at
     a few points, a TwoFRSB construction, and the wrong one-step measure
@@ -212,9 +224,11 @@ def _refinement_cases():
     for p, s, lam in ((4, 38, 0.95), (2, 8, 0.5), (3, 20, 0.9)):
         cases.append((f"certified {p, s, lam}", make_mixture(p, s, lam),
                       classify(p, s, lam).measure))
-    for p, s in ((4, 38), (3, 20), (2, 8)):
+    for (p, s), mids in _BAND_MIDPOINTS.items():
         edges = [0.0, *boundary_lambdas(boundaries(p, s)), 1.0]
-        for lam in (0.5 * (a + b) for a, b in zip(edges, edges[1:])):
+        assert mids == pytest.approx(
+            [0.5 * (a + b) for a, b in zip(edges, edges[1:])], abs=1e-9)
+        for lam in mids:
             phase = classify(p, s, lam).phase
             if phase != "OneRSB":
                 m = make_mixture(p, s, lam)
@@ -455,7 +469,8 @@ def test_off_calibration_full_segments_match_generic_quadrature(p, s, which,
 # Q(nu) of a classified measure of each phase, and of the off-calibration
 # measures above (the atom scaled), recorded when the energy had a segment
 # walk of its own (numpy 2.4, x86-64 with AVX-512, as _PINNED_REPORTS); the
-# TwoFRSB rows, at a band midpoint, re-recorded with the q22 entries there
+# TwoFRSB rows, at (4, 38)'s band midpoint in _BAND_MIDPOINTS, re-recorded
+# with the q22 entries there
 _PINNED_ENERGIES = {
     (2, 2, 1.0, 1.0): 1.414213562373095,
     (4, 38, 0.5, 1.0): 2.354034396459024,
@@ -463,8 +478,8 @@ _PINNED_ENERGIES = {
     (4, 38, 0.985, 1.0): 1.8456654254983598,
     (4, 38, 0.988, 1.0): 1.836077245378361,
     (2, 8, 0.99, 1.0): 1.434561758617329,
-    (4, 38, "TwoFRSB", 1 + 1e-6): 1.8474879413642138,
-    (4, 38, "TwoFRSB", 1.01): 1.8475088630991334,
+    (4, 38, 0.9844164192320981, 1 + 1e-6): 1.8474879413642138,
+    (4, 38, 0.9844164192320981, 1.01): 1.8475088630991334,
     (2, 8, 0.9, 1 + 1e-6): 1.5727095702517389,
     (2, 8, 0.9, 1.01): 1.5727397788562705,
 }
@@ -476,9 +491,6 @@ def test_the_report_carries_the_energy():
     # not the measure passes, and the v1 record does not carry it
     phases = set()
     for (p, s, lam, scale), want in _PINNED_ENERGIES.items():
-        if lam == "TwoFRSB":
-            g = boundaries(p, s).general
-            lam = 0.5 * (g["lambda_2to2F"] + g["lambda_2to1F"])
         cl = classify(p, s, lam)
         m = make_mixture(p, s, lam)
         nu = ParisiMeasure(cl.measure.segments, cl.measure.atom * scale)

@@ -1,11 +1,13 @@
 """Regimes, boundary constants, and the classifier's phase map."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from parisi_zero import criteria, phases
+from parisi_zero.cli import main
 from parisi_zero import (
     Regime,
     boundaries,
@@ -125,13 +127,12 @@ def _cold_solve_counted(monkeypatch, p, s):
 
 
 def test_cold_four_phase_solve_stays_within_its_landmark_budget(monkeypatch):
-    # Brent's method on the window-root gaps stops once the Newton polish
-    # has a basin to start from; the diagnostics count every scan
+    # only lambda_2to2F's Brent root scans landmarks, once an evaluation
     b, calls = _cold_solve_counted(monkeypatch, 4, 38)
     d, g = b.diagnostics, b.general
-    assert 0 < len(calls) <= 15
+    assert 0 < len(calls) <= 12
     assert len(set(calls)) == len(calls)
-    assert d["landmarks_1to2"] + d["landmarks_2to2F"] == len(calls)
+    assert d["evaluations_2to2F"] == len(calls)
     assert g["lambda_1to2"] == pytest.approx(0.6093645164854334, abs=1e-9)
     assert g["lambda_2to2F"] == pytest.approx(0.9816846324246461, abs=1e-9)
     assert g["lambda_2to1F"] == pytest.approx(0.9871482060395593, abs=1e-9)
@@ -139,10 +140,11 @@ def test_cold_four_phase_solve_stays_within_its_landmark_budget(monkeypatch):
 
 
 def test_cold_two_phase_solve_stays_within_its_landmark_budget(monkeypatch):
+    # lambda_1to2 is read off zeta's peak: no landmark scan at all
     b, calls = _cold_solve_counted(monkeypatch, 4, 28)
-    assert 0 < len(calls) <= 7
-    assert b.diagnostics["landmarks_1to2"] == len(calls)
-    assert "landmarks_2to2F" not in b.diagnostics
+    assert calls == []
+    assert 0 < b.diagnostics["evaluations_1to2"] <= 20
+    assert "evaluations_2to2F" not in b.diagnostics
     assert b.general["lambda_1to2"] == pytest.approx(0.731102927909631,
                                                      abs=1e-10)
 
@@ -192,11 +194,11 @@ def test_solved_constants_stay_on_their_roots(family):
 
 @pytest.mark.parametrize("gaps", ["all", "none", "holes"])
 def test_bracket_halvings_land_on_the_same_roots(monkeypatch, gaps):
-    # (5, 57): lambda_2to2F sits 2.5e-4 below lambda_2to1F, and q22 is
-    # absent at the top of its bracket, so the bracket is halved on the
-    # window predicate until both ends carry a gap. With no gap anywhere,
-    # halving alone has to seed the Newton polish; with a gap missing at
-    # every third look, Brent's method breaks off and halving resumes
+    # (5, 57): lambda_2to2F sits 2.5e-4 below lambda_2to1F, the top of
+    # its bracket, where q22 runs to 1 and the gap reads +1. With the gap
+    # withheld everywhere, or at every third look, Brent's method has no
+    # bracket or closes on a false jump; either way the solve must fail,
+    # never hand back an uncertified lambda
     real, looks = phases._gap, []
 
     def gap(lo, hi):
@@ -207,17 +209,15 @@ def test_bracket_halvings_land_on_the_same_roots(monkeypatch, gaps):
     monkeypatch.setattr(phases, "_gap", gap)
     boundaries.cache_clear()
     try:
+        if gaps != "all":
+            with pytest.raises(RuntimeError, match="^lambda_2to2F "):
+                boundaries(5, 57)
+            return
         b = boundaries(5, 57)
     finally:
         boundaries.cache_clear()
-    d = b.diagnostics
-    lm_top = criteria.landmarks(make_mixture(
-        5, 57, b.general["lambda_2to1F"] - 1e-6))
-    assert lm_top.q22 is None
-    assert d["halvings_2to2F"] >= 5
-    if gaps == "none":  # every scan but the anchor's was a halving
-        assert d["landmarks_1to2"] == d["halvings_1to2"] + 1
-        assert d["landmarks_2to2F"] == d["halvings_2to2F"]
+    lm_top = criteria.landmarks(make_mixture(5, 57, b.general["lambda_2to1F"]))
+    assert lm_top.q22 == 1.0 and real(lm_top.q12, lm_top.q22) is None
     assert _constants(b) == pytest.approx(_FROZEN[5, 57], abs=1e-11)
 
 
@@ -247,6 +247,16 @@ def test_boundaries_hold_their_defining_equations_across_families():
         "TwoPhase", "FourPhase"}
 
 
+def test_zeta_peak_crosses_its_floor_at_lambda_1to2():
+    # the one-step test passes 1e-7 below lambda_1to2 and fails 1e-7 above
+    for p, s in SOLVED_FAMILIES:
+        lb = boundaries(p, s).general["lambda_1to2"]
+        for d in (-1e-7, 1e-7):
+            m = make_mixture(p, s, lb + d)
+            zmax = phases._zeta_max(m, solve_z(m))
+            assert (zmax > phases._ZETA_FLOOR) == (d > 0), (p, s, d, zmax)
+
+
 def test_boundary_orderings():
     g = boundaries(4, 38).general
     assert 0 < g["lambda_1to2"] < g["lambda_2to2F"] < g["lambda_2to1F"] \
@@ -265,6 +275,27 @@ def test_p2_monotone_entry():
         for lam in np.linspace(lo + 1e-3, 0.999, 25):
             z = solve_z(make_mixture(2, s, lam))
             assert 2 * lam * z - s * (1 - lam) > 0
+
+
+def _tilt_40_digits(s, lam):
+    # z > 0 with c(z) = 1 / xi'(1) at 40 digits, xi'(1) = 2 lam + (1 - lam) s
+    y = 1 / (2 * lam + (1 - lam) * s)
+    c = lambda z: (1 + z) * mpmath.log1p(z) / z ** 2 - 1 / z - y
+    return mpmath.findroot(c, (mpmath.mpf("1e-6"), mpmath.mpf(10) ** 8),
+                           solver="anderson")
+
+
+def test_p2_entry_matches_a_40_digit_solve():
+    # lambda_1to1F against its definition 2 lam z(lam) = s (1 - lam),
+    # solved in lambda with the tilt z(lam) found anew at 40 digits
+    with mpmath.workdps(40):
+        for s in (4, 8, 30, 200):
+            want = mpmath.findroot(
+                lambda t: 2 * t * _tilt_40_digits(s, t) - s * (1 - t),
+                (mpmath.mpf("0.01"), mpmath.mpf("0.99")), solver="anderson")
+            got = boundaries(2, s).p2["lambda_1to1F"]
+            assert abs(got - want) <= 1e-14, (s, got, want)
+    assert boundaries(2, 3).p2["lambda_1to1F"] is None
 
 
 # plateau points q_P at lambda_1Fto1 - d, the first root of h22 found by a
@@ -642,10 +673,26 @@ def test_zeta_max_equals_the_all_roots_reference():
 
 def test_boundary_solve_failure_comes_back_unresolved(monkeypatch):
     def failing(p, s):
-        raise RuntimeError(f"no two-step window found for ({p}, {s})")
+        raise RuntimeError("lambda_2to2F residual 1.39e-01 too large")
 
     monkeypatch.setattr(phases, "boundaries", failing)
     c = classify(4, 38, 0.8)
     assert c.phase == "Unresolved"
-    assert c.detail == "no two-step window found for (4, 38)"
+    assert c.detail == "lambda_2to2F residual 1.39e-01 too large"
     assert c.measure is None and c.energy is None
+
+
+def test_unbracketed_boundary_comes_back_unresolved(monkeypatch, capsys):
+    # a zeta peak that never crosses 0 leaves lambda_1to2 without a
+    # bracket: classify says so, and the CLI exits 1 without a traceback
+    monkeypatch.setattr(phases, "_zeta_peak", lambda m, z: (1.0, 0.5))
+    boundaries.cache_clear()
+    try:
+        c = classify(4, 28, 0.8)
+        assert c.phase == "Unresolved" and c.measure is None
+        assert c.detail == ("lambda_1to2 not bracketed: f(a) and f(b) must "
+                            "have different signs")
+        assert main(["boundaries", "--p", "4", "--s", "28"]) == 1
+        assert "lambda_1to2 not bracketed" in capsys.readouterr().err
+    finally:
+        boundaries.cache_clear()

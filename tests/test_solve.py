@@ -42,8 +42,9 @@ def _record(monkeypatch, module, name):
 
 
 def test_package_root_solves_match_scipy(monkeypatch):
-    # the psi roots and both boundary polishes' seeds (phases), the tilt
-    # inversion and every landmark root (criteria), the two-step phi
+    # every boundary root: psi's, zeta's peak, the window gap and the
+    # p = 2 z (phases); the tilt inversion and every landmark root
+    # (criteria), the two-step phi
     crit = _record(monkeypatch, criteria, "brentq")
     phs = _record(monkeypatch, phases, "brentq")
     boundaries.__wrapped__(4, 38)
@@ -56,10 +57,10 @@ def test_package_root_solves_match_scipy(monkeypatch):
         else:
             phases._classify_general(m, 1e-7)
     assert len(phs) >= 4 and len(crit) >= 50
-    # the two-step phi and the p = 2 entry are among the recorded solves
+    # the two-step phi and the p = 2 root in z are among the recorded solves
     assert any(kw.get("xtol") == 1e-14 and f.__name__ == "phi"
                for f, _, _, kw in phs)
-    assert any(f.__name__ == "entry" for f, _, _, _ in phs)
+    assert any(f.__name__ == "excess" for f, _, _, _ in phs)
     monkeypatch.undo()
     for f, a, b, kw in crit + phs:
         # end values a caller passes are f at the ends, bit for bit; scipy
