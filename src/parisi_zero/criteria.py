@@ -75,7 +75,7 @@ class QuadraticRoots:
     ``roots`` is an ordered pair present only when the discriminant is
     strictly positive (tangencies count as no roots). ``shortcut`` is a
     compact printed form of the discriminant kept for diagnostics; the
-    sign decision always uses b*b - 4*a*c itself.
+    sign decision uses b*b - 4*a*c in floats, which large s can cancel.
     """
 
     a: float
@@ -305,7 +305,7 @@ def lambda_stars(p: int, s: int) -> QuadraticRoots:
     """The lambda-quadratic whose roots bracket the Psi sign change.
 
     The compact discriminant s^2 - 6(p-1)s + (p-1)(p+7) is attached as a
-    diagnostic; the root decision uses the exact b^2 - 4ac.
+    diagnostic; the root decision uses b^2 - 4ac, taken in floats.
     """
     a, b, c = _q_coeffs(p, s)
     shortcut = float(s * s - 6 * (p - 1) * s + (p - 1) * (p + 7))

@@ -172,8 +172,6 @@ class _Tables:
         base = self.J[i] + self.I[i] * w
         if seg.kind == "const":
             T = self.T[i]
-            if seg.value == 0.0:
-                return base + w * w / (2 * T * T)
             return base + (w * w / (T * T)) * _phi(seg.value * w / T)
         if abs(self.C[i]) < _CALIB_EPS:
             xi_lo, d1_lo = self.at_lo[i]

@@ -5,11 +5,12 @@ on two lambda-quadratics and the slope function Psi. Within a regime the
 phase boundaries in lambda are solved here once, each in closed form or
 as one Brent root of a number the criteria compute, and those where a
 window pair meets are certified by that pair's residual below 1e-7.
-classify() then resolves a single (p, s, lambda): it walks the test chain
-one-step -> two-step -> two-transition -> one-transition, constructs the
-winning candidate measure, and only returns a phase once the optimality
-verifier passes; anything else comes back as Unresolved with the reason
-attached.
+classify() then resolves a single (p, s, lambda): every pure model but
+RS at exponent 2, and every mixture with p >= 3, walks one test chain,
+one-step -> two-step -> two-transition -> one-transition (p = 2 mixtures
+take their tilt and plateau tests), builds the winning candidate
+measure, and returns a phase only once the optimality verifier passes;
+anything else comes back as Unresolved with the reason attached.
 
 Boundary ownership: inputs within 1e-9 of a solved boundary are shifted
 to the low-lambda side (boundaries are measure zero; the shift is
@@ -107,11 +108,6 @@ def regime(p: int, s: int) -> Regime:
 def _two_step_window(lm: criteria.Landmarks) -> bool:
     return (None not in (lm.q11, lm.q21, lm.q12, lm.q22)
             and lm.q21 > lm.q11 and lm.q22 < lm.q12)
-
-
-def _full_window(lm: criteria.Landmarks) -> bool:
-    return (lm.q12 is not None and lm.q22 is not None
-            and lm.q12 < lm.q22 < 1.0)
 
 
 def _gap(lo, hi):
@@ -315,17 +311,6 @@ def _certify(m, nu, phase, params, tol):
     return Classification(phase, params, nu, rep.energy, rep)
 
 
-def _classify_pure(m: Mixture, tol: float) -> Classification:
-    if m.exponent == 2:
-        return _certify(m, build_rs(m), "RS", {}, tol)
-    z = criteria.solve_z(m)
-    cl = _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
-    zmax = _zeta_max(m, z)
-    if cl.phase == "OneRSB" and zmax > _ZETA_FLOOR:
-        return replace(cl, detail=f"one-step certificate reads {zmax:.2e}")
-    return cl
-
-
 def _plateau_point(m: Mixture):
     # first root of h22 in (0, 1), certified against h22's rounding
     # floor; else None
@@ -378,16 +363,14 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
         q, z1, z2 = _solve_two_step(m, lm)
         return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",
                         {"q": q, "z1": z1, "z2": z2}, tol)
-    # with t < 0 at q12, h22's last root q22 decides: inside (q12, 1) the
-    # full density ends there, else it runs to 1 (None: h22 not scanned)
-    if (lm.q12 is not None and lm.q22 is not None
-            and criteria.eval_aux(m, lm.q12)[0] < 0):
-        if not _full_window(lm):
-            return _certify(m, build_mixed(m, lm.q12, 1.0), "OneFRSB",
-                            {"q1": lm.q12, "variant": "density-above"}, tol)
-        if criteria.eval_aux(m, lm.q22)[0] < 0:
+    # landmarks reads q12 and q22 only where t < 0; q22 inside (q12, 1)
+    # ends the full density, else it runs to 1 (None: h22 not scanned)
+    if lm.q12 is not None and lm.q22 is not None:
+        if lm.q12 < lm.q22 < 1.0:
             return _certify(m, build_mixed(m, lm.q12, lm.q22), "TwoFRSB",
                             {"q1": lm.q12, "q2": lm.q22}, tol)
+        return _certify(m, build_mixed(m, lm.q12, 1.0), "OneFRSB",
+                        {"q1": lm.q12, "variant": "density-above"}, tol)
     raise ValueError(
         f"no construction applies (one-step certificate {zmax:.2e}, "
         f"K(1) {_k1(m, z)[0]:.2e}, landmarks {lm})")
@@ -396,29 +379,30 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
 def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
     """Resolve the phase at a single (p, s, lambda), verifier-gated.
 
-    The returned phase is always backed by a constructed measure that
-    passed the optimality report at the given tolerance; when no
-    construction certifies (expected only within ~1e-8 of a boundary)
-    the phase is "Unresolved" and `detail` carries the diagnostic.
+    A pure model at exponent 2 is RS; every other pure model takes the
+    one test chain of the mixtures with p >= 3. The returned phase is
+    always backed by a constructed measure that passed the optimality
+    report at the given tolerance; when no construction certifies
+    (expected only within ~1e-8 of a boundary) the phase is "Unresolved"
+    and `detail` carries the diagnostic.
     """
     m = make_mixture(p, s, lam)
-    if m.is_pure:
-        return _classify_pure(m, tol)
-    low_s = p == 2 and s == 3
+    if m.is_pure and m.exponent == 2:
+        return _certify(m, build_rs(m), "RS", {}, tol)
+    b, near, low_s = None, False, not m.is_pure and (p, s) == (2, 3)
+    if not m.is_pure:
+        try:
+            b = boundaries(p, s)
+        except RuntimeError as exc:
+            return Classification("Unresolved", {}, None, None, None,
+                                  low_s_unproven=low_s, detail=str(exc))
+        for lb in boundary_lambdas(b):
+            if abs(lam - lb) <= _OWN_EPS:
+                m, near = make_mixture(p, s, lb - 1e-10), True
+                break
     try:
-        b = boundaries(p, s)
-    except RuntimeError as exc:
-        return Classification("Unresolved", {}, None, None, None,
-                              low_s_unproven=low_s, detail=str(exc))
-    lam_eff, near = lam, False
-    for lb in boundary_lambdas(b):
-        if abs(lam - lb) <= _OWN_EPS:
-            lam_eff, near = lb - 1e-10, True
-            break
-    m_eff = make_mixture(p, s, lam_eff) if near else m
-    try:
-        cl = (_classify_p2(m_eff, b, tol) if p == 2
-              else _classify_general(m_eff, tol))
+        cl = (_classify_p2(m, b, tol) if p == 2 and b is not None
+              else _classify_general(m, tol))
     except ValueError as exc:
         return Classification("Unresolved", {}, None, None, None,
                               on_boundary=near, low_s_unproven=low_s,

@@ -410,6 +410,24 @@ def test_g_of_takes_any_order_and_shape(monkeypatch):
         reached.clear()
 
 
+def test_j_on_a_zero_density_segment_is_the_plain_quadratic():
+    # phi(0) is exactly 1/2, so a zero plateau adds w^2 / (2 T^2) to J's
+    # linear part bit for bit, for a float and for an array
+    import parisi_zero.energy as energy_mod
+
+    m = make_mixture(4, 38, 0.8)
+    for nu in (build_rs(m), ParisiMeasure(
+            (Segment(0.0, 0.4, "const", 0.0), Segment(0.4, 1.0, "const", 2.0)),
+            0.3)):
+        tab = energy_mod._Tables(m, nu)
+        hi, T = nu.segments[0].hi, tab.T[0]
+        xs = np.linspace(0.0, hi, 33)
+        want = tab.J[0] + tab.I[0] * xs + xs * xs / (2 * T * T)
+        assert (tab._J_in(0, xs, xi_deriv(m, xs)) == want).all()
+        for x in (0.0, float(xs[7]), hi):
+            got = tab._J_in(0, x, xi_deriv(m, x))
+            assert got == tab.J[0] + tab.I[0] * x + x * x / (2 * T * T), x
+
 def _reference_by_quad(m, nu, us):
     """Normalization, g(us) and the energy from generic quadrature of the tail.
 

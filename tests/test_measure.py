@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from parisi_zero import criteria
 from parisi_zero import (
     ParisiMeasure,
     Segment,
@@ -233,6 +235,60 @@ def test_constructor_rejections():
         build_mixed(m, 0.6, 0.4)  # q1 must lie below q2
     with pytest.raises(ValueError):
         build_mixed(make_mixture(4, 38, 0.9845), 0.3, 0.9)  # not the solved roots
+
+
+def test_constructors_name_each_refusal():
+    # every refusal the phase chain can meet, each with its own message
+    m = make_mixture(4, 38, 0.5)
+    with pytest.raises(ValueError, match="^z does not solve the tilt "):
+        build_1rsb(m, 0.5)
+
+    def two_step_at(q):
+        # (q, z1, z2) with f2 zeroed by z2 and f1 by the choice of q
+        k = criteria._kernel(m, q)
+        z2 = criteria._c_inv(k[3] / k[2])
+        return z2, k, q * k[2] / k[1] - 1.0 - z2
+
+    def stationary(q):
+        z2, k, _ = two_step_at(q)
+        return criteria._f1(q, z2, k)
+
+    # a stationary point of the two-level system below the two-step window
+    q = brentq(stationary, 0.228, 0.23, xtol=1e-15)
+    z2, _, z1 = two_step_at(q)
+    with pytest.raises(ValueError, match="^tilt z2 falls outside the "
+                                         "admissible window at q$"):
+        build_2rsb(m, q, z1, z2)
+    # the solved two-step point with z1 replaced
+    c = classify(4, 38, 0.8)
+    m8, (q, z2) = make_mixture(4, 38, 0.8), (c.params["q"], c.params["z2"])
+    with pytest.raises(ValueError, match="^two-step construction needs "
+                                         r"z1 > 0, got 0\.0$"):
+        build_2rsb(m8, q, 0.0, z2)
+    with pytest.raises(ValueError, match="^two-step densities must increase"):
+        build_2rsb(m8, q, 1e4, z2)
+
+    # a root of h12 past the window's closing: a lower plateau is refused
+    h12 = lambda x: criteria._window(m, x, first=False, one=True)
+    q1 = brentq(h12, 0.958, 0.96, xtol=1e-15)
+    with pytest.raises(ValueError, match="^window closed at q1; no mixed "):
+        build_mixed(m, q1, 1.0)
+    # the solved lower plateau with an upper end that is no root of h22
+    lam = _mid(boundaries(4, 38), "lambda_2to2F", "lambda_2to1F")
+    c = classify(4, 38, lam)
+    assert c.phase == "TwoFRSB"
+    with pytest.raises(ValueError, match="^q2 does not solve its defining "
+                                         "equation: "):
+        build_mixed(make_mixture(4, 38, lam), c.params["q1"], 0.99)
+
+    # a plateau above the full density's start leaves the cone
+    bad = ParisiMeasure((Segment(0.0, 0.5, "const", 100.0),
+                         Segment(0.5, 1.0, "full")), 0.1)
+    from parisi_zero.measure import _structure_check
+
+    with pytest.raises(ValueError, match="^density must be nondecreasing "
+                                         "into a full segment$"):
+        _structure_check(bad, m)
 
 
 def test_cross_phase_limit_at_the_2frsb_onset():

@@ -93,6 +93,9 @@ def test_domain_errors():
         xi_deriv(m, 0.5, 5)
     with pytest.raises(ValueError):
         xi_deriv(m, -0.01)
+    # the array path refuses a negative entry anywhere in the array
+    with pytest.raises(ValueError, match="^x must be >= 0$"):
+        xi_deriv(m, np.array([0.5, -1e-300, 0.9]), 2)
 
 
 def _zeros_start(m, x, order):

@@ -352,6 +352,20 @@ def test_plateau_point_rejects_an_edge_root_in_rounding_noise():
     assert phases._plateau_point(m) is None
 
 
+def test_edge_ladder_skips_the_rungs_at_or_below_its_start():
+    # started past 1 - 1e-4, the ladder reads none of its first three
+    # rungs and brackets the root between its start and 1 - 1e-5
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - (1 - 3e-6)
+
+    assert criteria._edge_root(f, 0.99995) == pytest.approx(1 - 3e-6,
+                                                            abs=1e-14)
+    assert seen[:2] == [0.99995, 1 - 1e-5]
+
+
 def test_landmarks_turn_down_an_uncertified_edge_root():
     # 1e-7 below lambda_2to1F in (4, 38) the edge ladder brackets h22 at
     # 0.9999999874, but h22 1e-6 either side of it reads 1.8e-27 and
@@ -396,7 +410,7 @@ def test_one_frsb_decision_matches_the_old_rescan(family):
             continue
         if lm.q12 is None or not criteria.eval_aux(m, lm.q12)[0] < 0:
             continue
-        two = (phases._full_window(lm)
+        two = (lm.q22 is not None and lm.q12 < lm.q22 < 1.0
                and criteria.eval_aux(m, lm.q22)[0] < 0)
         old = not two and _old_one_frsb_rescan(m, lm)
         new = lm.q22 is not None and not lm.q12 < lm.q22 < 1.0
@@ -409,6 +423,39 @@ def test_one_frsb_decision_matches_the_old_rescan(family):
             new and "full density is not increasing" in (cl.detail or "")), cl
         decided.add(new)
     assert decided == {True, False}
+
+
+def test_landmarks_read_full_window_roots_only_where_t_is_negative():
+    # classify builds the full phases from q12 and q22 without testing t
+    # there: landmarks reads both only inside its tau window, where t < 0
+    read = set()
+    for family in [*SOLVED_FAMILIES, (4, 38), (3, 20), (5, 57)]:
+        cuts = [0.0, *phases.boundary_lambdas(boundaries(*family)), 1.0]
+        for lo, hi in zip(cuts, cuts[1:]):
+            for lam in np.linspace(lo, hi, 9)[1:-1]:
+                m = make_mixture(*family, float(lam))
+                lm = criteria.landmarks(m)
+                for name in ("q12", "q22"):
+                    q = getattr(lm, name)
+                    if q is not None and q < 1.0:
+                        read.add(name)
+                        assert criteria.eval_aux(m, q)[0] < 0, (
+                            family, lam, name, q)
+    assert read == {"q12", "q22"}
+
+
+def test_pure_models_pass_the_one_step_test():
+    # pure models take the mixtures' chain, which must stop at one step
+    for p in range(3, 61):
+        m = make_mixture(p, p, 1.0)
+        z = solve_z(m)
+        assert phases._one_step(m, z, phases._zeta_max(m, z)), p
+    for p in (3, 7, 60):
+        cl = classify(p, p, 1.0)
+        assert (cl.phase, cl.detail, cl.on_boundary) == ("OneRSB", None, False)
+    # the low-s flag is the (2, 3) mixtures', not its pure ends'
+    assert [classify(2, 3, lam).low_s_unproven for lam in (0.0, 0.5, 1.0)] == [
+        False, True, False]
 
 
 @pytest.mark.parametrize("lam, phase", [
@@ -441,6 +488,13 @@ def test_two_step_detail_names_the_sign_change_it_missed():
     assert c.phase == "Unresolved" and c.on_boundary
     assert c.detail.startswith(
         "two-step stationarity function has no sign change on ["), c.detail
+
+
+def test_two_step_refuses_an_empty_bracket():
+    # the two-step root lies above q11 and q22 and below q21 and q12
+    lm = criteria.Landmarks(q11=0.5, q21=0.6, q12=0.4, q22=0.3)
+    with pytest.raises(ValueError, match="^two-step bracket is empty$"):
+        phases._solve_two_step(make_mixture(4, 38, 0.95), lm)
 
 
 def test_phase_map_matches_interval_prediction():

@@ -62,6 +62,14 @@ def test_c_log_scalar_path_matches_array_path():
         criteria.c_log(-1.0)
 
 
+def test_c_log_of_a_0d_array_matches_the_float_path():
+    # a 0-d array takes neither the float nor the element-wise path: on
+    # both sides of the 0.1 seam it must return the float path's bits
+    for z in (0.05, -0.0999, 0.1 - 1e-12, 0.1, -0.1, 0.1 + 1e-12, 2.5):
+        got = criteria.c_log(np.array(z))
+        assert type(got) is float and got == criteria.c_log(z), z
+
+
 def test_phi_scalar_path_matches_array_path():
     rng = np.random.default_rng(14)
     seam = [sg * (1e-4 + d) for sg in (1, -1) for d in (-1e-12, 0.0, 1e-12)]
