@@ -194,17 +194,13 @@ def c_log(z):
             return _c_series(float(z))
         return float((1 + z) * np.log1p(z) / (z * z) - 1 / z)
     z = np.asarray(z, dtype=float)
-    if np.any(z <= -1):
+    if not np.all(z > -1):
         raise ValueError("c_log requires z > -1")
-    if z.ndim == 0 and abs(float(z)) < 0.1:
-        return _c_series(float(z))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1 + z) * np.log1p(z) / (z * z) - 1 / z
-    if z.ndim == 0:
-        return float(out)
+        out = np.asarray((1 + z) * np.log1p(z) / (z * z) - 1 / z)
     small = np.abs(z) < 0.1
     out[small] = _c_series(z[small])
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def _c_prime(z: float) -> float:
@@ -337,8 +333,8 @@ def s_roots(p: int, s: int) -> QuadraticRoots:
 
 def _check_q(q):
     # f12's domain check on q, made before anything divides by q or xi'(q)
-    if ((q <= 0.0 or q >= 1.0) if isinstance(q, float) else
-            np.any(np.asarray(q) <= 0.0) or np.any(np.asarray(q) >= 1.0)):
+    if not (0.0 < q < 1.0 if isinstance(q, float) else
+            np.all(np.asarray(q) > 0.0) and np.all(np.asarray(q) < 1.0)):
         raise ValueError(f"q must lie in (0, 1), got {q}")
 
 
@@ -364,7 +360,7 @@ def _kernel(m: Mixture, q):
 
 def _f2(q, z2, d1, b):
     # (1 - q)^2 (D1 c(z2) - B), after f12's check on z2
-    if z2 <= -1.0 if isinstance(z2, float) else np.any(np.asarray(z2) <= -1.0):
+    if not (z2 > -1.0 if isinstance(z2, float) else np.all(np.asarray(z2) > -1.0)):
         raise ValueError(f"z2 must exceed -1, got {z2}")
     return (1 - q) * (1 - q) * (d1 * c_log(z2) - b)
 

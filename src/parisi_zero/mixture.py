@@ -150,7 +150,7 @@ def xi_deriv(m: Mixture, x, order: int = 0):
         # plain-float path (np.float64 is a float too): the same operations
         # as on a 0-d array, without its overhead; np.power, not **, keeps
         # the array path's bits
-        if x < 0:
+        if not x >= 0:
             raise ValueError("x must be >= 0")
         if x == 1.0:
             return m._at1[order]
@@ -163,7 +163,7 @@ def xi_deriv(m: Mixture, x, order: int = 0):
                 out = out + c * v
         return float(out)
     x = np.asarray(x, dtype=float)
-    if (x < 0).any():
+    if not (x >= 0).all():
         raise ValueError("x must be >= 0")
     terms = m.terms[order]
     if not terms:

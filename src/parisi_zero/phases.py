@@ -382,28 +382,25 @@ def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
     A pure model at exponent 2 is RS; every other pure model takes the
     one test chain of the mixtures with p >= 3. The returned phase is
     always backed by a constructed measure that passed the optimality
-    report at the given tolerance; when no construction certifies
-    (expected only within ~1e-8 of a boundary) the phase is "Unresolved"
-    and `detail` carries the diagnostic.
+    report at the given tolerance. When no construction certifies
+    (expected only within ~1e-8 of a boundary) or any layer fails, the
+    phase is "Unresolved" and `detail` carries the failure's message;
+    only an invalid p, s or lambda raises (ValueError).
     """
     m = make_mixture(p, s, lam)
     if m.is_pure and m.exponent == 2:
         return _certify(m, build_rs(m), "RS", {}, tol)
     b, near, low_s = None, False, not m.is_pure and (p, s) == (2, 3)
-    if not m.is_pure:
-        try:
-            b = boundaries(p, s)
-        except RuntimeError as exc:
-            return Classification("Unresolved", {}, None, None, None,
-                                  low_s_unproven=low_s, detail=str(exc))
-        for lb in boundary_lambdas(b):
-            if abs(lam - lb) <= _OWN_EPS:
-                m, near = make_mixture(p, s, lb - 1e-10), True
-                break
     try:
+        if not m.is_pure:
+            b = boundaries(p, s)
+            for lb in boundary_lambdas(b):
+                if abs(lam - lb) <= _OWN_EPS:
+                    m, near = make_mixture(p, s, lb - 1e-10), True
+                    break
         cl = (_classify_p2(m, b, tol) if p == 2 and b is not None
               else _classify_general(m, tol))
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         return Classification("Unresolved", {}, None, None, None,
                               on_boundary=near, low_s_unproven=low_s,
                               detail=str(exc))

@@ -15,8 +15,11 @@ from parisi_zero import (
     build_2rsb,
     build_mixed,
     build_rs,
+    c_log,
     classify,
     density,
+    eval_h1,
+    f12,
     from_json_dict,
     make_mixture,
     solve_z,
@@ -24,8 +27,10 @@ from parisi_zero import (
     to_json_dict,
     wtilde,
     xi_deriv,
+    zeta,
 )
-from parisi_zero.phases import boundaries
+from parisi_zero.energy import _Tables
+from parisi_zero.phases import boundaries, boundary_lambdas
 
 
 def _mid(b, lo_key, hi_key):
@@ -90,6 +95,21 @@ def test_calibration_inside_full_segments():
                 continue
             for x in np.linspace(seg.lo, seg.hi - 1e-12, 64):
                 assert abs(tail_mass(nu, m, x) - xi_deriv(m, x, 2) ** -0.5) <= 1e-10
+    # build_mixed does not check the calibration itself: the verifier's
+    # tables read it, and take the closed forms only below _CALIB_EPS.
+    # Every mixed measure classify returns sits far below that
+    seen = set()
+    for p, s in [(2, 4), (2, 9), (2, 30), (3, 20), (3, 45), (4, 38), (4, 60),
+                 (5, 57)]:
+        ends = [0.0, *boundary_lambdas(boundaries(p, s)), 1.0]
+        for lo, hi in zip(ends, ends[1:]):
+            for lam in np.linspace(lo, hi, 5)[1:-1]:
+                c = classify(p, s, float(lam))
+                if c.phase in ("OneFRSB", "TwoFRSB", "FRSB"):
+                    seen.add(c.phase)
+                    C = _Tables(make_mixture(p, s, float(lam)), c.measure).C
+                    assert max(map(abs, C)) <= 1e-13, (p, s, lam, c.phase)
+    assert seen == {"OneFRSB", "TwoFRSB", "FRSB"}
 
 
 def test_tail_closed_forms():
@@ -289,6 +309,32 @@ def test_constructors_name_each_refusal():
     with pytest.raises(ValueError, match="^density must be nondecreasing "
                                          "into a full segment$"):
         _structure_check(bad, m)
+
+
+def test_domain_checks_refuse_nan():
+    # each check is written so that NaN fails it, on the float and the
+    # array path alike: no entry point returns NaN silently
+    m, nan = make_mixture(4, 38, 0.5), math.nan
+    q_msg, x_msg = r"^q must lie in \(0, 1\), got ", "^x must be >= 0$"
+    for call, msg in [
+        (lambda: f12(m, nan, 0.5), q_msg + "nan$"),
+        (lambda: f12(m, np.array([0.5, nan]), 0.5), q_msg),
+        (lambda: f12(m, 0.5, nan), "^z2 must exceed -1, got nan$"),
+        (lambda: f12(m, np.array([0.5, 0.6]), np.array([0.5, nan])),
+         "^z2 must exceed -1, got "),
+        (lambda: eval_h1(m, nan), q_msg + "nan$"),
+        (lambda: xi_deriv(m, nan), x_msg),
+        (lambda: xi_deriv(m, np.array([0.5, nan])), x_msg),
+        (lambda: c_log(nan), r"^c_log requires z > -1$"),
+        (lambda: c_log(np.array([0.5, nan])), r"^c_log requires z > -1$"),
+        (lambda: zeta(m, nan), x_msg),
+        (lambda: wtilde(m, nan), x_msg),
+        (lambda: build_1rsb(m, nan), "^one-step construction needs z > 0, "
+                                     "got nan$"),
+        (lambda: build_2rsb(m, nan, 0.5, 0.5), q_msg + "nan$"),
+    ]:
+        with pytest.raises(ValueError, match=msg):
+            call()
 
 
 def test_cross_phase_limit_at_the_2frsb_onset():

@@ -1,4 +1,5 @@
 """Regimes, boundary constants, and the classifier's phase map."""
+import json
 import math
 
 import mpmath
@@ -725,15 +726,30 @@ def test_zeta_max_equals_the_all_roots_reference():
     assert rising >= 50 and positive >= 50
 
 
-def test_boundary_solve_failure_comes_back_unresolved(monkeypatch):
-    def failing(p, s):
-        raise RuntimeError("lambda_2to2F residual 1.39e-01 too large")
+@pytest.mark.parametrize("layer, exc", [
+    ("boundaries", RuntimeError("lambda_2to2F residual 1.39e-01 too large")),
+    ("boundaries", ValueError("lambda_2to2F not bracketed")),
+    ("_solve_two_step", RuntimeError("Failed to converge after 100 "
+                                     "iterations, value is 0.5")),
+], ids=["boundaries-RuntimeError", "boundaries-ValueError",
+        "two_step-RuntimeError"])
+def test_boundary_solve_failure_comes_back_unresolved(monkeypatch, capsys,
+                                                      layer, exc):
+    # a failure in any layer of a valid point is an Unresolved record with
+    # the failure's message, and the CLI prints it and exits 2
+    def failing(*args):
+        raise exc
 
-    monkeypatch.setattr(phases, "boundaries", failing)
+    monkeypatch.setattr(phases, layer, failing)
     c = classify(4, 38, 0.8)
     assert c.phase == "Unresolved"
-    assert c.detail == "lambda_2to2F residual 1.39e-01 too large"
+    assert c.detail == str(exc)
     assert c.measure is None and c.energy is None
+    assert main(["classify", "--p", "4", "--s", "38", "--lambda", "0.8"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["phase"] == "Unresolved" and out["detail"] == str(exc)
+    with pytest.raises(ValueError):
+        classify(4, 38, 1.5)
 
 
 def test_unbracketed_boundary_comes_back_unresolved(monkeypatch, capsys):

@@ -63,8 +63,8 @@ def test_c_log_scalar_path_matches_array_path():
 
 
 def test_c_log_of_a_0d_array_matches_the_float_path():
-    # a 0-d array takes neither the float nor the element-wise path: on
-    # both sides of the 0.1 seam it must return the float path's bits
+    # a 0-d array takes the element-wise path: on both sides of the 0.1
+    # seam it must return the float path's bits, as a float
     for z in (0.05, -0.0999, 0.1 - 1e-12, 0.1, -0.1, 0.1 + 1e-12, 2.5):
         got = criteria.c_log(np.array(z))
         assert type(got) is float and got == criteria.c_log(z), z
