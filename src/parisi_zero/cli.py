@@ -88,12 +88,19 @@ def _row(p, s, lam, cl, blams) -> dict:
     }
 
 
+def _boundary_lambdas(p, s) -> tuple:
+    # the near_boundary flag's lambdas; () where the solve fails, whose
+    # message each classify record carries as its Unresolved detail
+    try:
+        return boundary_lambdas(boundaries(p, s))
+    except (ValueError, RuntimeError):
+        return ()
+
+
 def _cmd_classify(args, tol) -> int:
     cl = classify(args.p, args.s, args.lam, tol=tol)
-    blams = ()
-    mm = make_mixture(args.p, args.s, args.lam)
-    if not mm.is_pure:
-        blams = boundary_lambdas(boundaries(args.p, args.s))
+    pure = make_mixture(args.p, args.s, args.lam).is_pure
+    blams = () if pure else _boundary_lambdas(args.p, args.s)
     if args.format == "csv":
         _emit_csv([_row(args.p, args.s, args.lam, cl, blams)],
                   SWEEP_COLUMNS, sys.stdout)
@@ -183,7 +190,7 @@ def _cmd_sweep(args, tol) -> int:
               f"{_MAX_GRID}-point limit", file=sys.stderr)
         return 1
     grid = np.linspace(*spec)
-    blams = boundary_lambdas(boundaries(args.p, args.s))
+    blams = _boundary_lambdas(args.p, args.s)
     jobs = [(args.p, args.s, float(l), tol, blams) for l in grid]
     # fork starts every worker at the first submit: no more than points
     workers = min(args.jobs, len(jobs))

@@ -54,7 +54,8 @@ class Landmarks:
     qbar1/qbar2 bound the interval where the first window function
     decreases; the four q's are the zeros of h11, h12, h21, h22 used by
     the two-level and full-type constructions, all found on one grid.
-    With qbar2 = 1, q21 = q22 = 1.0 stand for "no root below 1". q22_edge
+    With qbar2 = 1, q21 = q22 = 1.0 stand for "no root below 1"; p = 2
+    sets only q12 = 0.0 (its full density starts at 0) and q22. q22_edge
     holds an h22 root that the edge ladder found pressed against 1 but
     that h22's rounding floor leaves uncertified; q22 is None then.
     """
@@ -442,10 +443,9 @@ _QBAR_INSET = 1e-12  # landmarks scans the h's this far inside (qbar1, qbar2)
 def _h22_root_certified(m: Mixture, q: float) -> bool:
     """Whether h22 reads firm opposite signs either side of its root q.
 
-    Near 1, h22 sits only a few orders above its rounding floor, so a
-    root found there (by the edge ladder above all) counts only where
-    h22 clears _h22_floor at both ends of a bracket within _PLATEAU_TOL
-    of q and inside (0, 1), with opposite signs.
+    Near 1, h22 sits only a few orders above its rounding floor, so an
+    edge ladder root counts only where h22 clears _h22_floor, with
+    opposite signs, at both ends of a bracket within _PLATEAU_TOL of q.
     """
     ends = [max(q - _PLATEAU_TOL, 0.5 * q),
             min(q + _PLATEAU_TOL, 0.5 * (1.0 + q))]  # plain floats
@@ -511,10 +511,8 @@ def _edge_root(f, lo):
 
     Within ~4e-4 of the collapse every value past the root is smaller than
     the scan floor; walk a geometric ladder toward 1 and hand the first
-    sign disagreement to brentq. The values there can sit at their own
-    rounding floor (for h22 see _h22_floor), where the sign is noise, so
-    the root is a candidate that the caller still has to certify with
-    _h22_root_certified.
+    sign disagreement to brentq. Those values can sit at their own rounding
+    floor, where the sign is noise, so _edge_h22 certifies the root.
     """
     a, fa = lo, float(f(lo))
     for k in range(2, 9):
@@ -528,11 +526,25 @@ def _edge_root(f, lo):
     return None
 
 
+def _edge_h22(m: Mixture, h22, lo, default):
+    # (q22, q22_edge) from the edge ladder past lo: (default, None) where it
+    # finds no root, (None, root) where the root fails its certificate
+    q = _edge_root(h22, lo)
+    if q is None:
+        return default, None
+    return (q, None) if _h22_root_certified(m, q) else (None, q)
+
+
 def landmarks(m: Mixture) -> Landmarks:
     """Locate the landmark roots; absent landmarks come back as None.
 
-    qbar1/qbar2 are the sign changes of t in (0, 1); exactly one genuine
-    change means t stays negative up to 1, so qbar2 := 1 (t(1) itself can
+    Where xi''(0) > 0 (p = 2) no t window is scanned: q12 = 0.0, and below
+    lambda_1Fto1 (onset quadratic > 0) q22 is h22's first root on the
+    4096-point grid of (0, 1), else the edge ladder's, else None; past it
+    q22 = 1.0.
+
+    Otherwise qbar1/qbar2 are the sign changes of t in (0, 1); exactly one
+    genuine change means t stays negative up to 1, so qbar2 := 1 (t(1) can
     read as +noise at the knife edge where the lambda-quadratic has a
     root). The h-roots are then isolated inside (qbar1, qbar2) on one
     4096-point grid, following the case split on qbar2 and, for h22 with
@@ -543,6 +555,14 @@ def landmarks(m: Mixture) -> Landmarks:
     one kernel pass feeds only the scanned window functions; the first
     root of h11 and h12 is read, the last of h21 and h22.
     """
+    h22 = lambda x: _h22(m, x)
+    if xi_deriv(m, 0.0, 2) > 0.0:  # p = 2: no t window, q12 = 0
+        if not s_of(m.p, m.s, m.lam) > 0.0:
+            return Landmarks(q12=0.0, q22=1.0)
+        roots = _sign_roots(h22, 1e-9, 1 - 1e-9)
+        q22, q22_edge = ((roots[0], None) if roots
+                         else _edge_h22(m, h22, 1e-9, None))
+        return Landmarks(q12=0.0, q22=q22, q22_edge=q22_edge)
     tb = _sign_roots(lambda x: _tau(m, x), 1e-9, 1 - 1e-9)
     if not tb:
         return Landmarks()
@@ -553,7 +573,6 @@ def landmarks(m: Mixture) -> Landmarks:
     scan_h11 = _window(m, hi_in if qbar2 == 1.0 else qbar2, True, True) > 0
     scan_h21 = _window(m, qbar1, True, False) > 0
     scan_h22 = scan_h21 and (qbar2 < 1 or s_of(m.p, m.s, m.lam) > 0)
-    h22 = lambda x: _h22(m, x)
     if scan_h11 or scan_h22:  # the one grid of every window scan
         xs = np.linspace(lo, hi_in, 4096)
         k, z2 = _kernel(m, xs), {}
@@ -574,11 +593,7 @@ def landmarks(m: Mixture) -> Landmarks:
         if scan_h22:
             q22 = root(False, False)
             if q22 is None and qbar2 == 1.0:
-                q22 = _edge_root(h22, lo)
-                if q22 is None:
-                    q22 = 1.0
-                elif not _h22_root_certified(m, q22):
-                    q22, q22_edge = None, q22
+                q22, q22_edge = _edge_h22(m, h22, lo, 1.0)
         else:
             q22 = 1.0
     return Landmarks(qbar1=qbar1, qbar2=qbar2, q11=q11, q12=q12, q21=q21,

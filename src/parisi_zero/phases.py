@@ -5,12 +5,12 @@ on two lambda-quadratics and the slope function Psi. Within a regime the
 phase boundaries in lambda are solved here once, each in closed form or
 as one Brent root of a number the criteria compute, and those where a
 window pair meets are certified by that pair's residual below 1e-7.
-classify() then resolves a single (p, s, lambda): every pure model but
-RS at exponent 2, and every mixture with p >= 3, walks one test chain,
-one-step -> two-step -> two-transition -> one-transition (p = 2 mixtures
-take their tilt and plateau tests), builds the winning candidate
-measure, and returns a phase only once the optimality verifier passes;
-anything else comes back as Unresolved with the reason attached.
+classify() then resolves a single (p, s, lambda): every model but the
+pure one at exponent 2 (RS) walks one test chain, one-step (both ends of
+zeta in closed form, then its interior maximum) -> two-step -> full,
+where the full measure's shape names the phase. It returns a phase only
+once the optimality verifier passes; anything else comes back as
+Unresolved with the reason attached.
 
 Boundary ownership: inputs within 1e-9 of a solved boundary are shifted
 to the low-lambda side (boundaries are measure zero; the shift is
@@ -185,11 +185,9 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
         return _ordered(_p2_boundaries(s, reg))
 
     l1, l2 = criteria.lambda_stars(p, s).roots
-    psi_at = lambda t: criteria.psi(p, s, t)
-    lam_2to1 = _root("2to1", psi_at, l1, min(l2, 1 - 1e-12), xtol=1e-13)
-    diag = {"psi_at_2to1": criteria.psi(p, s, lam_2to1),
-            "lambda_1to2_psi_zero": _root("1to2_psi_zero", psi_at, 1e-6, l1,
-                                          xtol=1e-13)}
+    lam_2to1 = _root("2to1", lambda t: criteria.psi(p, s, t), l1,
+                     min(l2, 1 - 1e-12), xtol=1e-13)
+    diag = {"psi_at_2to1": criteria.psi(p, s, lam_2to1)}
 
     peaks = {}  # lambda -> zeta's peak there, (value, place) or None
 
@@ -311,49 +309,24 @@ def _certify(m, nu, phase, params, tol):
     return Classification(phase, params, nu, rep.energy, rep)
 
 
-def _plateau_point(m: Mixture):
-    # first root of h22 in (0, 1), certified against h22's rounding
-    # floor; else None
-    h22 = lambda x: criteria._h22(m, x)
-    roots = criteria._sign_roots(h22, 1e-9, 1 - 1e-9)
-    # a plateau point pressed against 1 leaves every value past it below
-    # the scan's firmness floor, so walk the edge ladder toward 1
-    q = roots[0] if roots else criteria._edge_root(h22, 1e-9)
-    if q is None or not criteria._h22_root_certified(m, q):
-        return None
-    return q
-
-
-def _classify_p2(m: Mixture, b: PhaseBoundaries, tol: float) -> Classification:
-    z = criteria.solve_z(m)
-    if 2 * m.lam * z < m.s * (1 - m.lam):
-        return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
-    if m.lam < b.p2["lambda_1Fto1"]:
-        q_p = _plateau_point(m)
-        if q_p is None:
-            raise ValueError("no plateau point found for the mixed measure")
-        nu = build_mixed(m, 0.0, q_p)
-        return _certify(m, nu, "OneFRSB",
-                        {"q1": q_p, "q_P": q_p, "variant": "density-below"}, tol)
-    return _certify(m, build_mixed(m, 0.0, 1.0), "FRSB", {}, tol)
-
-
 def _k1(m: Mixture, z: float):
     # K(1) = (1 + z) xi'(1) - xi''(1), and xi''(1)
     d2 = xi_deriv(m, 1.0, 2)
     return (1 + z) * xi_deriv(m, 1.0, 1) - d2, d2
 
 
-def _one_step(m: Mixture, z: float, zmax: float) -> bool:
-    # zeta ~ -xi''(1) K(1) (1 - x)^2 / (2 xi'(1) (1 + z)) near x = 1: K(1) < 0
-    # breaks the one-step measure however small zmax reads (cubic in d)
-    return zmax <= _ZETA_FLOOR and (k := _k1(m, z))[0] >= -1e-12 * k[1]
+def _one_step(m: Mixture, z: float) -> bool:
+    # zeta's ends in closed form, then its scan: near 0, zeta ~ xi''(0) x^2
+    # ((1 + z) xi''(0) / xi'(1) - 1) / 2 (p = 2's tilt test); near 1 its sign
+    # is -K(1)'s. Just past either end's boundary the peak is O(d^3), unseen
+    k1, d2 = _k1(m, z)
+    return ((1 + z) * xi_deriv(m, 0.0, 2) < xi_deriv(m, 1.0, 1)
+            and k1 >= -1e-12 * d2 and _zeta_max(m, z) <= _ZETA_FLOOR)
 
 
 def _classify_general(m: Mixture, tol: float) -> Classification:
     z = criteria.solve_z(m)
-    zmax = _zeta_max(m, z)
-    if _one_step(m, z, zmax):
+    if _one_step(m, z):
         return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
     lm = criteria.landmarks(m)
     if lm.q22_edge is not None:
@@ -363,43 +336,47 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
         q, z1, z2 = _solve_two_step(m, lm)
         return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",
                         {"q": q, "z1": z1, "z2": z2}, tol)
-    # landmarks reads q12 and q22 only where t < 0; q22 inside (q12, 1)
-    # ends the full density, else it runs to 1 (None: h22 not scanned)
+    # landmarks reads q12 and q22 only where t < 0 (p = 2: q12 = 0); q22
+    # inside (q12, 1) ends the full density, else it runs to 1 (None: h22
+    # not scanned). The measure's shape names the phase
     if lm.q12 is not None and lm.q22 is not None:
-        if lm.q12 < lm.q22 < 1.0:
-            return _certify(m, build_mixed(m, lm.q12, lm.q22), "TwoFRSB",
-                            {"q1": lm.q12, "q2": lm.q22}, tol)
-        return _certify(m, build_mixed(m, lm.q12, 1.0), "OneFRSB",
-                        {"q1": lm.q12, "variant": "density-above"}, tol)
+        q1 = lm.q12
+        q2 = lm.q22 if q1 < lm.q22 < 1.0 else 1.0
+        phase, params = {
+            (True, True): ("TwoFRSB", {"q1": q1, "q2": q2}),
+            (True, False): ("OneFRSB", {"q1": q1, "variant": "density-above"}),
+            (False, True): ("OneFRSB", {"q1": q2, "q_P": q2,
+                                        "variant": "density-below"}),
+            (False, False): ("FRSB", {}),
+        }[q1 > 0.0, q2 < 1.0]
+        return _certify(m, build_mixed(m, q1, q2), phase, params, tol)
     raise ValueError(
-        f"no construction applies (one-step certificate {zmax:.2e}, "
-        f"K(1) {_k1(m, z)[0]:.2e}, landmarks {lm})")
+        f"no construction applies (one-step certificate "
+        f"{_zeta_max(m, z):.2e}, K(1) {_k1(m, z)[0]:.2e}, landmarks {lm})")
 
 
 def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
     """Resolve the phase at a single (p, s, lambda), verifier-gated.
 
-    A pure model at exponent 2 is RS; every other pure model takes the
-    one test chain of the mixtures with p >= 3. The returned phase is
-    always backed by a constructed measure that passed the optimality
-    report at the given tolerance. When no construction certifies
-    (expected only within ~1e-8 of a boundary) or any layer fails, the
-    phase is "Unresolved" and `detail` carries the failure's message;
-    only an invalid p, s or lambda raises (ValueError).
+    A pure model at exponent 2 is RS; every other model, p = 2 mixtures
+    included, takes one test chain. The returned phase is always backed
+    by a constructed measure that passed the optimality report at the
+    given tolerance. When no construction certifies (expected only within
+    ~1e-8 of a boundary) or any layer fails, the phase is "Unresolved" and
+    `detail` carries the failure's message; only an invalid p, s or lambda
+    raises (ValueError).
     """
     m = make_mixture(p, s, lam)
     if m.is_pure and m.exponent == 2:
         return _certify(m, build_rs(m), "RS", {}, tol)
-    b, near, low_s = None, False, not m.is_pure and (p, s) == (2, 3)
+    near, low_s = False, not m.is_pure and (p, s) == (2, 3)
     try:
         if not m.is_pure:
-            b = boundaries(p, s)
-            for lb in boundary_lambdas(b):
+            for lb in boundary_lambdas(boundaries(p, s)):
                 if abs(lam - lb) <= _OWN_EPS:
                     m, near = make_mixture(p, s, lb - 1e-10), True
                     break
-        cl = (_classify_p2(m, b, tol) if p == 2 and b is not None
-              else _classify_general(m, tol))
+        cl = _classify_general(m, tol)
     except (ValueError, RuntimeError) as exc:
         return Classification("Unresolved", {}, None, None, None,
                               on_boundary=near, low_s_unproven=low_s,

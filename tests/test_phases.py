@@ -347,10 +347,12 @@ def test_p2_plateau_point_near_zero_just_past_entry():
 def test_plateau_point_rejects_an_edge_root_in_rounding_noise():
     # h22 < 0 on all of (0, 1) here (-3.7e-25 at 1 - 1e-4 by the 60-digit
     # transcription) but reads +2e-24 there in floats, so the edge ladder
-    # brackets rounding noise; the certificate must turn that root down
+    # brackets rounding noise; landmarks must turn that root down, and not
+    # fall back to q22 = 1, a full density running to 1
     m = make_mixture(2, 3, 1 - 1e-4)
     assert criteria._edge_root(lambda x: eval_h2(m, x)[1], 1e-9) is not None
-    assert phases._plateau_point(m) is None
+    lm = criteria.landmarks(m)
+    assert (lm.q12, lm.q22) == (0.0, None) and lm.q22_edge is not None
 
 
 def test_edge_ladder_skips_the_rungs_at_or_below_its_start():
@@ -404,7 +406,7 @@ def test_one_frsb_decision_matches_the_old_rescan(family):
     for lam in lams:
         m = make_mixture(*family, lam)
         z = solve_z(m)
-        if phases._one_step(m, z, phases._zeta_max(m, z)):
+        if phases._one_step(m, z):
             continue
         lm = criteria.landmarks(m)
         if lm.q22_edge is not None or phases._two_step_window(lm):
@@ -424,6 +426,32 @@ def test_one_frsb_decision_matches_the_old_rescan(family):
             new and "full density is not increasing" in (cl.detail or "")), cl
         decided.add(new)
     assert decided == {True, False}
+
+
+_SHAPES = {"FRSB": {("full",)},
+           "OneFRSB": {("full", "const"), ("const", "full")},
+           "TwoFRSB": {("const", "full", "const")}}
+
+
+def test_full_phase_names_match_their_measures_shape():
+    # the full branch names the phase from the measure it builds: a
+    # constant density below q1 > 0 and a plateau above q2 < 1
+    seen = set()
+    for p, s in [(2, 4), (2, 9), (2, 30), (3, 20), (3, 45), (4, 38), (4, 60),
+                 (5, 57)]:
+        ends = [0.0, *phases.boundary_lambdas(boundaries(p, s)), 1.0]
+        for lo, hi in zip(ends, ends[1:]):
+            for lam in np.linspace(lo, hi, 5)[1:-1]:
+                c = classify(p, s, float(lam))
+                if c.phase not in _SHAPES:
+                    continue
+                kinds = tuple(seg.kind for seg in c.measure.segments)
+                assert kinds in _SHAPES[c.phase], (p, s, lam, c.phase, kinds)
+                if c.phase == "OneFRSB":
+                    assert (kinds[0] == "full") == (
+                        c.params["variant"] == "density-below"), (p, s, lam)
+                seen.add((c.phase, kinds))
+    assert len(seen) == 4, seen
 
 
 def test_landmarks_read_full_window_roots_only_where_t_is_negative():
@@ -450,7 +478,7 @@ def test_pure_models_pass_the_one_step_test():
     for p in range(3, 61):
         m = make_mixture(p, p, 1.0)
         z = solve_z(m)
-        assert phases._one_step(m, z, phases._zeta_max(m, z)), p
+        assert phases._one_step(m, z), p
     for p in (3, 7, 60):
         cl = classify(p, p, 1.0)
         assert (cl.phase, cl.detail, cl.on_boundary) == ("OneRSB", None, False)
@@ -459,12 +487,19 @@ def test_pure_models_pass_the_one_step_test():
         False, True, False]
 
 
-@pytest.mark.parametrize("lam, phase", [
-    (0.95, "TwoRSB"), (0.985, "TwoFRSB"), (0.988, "OneFRSB")])
-def test_one_h22_grid_per_classification(monkeypatch, lam, phase):
+@pytest.mark.parametrize("p, s, lam, phase, k_scan", [
+    (4, 38, 0.8, "TwoRSB", True), (4, 38, 0.95, "TwoRSB", False),
+    (4, 38, 0.985, "TwoFRSB", False), (4, 38, 0.988, "OneFRSB", False),
+    (2, 8, 0.9, "OneFRSB", False)], ids=[
+    "0.8-TwoRSB", "0.95-TwoRSB", "0.985-TwoFRSB", "0.988-OneFRSB",
+    "p2-0.9-OneFRSB"])
+def test_one_h22_grid_per_classification(monkeypatch, p, s, lam, phase,
+                                         k_scan):
     # h22 is read off landmarks' shared grid: landmarks scans only tau on a
-    # grid of its own, and classify adds only the K scan of the one-step test
-    boundaries(4, 38)  # solved before counting
+    # grid of its own (p = 2 only h22, on that grid), and classify adds only
+    # the K scan of the one-step test, which an end condition that refuses
+    # skips (K(1) < 0 at each (4, 38) point but 0.8, x = 0 at (2, 8))
+    boundaries(p, s)  # solved before counting
     calls = []
     real = criteria._sign_roots
 
@@ -473,11 +508,11 @@ def test_one_h22_grid_per_classification(monkeypatch, lam, phase):
         return real(f, lo, hi, n, **kw)
 
     monkeypatch.setattr(criteria, "_sign_roots", counted)
-    criteria.landmarks(make_mixture(4, 38, lam))
+    criteria.landmarks(make_mixture(p, s, lam))
     assert calls == [(1e-9, 1 - 1e-9, 4096)]
     calls.clear()
-    assert classify(4, 38, lam).phase == phase
-    assert calls == [(0.0, 1.0, 1025), (1e-9, 1 - 1e-9, 4096)]
+    assert classify(p, s, lam).phase == phase
+    assert calls == [(0.0, 1.0, 1025)] * k_scan + [(1e-9, 1 - 1e-9, 4096)]
 
 
 def test_two_step_detail_names_the_sign_change_it_missed():
@@ -665,6 +700,29 @@ def test_zeta_max_matches_a_dense_grid():
             assert 1.0 - 2.0 / 1024 < top < 1.0, (p, s, lam)
 
 
+def test_one_step_test_reads_the_x0_end_as_the_p2_tilt_test():
+    # xi''(0) = 2 lam > 0 for p = 2, where zeta ~ lam x^2 ((1 + z) 2 lam /
+    # xi'(1) - 1) near 0: the one-step test is the tilt test 2 lam z <
+    # s (1 - lam), across each family and 1e-8..1e-3 about lambda_1to1F
+    for s in (3, 4, 5, 6, 8, 10, 14, 20, 30, 45, 60, 200):
+        lams = list(np.linspace(0.02, 0.98, 25))
+        lb = boundaries(2, s).p2["lambda_1to1F"]
+        if lb is not None:
+            lams += [lb + sg * 10.0 ** -k for k in range(3, 9)
+                     for sg in (-1, 1)]
+        for lam in lams:
+            m = make_mixture(2, s, float(lam))
+            z = solve_z(m)
+            assert phases._one_step(m, z) == (
+                2 * m.lam * z < s * (1 - m.lam)), (s, lam)
+    # 1e-5 past lambda_1to1F zeta's peak is O(d^3), under the floor, so
+    # only the x = 0 end refuses the one-step measure there
+    m = make_mixture(2, 8, boundaries(2, 8).p2["lambda_1to1F"] + 1e-5)
+    z = solve_z(m)
+    assert phases._zeta_max(m, z) <= phases._ZETA_FLOOR
+    assert not phases._one_step(m, z)
+
+
 def test_one_step_test_refuses_a_negative_k_at_one():
     # just below lambda_2to1, zeta's maximum is cubic in d and falls under
     # the floor, but K(1) = (1 + z) xi'(1) - xi''(1) < 0 puts zeta above
@@ -674,10 +732,9 @@ def test_one_step_test_refuses_a_negative_k_at_one():
         lam = boundaries(p, s).general["lambda_2to1"] - 1e-6
         m = make_mixture(p, s, lam)
         z = solve_z(m)
-        zmax = phases._zeta_max(m, z)
-        assert zmax <= phases._ZETA_FLOOR
+        assert phases._zeta_max(m, z) <= phases._ZETA_FLOOR
         assert (1 + z) * xi_deriv(m, 1.0, 1) < xi_deriv(m, 1.0, 2)
-        assert not phases._one_step(m, z, zmax)
+        assert not phases._one_step(m, z)
         assert classify(p, s, lam).phase == phase, (p, s)
 
 
@@ -752,17 +809,35 @@ def test_boundary_solve_failure_comes_back_unresolved(monkeypatch, capsys,
         classify(4, 38, 1.5)
 
 
-def test_unbracketed_boundary_comes_back_unresolved(monkeypatch, capsys):
+def test_unbracketed_boundary_comes_back_unresolved(monkeypatch, capsys,
+                                                    tmp_path):
     # a zeta peak that never crosses 0 leaves lambda_1to2 without a
-    # bracket: classify says so, and the CLI exits 1 without a traceback
+    # bracket: classify says so, `boundaries` exits 1 without a traceback,
+    # `classify` prints the Unresolved record and exits 2, and `sweep`
+    # writes every row, each Unresolved, and exits 0
     monkeypatch.setattr(phases, "_zeta_peak", lambda m, z: (1.0, 0.5))
     boundaries.cache_clear()
+    detail = ("lambda_1to2 not bracketed: f(a) and f(b) must have "
+              "different signs")
     try:
         c = classify(4, 28, 0.8)
         assert c.phase == "Unresolved" and c.measure is None
-        assert c.detail == ("lambda_1to2 not bracketed: f(a) and f(b) must "
-                            "have different signs")
+        assert c.detail == detail
         assert main(["boundaries", "--p", "4", "--s", "28"]) == 1
         assert "lambda_1to2 not bracketed" in capsys.readouterr().err
+        point = ["--p", "4", "--s", "28"]
+        assert main(["classify", *point, "--lambda", "0.8"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert (json.loads(out)["phase"], json.loads(out)["detail"]) == (
+            "Unresolved", detail)
+        csv = tmp_path / "band.csv"
+        assert main(["sweep", *point, "--lambda-grid", "0.7:0.9:0.1",
+                     "--out", str(csv)]) == 0
+        rows = csv.read_text().splitlines()[2:]
+        assert [r.split(",")[2:4] for r in rows] == [
+            [lam, "Unresolved"] for lam in ("0.7", "0.8", "0.9")]
+        assert (tmp_path / "band.dat").read_text().splitlines()[1:] == [
+            f"{lam} -1 nan" for lam in ("0.7", "0.8", "0.9")]
     finally:
         boundaries.cache_clear()
