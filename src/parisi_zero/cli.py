@@ -149,6 +149,8 @@ def _parse_grid(spec: str, count):
     parts = spec.split(":")
     try:
         if len(parts) == 3:
+            if count is not None:
+                return "--count goes with a lo:hi grid, not lo:hi:step"
             lo, hi, step = (float(t) for t in parts)
             if step <= 0 or hi < lo:
                 return _BAD_GRID
@@ -192,8 +194,12 @@ def _cmd_sweep(args, tol) -> int:
     grid = np.linspace(*spec)
     blams = _boundary_lambdas(args.p, args.s)
     jobs = [(args.p, args.s, float(l), tol, blams) for l in grid]
-    # fork starts every worker at the first submit: no more than points
-    workers = min(args.jobs, len(jobs))
+    # fork starts every worker at the first submit, so no more workers than
+    # points or than the cores this process may run on (its CPU affinity; a
+    # cgroup quota is not read); one worker runs in-process, unforked
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(args.jobs, len(jobs), cores)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -308,7 +314,9 @@ def _build_parser() -> _Parser:
                     help="lo:hi:step, or lo:hi with --count")
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, at most the grid's points and "
+                         "the cores this process may run on (default 1)")
 
     sp = sub.add_parser("verify", help="run the optimality report on a measure file")
     common(sp)

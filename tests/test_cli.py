@@ -125,7 +125,27 @@ def test_boundaries_json_says_how_each_system_boundary_was_solved(capsys):
         "lambda_2to1F"]
 
 
-def test_sweep_deterministic_and_parallel(tmp_path, capsys):
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Report 2 usable cores, so `--jobs 2` forks a real pool of 2 workers
+    even on a one-core runner; the list records each pool's max_workers."""
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return asked
+
+
+def test_sweep_deterministic_and_parallel(tmp_path, capsys, two_cores):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     out3 = tmp_path / "c.csv"
@@ -133,6 +153,7 @@ def test_sweep_deterministic_and_parallel(tmp_path, capsys):
     assert run(capsys, *base, "--out", str(out1))[0] == 0
     assert run(capsys, *base, "--out", str(out2))[0] == 0
     assert run(capsys, *base, "--out", str(out3), "--jobs", "2")[0] == 0
+    assert two_cores == [2]
 
     text = out1.read_text()
     assert text == out2.read_text() == out3.read_text()
@@ -192,6 +213,7 @@ def test_sweep_rejects_huge_grids_and_bad_jobs(tmp_path, capsys):
     for extra in (("--lambda-grid", "0:1:1e-12"),
                   ("--lambda-grid", "0:1", "--count", str(10 ** 12)),
                   ("--lambda-grid", "0:1:1e-320"),
+                  ("--lambda-grid", "0.2:0.6:0.2", "--count", "7"),
                   ("--lambda-grid", "0:1:0.5", "--jobs", "0"),
                   ("--lambda-grid", "0:1:0.5", "--jobs", "-3")):
         rc, _, err = run(capsys, "sweep", "--p", "4", "--s", "18",
@@ -205,7 +227,7 @@ def test_sweep_rejects_huge_grids_and_bad_jobs(tmp_path, capsys):
 def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys,
                                                   monkeypatch):
     # the pool is a fake that records max_workers and maps in this
-    # process, so the test starts no processes
+    # process, so the test starts no processes, whatever --jobs asks for
     import concurrent.futures
 
     asked = []
@@ -225,7 +247,8 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     out = tmp_path / "w.csv"
-    for count, jobs, want in ((3, 500, [3]), (5, 2, [2]), (1, 8, [])):
+
+    def check(count, jobs, want):
         asked.clear()
         rc, _, _ = run(capsys, "sweep", "--p", "4", "--s", "18",
                        "--lambda-grid", "0.2:0.6", "--count", str(count),
@@ -233,6 +256,20 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys,
         assert rc == 0
         assert asked == want, (count, jobs)
         assert len(out.read_text().splitlines()) == 2 + count
+
+    # the usable cores are the CPU affinity where the platform has one
+    for cores, count, jobs, want in ((8, 3, 500, [3]), (8, 5, 2, [2]),
+                                     (8, 1, 8, []), (1, 3, 500, []),
+                                     (2, 3, 500, [2]), (2, 5, 2, [2]),
+                                     (2, 1, 500, []), (2, 5, 1, [])):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=cores: set(range(n)), raising=False)
+        check(count, jobs, want)
+    # else os.cpu_count(), and one core where even that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, want in ((3, [3]), (1, []), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        check(5, 500, want)
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -392,7 +429,8 @@ def test_usage_error_exits_one(capsys):
     assert e.value.code == 1
 
 
-def test_sweep_across_full_phases_same_at_any_job_count(tmp_path, capsys):
+def test_sweep_across_full_phases_same_at_any_job_count(tmp_path, capsys,
+                                                        two_cores):
     # a (4,38) band from TwoRSB through TwoFRSB and OneFRSB to OneRSB: the
     # pooled run's rows match the serial run's byte for byte
     base = ("sweep", "--p", "4", "--s", "38", "--lambda-grid", "0.980:0.991",
@@ -400,6 +438,7 @@ def test_sweep_across_full_phases_same_at_any_job_count(tmp_path, capsys):
     serial, pooled = tmp_path / "j1.csv", tmp_path / "j2.csv"
     assert run(capsys, *base, "--out", str(serial))[0] == 0
     assert run(capsys, *base, "--out", str(pooled), "--jobs", "2")[0] == 0
+    assert two_cores == [2]
     assert serial.read_bytes() == pooled.read_bytes()
     assert ((tmp_path / "j1.dat").read_bytes()
             == (tmp_path / "j2.dat").read_bytes())
@@ -526,6 +565,7 @@ import sys
 from parisi_zero import cli
 
 multiprocessing.set_start_method("spawn")
+os.sched_getaffinity = lambda pid: {0, 1}  # a real pool on one core too
 for jobs in ("1", "2"):
     assert cli.main(["sweep", "--p", "4", "--s", "38",
                      "--lambda-grid", "0.980:0.991:0.001", "--jobs", jobs,
@@ -541,6 +581,30 @@ def test_sweep_does_not_depend_on_the_start_method(tmp_path):
     for ext in (".csv", ".dat"):
         assert ((tmp_path / ("1" + ext)).read_bytes()
                 == (tmp_path / ("2" + ext)).read_bytes()), ext
+
+
+_ONE_CORE = """
+import os
+import sys
+
+from parisi_zero import cli
+
+os.sched_getaffinity = lambda pid: {0}
+assert cli.main(["sweep", "--p", "4", "--s", "38",
+                 "--lambda-grid", "0.980:0.991", "--count", "6", "--jobs", "2",
+                 "--out", os.path.join(sys.argv[1], "one.csv")]) == 0
+loaded = sorted(k for k in sys.modules
+                if k.split(".")[0] in ("concurrent", "multiprocessing"))
+assert not loaded, loaded
+"""
+
+
+def test_one_core_sweep_runs_in_process(tmp_path):
+    # with one usable core `--jobs 2` forks nothing and never imports the
+    # pool's modules
+    proc = run_script(_ONE_CORE, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "one.csv").read_text().splitlines()) == 2 + 6
 
 
 _ENTRY_CASES = {
