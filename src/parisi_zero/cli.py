@@ -23,7 +23,7 @@ from .energy import verify_parisi
 from .measure import _structure_check, from_json_dict, to_json_dict
 from .mixture import make_mixture
 from .oracle import oracle_profile
-from .phases import boundaries, boundary_lambdas, classify
+from .phases import boundaries, classify
 
 SCHEMA_TAG = "# parisi-zero v1"
 PHASE_INDEX = {"RS": 0, "OneRSB": 1, "TwoRSB": 2, "TwoFRSB": 3,
@@ -65,9 +65,9 @@ def _emit_csv(rows, header, out):
         out.write(",".join(_fmt(row.get(c)) for c in header) + "\n")
 
 
-def _row(p, s, lam, cl, blams) -> dict:
+def _row(p, s, lam, cl) -> dict:
     flags = []
-    if any(abs(lam - lb) <= _NEAR_FLAG for lb in blams):
+    if cl.boundary is not None and abs(cl.boundary_distance) <= _NEAR_FLAG:
         flags.append("near_boundary")
     if cl.on_boundary:
         flags.append("on_boundary")
@@ -88,28 +88,19 @@ def _row(p, s, lam, cl, blams) -> dict:
     }
 
 
-def _boundary_lambdas(p, s) -> tuple:
-    # the near_boundary flag's lambdas; () where the solve fails, whose
-    # message each classify record carries as its Unresolved detail
-    try:
-        return boundary_lambdas(boundaries(p, s))
-    except (ValueError, RuntimeError):
-        return ()
-
-
 def _cmd_classify(args, tol) -> int:
     cl = classify(args.p, args.s, args.lam, tol=tol)
-    pure = make_mixture(args.p, args.s, args.lam).is_pure
-    blams = () if pure else _boundary_lambdas(args.p, args.s)
     if args.format == "csv":
-        _emit_csv([_row(args.p, args.s, args.lam, cl, blams)],
-                  SWEEP_COLUMNS, sys.stdout)
+        _emit_csv([_row(args.p, args.s, args.lam, cl)], SWEEP_COLUMNS,
+                  sys.stdout)
     else:
         out = {
             "p": args.p, "s": args.s, "lambda": args.lam,
             "phase": cl.phase, "params": cl.params,
             "on_boundary": cl.on_boundary,
             "low_s_unproven": cl.low_s_unproven,
+            "boundary": cl.boundary,
+            "boundary_distance": cl.boundary_distance,
             "detail": cl.detail,
             "energy": cl.energy,
             "report": cl.report.to_dict() if cl.report else None,
@@ -173,9 +164,8 @@ def _parse_grid(spec: str, count):
 
 
 def _sweep_point(job):
-    p, s, lam, tol, blams = job
-    cl = classify(p, s, lam, tol=tol)
-    return _row(p, s, lam, cl, blams)
+    p, s, lam, tol = job
+    return _row(p, s, lam, classify(p, s, lam, tol=tol))
 
 
 def _cmd_sweep(args, tol) -> int:
@@ -192,8 +182,7 @@ def _cmd_sweep(args, tol) -> int:
               f"{_MAX_GRID}-point limit", file=sys.stderr)
         return 1
     grid = np.linspace(*spec)
-    blams = _boundary_lambdas(args.p, args.s)
-    jobs = [(args.p, args.s, float(l), tol, blams) for l in grid]
+    jobs = [(args.p, args.s, float(l), tol) for l in grid]
     # fork starts every worker at the first submit, so no more workers than
     # points or than the cores this process may run on (its CPU affinity; a
     # cgroup quota is not read); one worker runs in-process, unforked

@@ -12,9 +12,10 @@ where the full measure's shape names the phase. It returns a phase only
 once the optimality verifier passes; anything else comes back as
 Unresolved with the reason attached.
 
-Boundary ownership: inputs within 1e-9 of a solved boundary are shifted
-to the low-lambda side (boundaries are measure zero; the shift is
-flagged, never silent).
+Boundary ownership: inputs within 1e-9 of the nearest solved boundary
+are shifted to the low-lambda side (boundaries are measure zero; the
+shift is flagged, never silent), and every record names that boundary
+and the signed distance to it.
 """
 from __future__ import annotations
 
@@ -73,6 +74,8 @@ class Classification:
     on_boundary: bool = False
     low_s_unproven: bool = False
     detail: str | None = None
+    boundary: str | None = None  # the nearest interior boundary's key
+    boundary_distance: float | None = None  # lambda - lambda_<boundary>
 
 
 def regime(p: int, s: int) -> Regime:
@@ -220,24 +223,29 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
     return _ordered(PhaseBoundaries(reg, general=general, diagnostics=diag))
 
 
-def _chain(b: PhaseBoundaries) -> list[float]:
-    # the solved constants in their scenario's order, None skipped
+def _chain(b: PhaseBoundaries) -> dict[str, float]:
+    # the solved constants by key in their scenario's order, None skipped
     vals = b.p2 or b.general or {}
-    return [v for k in _SCENARIOS.get(b.regime.tag, ())[1::2]
-            if (v := vals[k]) is not None]
+    return {k: v for k in _SCENARIOS.get(b.regime.tag, ())[1::2]
+            if (v := vals[k]) is not None}
 
 
 def _ordered(b: PhaseBoundaries) -> PhaseBoundaries:
     # the solved constants rise in their scenario's order inside (0, 1]
-    chain = [0.0, *_chain(b)]
+    chain = [0.0, *_chain(b).values()]
     if not all(lo < hi <= 1.0 for lo, hi in zip(chain, chain[1:])):
         raise RuntimeError(f"{b.regime.tag} boundary ordering violated")
     return b
 
 
+def _interior(b: PhaseBoundaries) -> dict[str, float]:
+    # the constants inside (0, 1) by key, ascending
+    return {k: v for k, v in _chain(b).items() if 0.0 < v < 1.0}
+
+
 def boundary_lambdas(b: PhaseBoundaries) -> tuple[float, ...]:
     """The family's interior boundary lambdas, ascending (scenario order)."""
-    return tuple(v for v in _chain(b) if 0.0 < v < 1.0)
+    return tuple(_interior(b).values())
 
 
 def interval_phase(p: int, s: int, lam: float) -> str:
@@ -364,23 +372,25 @@ def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
     given tolerance. When no construction certifies (expected only within
     ~1e-8 of a boundary) or any layer fails, the phase is "Unresolved" and
     `detail` carries the failure's message; only an invalid p, s or lambda
-    raises (ValueError).
+    raises (ValueError). `boundary` names the nearest interior boundary
+    and `boundary_distance` is lam minus it, Unresolved records included;
+    both are None for a pure model, for a family without interior
+    boundaries and where the boundary solve failed.
     """
     m = make_mixture(p, s, lam)
     if m.is_pure and m.exponent == 2:
         return _certify(m, build_rs(m), "RS", {}, tol)
-    near, low_s = False, not m.is_pure and (p, s) == (2, 3)
+    place = {"low_s_unproven": not m.is_pure and (p, s) == (2, 3)}
     try:
-        if not m.is_pure:
-            for lb in boundary_lambdas(boundaries(p, s)):
-                if abs(lam - lb) <= _OWN_EPS:
-                    m, near = make_mixture(p, s, lb - 1e-10), True
-                    break
+        if not m.is_pure and (cuts := _interior(boundaries(p, s))):
+            key = min(cuts, key=lambda k: abs(lam - cuts[k]))
+            lb = cuts[key]
+            place.update(boundary=key, boundary_distance=lam - lb)
+            if abs(lam - lb) <= _OWN_EPS:
+                m = make_mixture(p, s, lb - 1e-10)
+                place["on_boundary"] = True
         cl = _classify_general(m, tol)
     except (ValueError, RuntimeError) as exc:
         return Classification("Unresolved", {}, None, None, None,
-                              on_boundary=near, low_s_unproven=low_s,
-                              detail=str(exc))
-    if near or low_s:
-        cl = replace(cl, on_boundary=near, low_s_unproven=low_s)
-    return cl
+                              detail=str(exc), **place)
+    return replace(cl, **place)

@@ -188,6 +188,56 @@ def test_sweep_count_form_and_bad_grids(tmp_path, capsys):
         assert "grid" in err
 
 
+def _band_about_2to1():
+    # (4, 38)'s lambda_2to1 rounded to 9 decimals, 4e-11 below the boundary,
+    # and the sweep arguments of 9 points within 2e-6 of it
+    mid = round(parisi_zero.boundaries(4, 38).general["lambda_2to1"], 9)
+    return mid, ("--p", "4", "--s", "38", "--lambda-grid",
+                 f"{mid - 2e-6!r}:{mid + 2e-6!r}", "--count", "9")
+
+
+def test_sweep_flags_rows_near_a_boundary(tmp_path, capsys):
+    # rows within 1e-6 of the boundary carry near_boundary, the middle one
+    # inside the 1e-9 ownership window on_boundary too, and no other row
+    # a flag; the rows next to 1e-6 lie 4e-11 inside and outside it
+    lb = parisi_zero.boundaries(4, 38).general["lambda_2to1"]
+    out = tmp_path / "near.csv"
+    band = _band_about_2to1()[1]
+    assert run(capsys, "sweep", *band, "--out", str(out))[0] == 0
+    rows = [dict(zip(SWEEP_COLUMNS, l.split(",")))
+            for l in out.read_text().splitlines()[2:]]
+    assert [r["boundary_flags"] for r in rows] == [
+        "", "", "", "near_boundary", "near_boundary;on_boundary",
+        "near_boundary", "near_boundary", "", ""]
+    for r in rows:
+        near = abs(float(r["lambda"]) - lb) <= 1e-6
+        assert r["boundary_flags"].startswith("near_boundary") == near, r
+
+
+def test_classify_and_sweep_read_the_boundary_from_the_record(
+        tmp_path, capsys, monkeypatch):
+    # the near_boundary flag comes from the classify record: with the CLI's
+    # own boundary solve failing, classify and sweep write the same bytes
+    mid, band = _band_about_2to1()
+
+    def outputs(tag):
+        got = [run(capsys, "classify", "--p", "4", "--s", "38", "--lambda",
+                   repr(mid + 5e-7), "--format", fmt)
+               for fmt in ("json", "csv")]
+        csv = tmp_path / f"{tag}.csv"
+        got.append(run(capsys, "sweep", *band, "--out", str(csv))[0])
+        return got + [csv.read_text(), (tmp_path / f"{tag}.dat").read_text()]
+
+    want = outputs("a")
+    assert "near_boundary" in want[1][1]
+
+    def failing(*args):
+        raise RuntimeError("the CLI solved the boundaries itself")
+
+    monkeypatch.setattr(cli, "boundaries", failing)
+    assert outputs("b") == want
+
+
 def test_sweep_refuses_a_step_that_does_not_divide_the_span(tmp_path, capsys):
     # 0:1:0.3 used to write the lambdas 0, 1/3, 2/3, 1, not the step asked for
     out = tmp_path / "d.csv"

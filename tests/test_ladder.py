@@ -13,6 +13,8 @@ solved boundaries put there, read from the package's scenario table
   Where rounding puts it just outside the window, it must be unflagged
   and carry its interval phase.
 - Every Unresolved point carries a detail.
+- Every record names the interior boundary nearest to it and its exact
+  signed distance from it.
 
 KNOWN_DEFECTS lists the points that break these rules today, with the
 verdict each returns. The list can only shrink: a listed point that
@@ -149,3 +151,29 @@ def test_window_points_rounded_out_of_the_window_keep_their_phase(ladder):
            if abs(row[3]) == 9 and not cl.on_boundary]
     assert out == [((2, 8, "1to1F", -9), "OneRSB"),
                    ((2, 8, "1to1F", 9), "OneFRSB")]
+
+
+# (p, s, boundary, +-k) -> the boundary nearer to lambda_boundary +- 10**-k
+# than its own: at (5, 57) lambda_2to2F, lambda_2to1F and lambda_2to1 lie
+# within 2.5e-4 of each other
+NEARER_NEIGHBOUR = {
+    (5, 57, "2to1", -3): "2to2F", (5, 57, "2to1", -4): "2to1F",
+    (5, 57, "2to2F", 3): "2to1", (5, 57, "2to1F", -3): "2to2F",
+    (5, 57, "2to1F", 3): "2to1", (5, 57, "2to1F", 4): "2to1",
+}
+
+
+def test_every_record_names_its_nearest_boundary_and_distance(ladder):
+    # Unresolved records included; the distance is lambda - lambda_b
+    # exactly, for the lambda the caller passed
+    for row, _, _, cl in ladder:
+        p, s, key, k = row
+        b = boundaries(p, s)
+        vals = {**(b.p2 or {}), **(b.general or {})}
+        lam = vals["lambda_" + key] + (1 if k > 0 else -1) * 10.0 ** -abs(k)
+        want = "lambda_" + NEARER_NEIGHBOUR.get(row, key)
+        assert cl.boundary == want, (row, cl.boundary)
+        assert cl.boundary_distance == lam - vals[want], row
+        assert all(abs(cl.boundary_distance) <= abs(lam - v)
+                   for v in boundary_lambdas(b)), row
+    assert set(NEARER_NEIGHBOUR) <= {row for row, *_ in ladder}

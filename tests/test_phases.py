@@ -482,6 +482,12 @@ def test_pure_models_pass_the_one_step_test():
     for p in (3, 7, 60):
         cl = classify(p, p, 1.0)
         assert (cl.phase, cl.detail, cl.on_boundary) == ("OneRSB", None, False)
+    # no boundary for a pure model, the mixtures' ends included, nor for an
+    # AllOneRSB mixture
+    for point in ((3, 3, 1.0), (4, 38, 0.0), (4, 38, 1.0), (2, 8, 1.0),
+                  (4, 18, 0.5)):
+        cl = classify(*point)
+        assert (cl.boundary, cl.boundary_distance) == (None, None), point
     # the low-s flag is the (2, 3) mixtures', not its pure ends'
     assert [classify(2, 3, lam).low_s_unproven for lam in (0.0, 0.5, 1.0)] == [
         False, True, False]
@@ -598,12 +604,18 @@ def test_certified_phase_matches_the_interval_away_from_boundaries():
         assert cl.phase == interval_phase(p, s, lam), (p, s, lam)
 
 
-def test_exactly_on_a_boundary_is_flagged():
+def test_exactly_on_a_boundary_is_flagged(capsys):
     lam12 = boundaries(4, 38).general["lambda_1to2"]
     c = classify(4, 38, lam12)
     assert c.on_boundary
     assert c.phase == "OneRSB"
+    assert (c.boundary, c.boundary_distance) == ("lambda_1to2", 0.0)
     assert not classify(4, 38, 0.5).on_boundary
+    # a distance of 0.0 is still near its boundary
+    assert main(["classify", "--p", "4", "--s", "38", "--lambda", repr(lam12),
+                 "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[5] == "near_boundary;on_boundary"
 
 
 def test_low_s_family():
@@ -612,6 +624,7 @@ def test_low_s_family():
     assert b["lambda_1Fto1"] == 1.0
     c = classify(2, 3, 0.5)
     assert c.low_s_unproven
+    assert (c.boundary, c.boundary_distance) == (None, None)
     assert c.phase == "OneRSB"
     assert not classify(2, 4, 0.5).low_s_unproven
 
@@ -797,14 +810,20 @@ def test_boundary_solve_failure_comes_back_unresolved(monkeypatch, capsys,
     def failing(*args):
         raise exc
 
+    # a failed boundary solve leaves no boundary to name; a later layer's
+    # failure keeps the nearest one
+    place = ((None, None) if layer == "boundaries" else
+             ("lambda_2to2F", 0.8 - boundaries(4, 38).general["lambda_2to2F"]))
     monkeypatch.setattr(phases, layer, failing)
     c = classify(4, 38, 0.8)
     assert c.phase == "Unresolved"
     assert c.detail == str(exc)
     assert c.measure is None and c.energy is None
+    assert (c.boundary, c.boundary_distance) == place
     assert main(["classify", "--p", "4", "--s", "38", "--lambda", "0.8"]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["phase"] == "Unresolved" and out["detail"] == str(exc)
+    assert (out["boundary"], out["boundary_distance"]) == place
     with pytest.raises(ValueError):
         classify(4, 38, 1.5)
 
@@ -823,6 +842,7 @@ def test_unbracketed_boundary_comes_back_unresolved(monkeypatch, capsys,
         c = classify(4, 28, 0.8)
         assert c.phase == "Unresolved" and c.measure is None
         assert c.detail == detail
+        assert (c.boundary, c.boundary_distance) == (None, None)
         assert main(["boundaries", "--p", "4", "--s", "28"]) == 1
         assert "lambda_1to2 not bracketed" in capsys.readouterr().err
         point = ["--p", "4", "--s", "28"]

@@ -8,7 +8,9 @@
 writes four records:
 
 - the 101-point sweeps (``--lambda-grid 0:1:0.01``) of (4,38), (3,20) and
-  (2,4): every CSV row and every .dat row;
+  (2,4), and a 9-point sweep of (4,38) within 2e-6 of lambda_2to1 rounded
+  to 9 decimals, whose rows carry the near_boundary and on_boundary
+  flags: every CSV row and every .dat row;
 - the boundary constants of all 385 mixed families with p <= 8, s <= 60;
 - a seeded classify probe over the same families: 8 random lambdas a
   family, plus lambda_b +- d for d in 1e-8, 1e-7, 1e-5, 1e-3 about every
@@ -38,8 +40,8 @@ random lambdas a family: 12442 points, about 15 s on one core. It holds
 each certified phase against ``interval_phase``, prints the wrong and
 Unresolved counts by regime, boundary, rung and detail, and how many
 Unresolved points lie at least 1e-7 from a boundary (a rung's distance
-is its 10**-k, a random lambda's that to the nearest boundary), and
-exits 1 when any point is wrong.
+is its 10**-k, a random lambda's the one its classify record gives to
+the nearest boundary), and exits 1 when any point is wrong.
 """
 from __future__ import annotations
 
@@ -79,17 +81,23 @@ def _families():
     return [(p, s) for p in range(2, 9) for s in range(p + 1, 61)]
 
 
-def _sweeps(main):
+def _sweeps(pz, main):
+    lb = round(pz.boundaries(4, 38).general["lambda_2to1"], 9)
+    runs = [(f"{p},{s}", p, s, ["--lambda-grid", "0:1:0.01"])
+            for p, s in SWEEPS]
+    runs.append(("4,38 near lambda_2to1", 4, 38,
+                 ["--lambda-grid", f"{lb - 2e-6!r}:{lb + 2e-6!r}",
+                  "--count", "9"]))
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for p, s in SWEEPS:
-            csv = os.path.join(tmp, f"{p}_{s}.csv")
+        for i, (name, p, s, grid) in enumerate(runs):
+            csv = os.path.join(tmp, f"{i}.csv")
             with contextlib.redirect_stdout(io.StringIO()):
-                rc = main(["sweep", "--p", str(p), "--s", str(s),
-                           "--lambda-grid", "0:1:0.01", "--out", csv])
+                rc = main(["sweep", "--p", str(p), "--s", str(s), *grid,
+                           "--out", csv])
             with open(csv) as fh, open(csv[:-4] + ".dat") as fd:
-                out[f"{p},{s}"] = {"rc": rc, "csv": fh.read().splitlines(),
-                                   "dat": fd.read().splitlines()}
+                out[name] = {"rc": rc, "csv": fh.read().splitlines(),
+                             "dat": fd.read().splitlines()}
     return out
 
 
@@ -144,9 +152,7 @@ def _import(src):
 
 
 def _ladder_points(pz):
-    # (p, s, regime, boundary key or "random", signed rung or None, lambda,
-    # distance from a boundary: a rung's nominal 10**-k, a random lambda's
-    # to the nearest one)
+    # (p, s, regime, boundary key or "random", signed rung or None, lambda)
     import numpy as np
 
     rng = np.random.default_rng(SEED)
@@ -155,14 +161,13 @@ def _ladder_points(pz):
         b = pz.boundaries(p, s)
         tag = b.regime.tag
         cuts = pz.boundary_lambdas(b)
-        out += [(p, s, tag, "random", None, float(v),
-                 min((abs(v - c) for c in cuts), default=math.inf))
+        out += [(p, s, tag, "random", None, float(v))
                 for v in rng.uniform(0.0, 1.0, LADDER_RANDOM)]
         for key, lb in {**(b.p2 or {}), **(b.general or {})}.items():
             if lb not in cuts:  # None, or not inside (0, 1)
                 continue
             out += [(p, s, tag, key.removeprefix("lambda_"), sg * k,
-                     lb + sg * 10.0 ** -k, 10.0 ** -k)
+                     lb + sg * 10.0 ** -k)
                     for k in LADDER_RUNGS for sg in (-1, 1)
                     if 0.0 < lb + sg * 10.0 ** -k < 1.0]
     return out
@@ -181,12 +186,16 @@ def ladder():
     tally = {name: Counter() for name in ("regime", "boundary", "rung",
                                           "detail")}
     regimes = Counter(pz.regime(p, s).tag for p, s in _families())
-    for p, s, tag, key, rung, lam, dist in points:
+    for p, s, tag, key, rung, lam in points:
         cl = pz.classify(p, s, lam)
         want = pz.interval_phase(p, s, lam)
         if cl.phase == "Unresolved":
             kind = "Unresolved"
             unresolved += 1
+            # a rung's distance is its nominal 10**-k
+            dist = (10.0 ** -abs(rung) if rung is not None
+                    else math.inf if cl.boundary is None
+                    else abs(cl.boundary_distance))
             if dist >= 1e-7:
                 far["random" if rung is None else "rung"] += 1
             tally["detail"][_reason(cl.detail)] += 1
@@ -230,14 +239,14 @@ def dump(path, src):
         b = pz.boundaries(p, s)
         constants[f"{p},{s}"] = {"regime": b.regime.tag,
                                  **(b.p2 or {}), **(b.general or {})}
-    doc = {"src": os.path.abspath(src), "sweeps": _sweeps(main),
+    doc = {"src": os.path.abspath(src), "sweeps": _sweeps(pz, main),
            "constants": constants, "probe": _probe(pz),
            "oracle": _oracle(pz)}
     with open(path, "w") as fh:
         json.dump(doc, fh)
     print(f"wrote {len(doc['probe'])} probe points, {len(constants)} "
-          f"families, {len(SWEEPS)} sweeps and {len(doc['oracle'])} oracle "
-          f"profiles to {path}")
+          f"families, {len(doc['sweeps'])} sweeps and {len(doc['oracle'])} "
+          f"oracle profiles to {path}")
 
 
 class _Delta:
