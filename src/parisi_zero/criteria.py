@@ -54,8 +54,9 @@ class Landmarks:
     qbar1/qbar2 bound the interval where the first window function
     decreases; the four q's are the zeros of h11, h12, h21, h22 used by
     the two-level and full-type constructions, all found on one grid.
-    With qbar2 = 1, q21 = q22 = 1.0 stand for "no root below 1"; p = 2
-    sets only q12 = 0.0 (its full density starts at 0) and q22. q22_edge
+    With qbar2 = 1, q21 = q22 = 1.0 stand for "no root below 1", and
+    every reader takes them as the value x = 1; p = 2 sets only
+    q12 = 0.0 (its full density starts at 0) and q22. q22_edge
     holds an h22 root that the edge ladder found pressed against 1 but
     that h22's rounding floor leaves uncertified; q22 is None then.
     """

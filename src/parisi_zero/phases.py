@@ -113,12 +113,6 @@ def _two_step_window(lm: criteria.Landmarks) -> bool:
             and lm.q21 > lm.q11 and lm.q22 < lm.q12)
 
 
-def _gap(lo, hi):
-    # signed gap between two window roots; None where either is absent or
-    # hi is pinned at 1, a sentinel rather than a root
-    return None if lo is None or hi is None or hi >= 1.0 else hi - lo
-
-
 def _root(key, f, lo, hi, **kw):
     # brentq on the defining function of lambda_<key>: a bracket without a
     # sign change is a failed solve, which classify reports as Unresolved
@@ -175,8 +169,9 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
     root: lambda_2to1 of Psi above l1, the lambda-quadratic's first root;
     lambda_1to2 of zeta's largest interior maximum, the one-step test's
     number, below l1; lambda_2to2F of the gap q22 - q12 in [l1,
-    lambda_2to1F]; lambda_1to1F of p = 2's tilt equation in z (see
-    _p2_boundaries). The window pairs certify two of them: h11
+    lambda_2to1F], which counts q22 = 1.0 as the value 1 and so is
+    continuous up to lambda_2to1F; lambda_1to1F of p = 2's tilt equation
+    in z (see _p2_boundaries). The window pairs certify two of them: h11
     and h21 at zeta's peak, h12 and h22 midway between q12 and q22 must
     vanish within 1e-7. A failed solve raises RuntimeError. The
     diagnostics hold each one's place, residual and evaluation count.
@@ -210,8 +205,8 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
 
         def gap(t):
             window[t] = lm = criteria.landmarks(make_mixture(p, s, t))
-            g = _gap(lm.q12, lm.q22)
-            return 1.0 if g is None else g  # q22 at 1 (or absent): past it
+            # q22 = 1.0 is the value 1; a root that is absent reads as past it
+            return 1.0 if None in (lm.q12, lm.q22) else lm.q22 - lm.q12
 
         lam = _root("2to2F", gap, l1, lam_2to1f, xtol=1e-13)
         lm = window[lam]

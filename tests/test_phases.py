@@ -1,6 +1,8 @@
 """Regimes, boundary constants, and the classifier's phase map."""
 import json
 import math
+import re
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -131,7 +133,7 @@ def test_cold_four_phase_solve_stays_within_its_landmark_budget(monkeypatch):
     # only lambda_2to2F's Brent root scans landmarks, once an evaluation
     b, calls = _cold_solve_counted(monkeypatch, 4, 38)
     d, g = b.diagnostics, b.general
-    assert 0 < len(calls) <= 12
+    assert 0 < len(calls) <= 9
     assert len(set(calls)) == len(calls)
     assert d["evaluations_2to2F"] == len(calls)
     assert g["lambda_1to2"] == pytest.approx(0.6093645164854334, abs=1e-9)
@@ -196,30 +198,41 @@ def test_solved_constants_stay_on_their_roots(family):
 @pytest.mark.parametrize("gaps", ["all", "none", "holes"])
 def test_bracket_halvings_land_on_the_same_roots(monkeypatch, gaps):
     # (5, 57): lambda_2to2F sits 2.5e-4 below lambda_2to1F, the top of
-    # its bracket, where q22 runs to 1 and the gap reads +1. With the gap
-    # withheld everywhere, or at every third look, Brent's method has no
-    # bracket or closes on a false jump; either way the solve must fail,
-    # never hand back an uncertified lambda
-    real, looks = phases._gap, []
+    # its bracket, where q22 runs to 1 and the gap reads 1 - q12. With
+    # q22 withheld (None, read as +1) everywhere, or at every third look,
+    # Brent's method has no bracket or steps around the holes; the solve
+    # must then fail or land on the same root, never hand back an
+    # uncertified lambda
+    real, real_root, looks, gap_fns = criteria.landmarks, phases._root, [], []
 
-    def gap(lo, hi):
-        looks.append(None)
-        return real(lo, hi) if gaps == "all" or (
-            gaps == "holes" and len(looks) % 3) else None
+    def landmarks(m):
+        looks.append(m.lam)
+        lm = real(m)
+        return lm if gaps == "all" or (
+            gaps == "holes" and len(looks) % 3) else replace(lm, q22=None)
 
-    monkeypatch.setattr(phases, "_gap", gap)
+    def root(key, f, lo, hi, **kw):
+        if key == "2to2F":
+            gap_fns.append(f)
+        return real_root(key, f, lo, hi, **kw)
+
+    monkeypatch.setattr(criteria, "landmarks", landmarks)
+    monkeypatch.setattr(phases, "_root", root)
     boundaries.cache_clear()
     try:
-        if gaps != "all":
-            with pytest.raises(RuntimeError, match="^lambda_2to2F "):
-                boundaries(5, 57)
-            return
         b = boundaries(5, 57)
+    except RuntimeError as exc:
+        assert gaps != "all" and re.match("^lambda_2to2F ", str(exc)), exc
+        return
     finally:
         boundaries.cache_clear()
-    lm_top = criteria.landmarks(make_mixture(5, 57, b.general["lambda_2to1F"]))
-    assert lm_top.q22 == 1.0 and real(lm_top.q12, lm_top.q22) is None
+    assert gaps != "none"
     assert _constants(b) == pytest.approx(_FROZEN[5, 57], abs=1e-11)
+    if gaps == "all":
+        top = b.general["lambda_2to1F"]
+        lm_top = real(make_mixture(5, 57, top))
+        assert lm_top.q22 == 1.0 and 0.0 < 1.0 - lm_top.q12 < 1e-3
+        assert gap_fns[0](top) == 1.0 - lm_top.q12
 
 
 def test_boundaries_hold_their_defining_equations_across_families():
