@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -168,6 +169,29 @@ def _sweep_point(job):
     return _row(p, s, lam, classify(p, s, lam, tol=tol))
 
 
+def _quota_cpus(proc="/proc/self/cgroup", root="/sys/fs/cgroup"):
+    # the whole CPUs (rounded up) of the CPU quota of the cgroup that proc
+    # names: v2's cpu.max, else v1's cfs quota over its period; None where
+    # no file reads or the quota is "max" or -1 (no cap)
+    try:
+        lines = Path(proc).read_text().splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        try:
+            _, ctrls, path = line.split(":", 2)
+            d = os.path.join(root, ctrls, path.lstrip("/"))
+            names = (("cpu.cfs_quota_us", "cpu.cfs_period_us") if ctrls
+                     else ("cpu.max",))  # v1 groups without cpu lack them
+            quota, period = " ".join(
+                Path(d, n).read_text() for n in names).split()
+            if quota not in ("max", "-1"):
+                return -(-int(quota) // int(period))
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return None
+
+
 def _cmd_sweep(args, tol) -> int:
     if args.jobs < 1:
         print(f"sweep: --jobs must be at least 1, got {args.jobs}",
@@ -184,11 +208,11 @@ def _cmd_sweep(args, tol) -> int:
     grid = np.linspace(*spec)
     jobs = [(args.p, args.s, float(l), tol) for l in grid]
     # fork starts every worker at the first submit, so no more workers than
-    # points or than the cores this process may run on (its CPU affinity; a
-    # cgroup quota is not read); one worker runs in-process, unforked
+    # points or than the cores this process may run on (its CPU affinity,
+    # capped by a cgroup CPU quota); one worker runs in-process, unforked
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    workers = min(args.jobs, len(jobs), cores)
+    workers = min(args.jobs, len(jobs), cores, _quota_cpus() or cores)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -14,15 +14,17 @@ differences of xi at 1 (partial geometric sums, every length of which
 comes from one Horner pass, in place on arrays), which remain O(1) and
 exact arbitrarily close to x = 1. One kernel at x (xi, xi', D1, B and
 x xi' - xi) feeds f12 and all four window functions, so the identities
-tying the h's to f1/f2 hold by construction, not by transcription. On
-the fixed scan grids these lambda-free sums are built once per family.
+tying the h's to f1/f2 hold by construction, not by transcription (B,
+which only f2 reads, is built only for an f2; the landmark scan reads
+the second pair first). On the fixed scan grids these lambda-free sums
+are built once per family.
 
 All functions accept scalars or ndarrays in x and are pure.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -54,6 +56,8 @@ class Landmarks:
     qbar1/qbar2 bound the interval where the first window function
     decreases; the four q's are the zeros of h11, h12, h21, h22 used by
     the two-level and full-type constructions, all found on one grid.
+    Only the two-step test, which needs q22 < q12, reads the first pair
+    (q11, q21); the full phases and the lambda_2to2F gap read q12, q22.
     With qbar2 = 1, q21 = q22 = 1.0 stand for "no root below 1", and
     every reader takes them as the value x = 1; p = 2 sets only
     q12 = 0.0 (its full density starts at 0) and q22. q22_edge
@@ -345,19 +349,22 @@ _kernel_exps = lru_cache(maxsize=None)(
     lambda p, s: np.array([p, s, p - 1, s - 1], float))
 
 
-def _kernel(m: Mixture, q):
-    # (xi, xi', D1, B, q xi' - xi) at q, all that f12 reads of q; the last is
-    # assembled term-by-term so it vanishes cleanly at 0
+def _kernel(m: Mixture, q, f2=True):
+    # (xi, xi', D1, B, q xi' - xi) at q, all that f12 reads of q (B, which
+    # only f2 reads, is None without f2); the last is assembled term-by-term
+    # so it vanishes cleanly at 0
     _check_q(q)
     if isinstance(q, float) and not m.is_pure and m.p >= 4:  # xi_deriv's bits
         qp, qs, qp1, qs1 = np.power(q, _kernel_exps(m.p, m.s)).tolist()
         ((c0, _), (d0, _)), ((c1, _), (d1, _)) = m.terms[:2]
         xq, x1 = c0 * qp + d0 * qs, c1 * qp1 + d1 * qs1
-    else:
+    else:  # on arrays xi_deriv's pow is np.power from exponent 3 on
         qp, qs = np.power(q, m.p), np.power(q, m.s)
-        xq, x1 = xi_deriv(m, q), xi_deriv(m, q, 1)
+        xq = (m.lam * qp + (1.0 - m.lam) * qs
+              if isinstance(q, np.ndarray) and m.p >= 3 else xi_deriv(m, q))
+        x1 = xi_deriv(m, q, 1)
     qxp = m.lam * (m.p - 1) * qp + (1.0 - m.lam) * (m.s - 1) * qs
-    return xq, x1, _d1(m, q), _bfun(m, q), qxp
+    return xq, x1, _d1(m, q), _bfun(m, q) if f2 else None, qxp
 
 
 def _f2(q, z2, d1, b):
@@ -404,7 +411,7 @@ def _pair(m: Mixture, x, k, first):
 def _window(m: Mixture, x, first, one, k=None, z2=None):
     # one window function alone: h11 (first, one), h21 (first), h12 (one) or
     # h22; a grid pass hands in its kernel k at x and the pair's tilt z2
-    k = _kernel(m, x) if k is None else k
+    k = _kernel(m, x, not one) if k is None else k
     z2 = _tilt(m, x, k, first) if z2 is None else z2
     return _f1(x, z2, k) / (x * x) if one else _f2(x, z2, k[2], k[3])
 
@@ -553,20 +560,31 @@ def landmarks(m: Mixture) -> Landmarks:
     the grid holds no h22 root, the edge ladder looks closer to 1, and a
     root from it that fails its certificate is reported as q22_edge, with
     q22 None. The grid is built only when a root is read from it, and its
-    one kernel pass feeds only the scanned window functions; the first
-    root of h11 and h12 is read, the last of h21 and h22.
+    one kernel pass feeds only the scanned window functions, B only an
+    f2; the first root of h11 and h12 is read, the last of h21 and h22.
+    The second pair is found first (see _landmark_stages).
+    """
+    return list(_landmark_stages(m))[-1]
+
+
+def _landmark_stages(m: Mixture):
+    """landmarks' record with the window and second pair alone, then whole,
+    its first pair read on the same grid and kernel. p = 2 and an empty
+    window have no first pair and yield once: read on with next(it, first).
     """
     h22 = lambda x: _h22(m, x)
     if xi_deriv(m, 0.0, 2) > 0.0:  # p = 2: no t window, q12 = 0
-        if not s_of(m.p, m.s, m.lam) > 0.0:
-            return Landmarks(q12=0.0, q22=1.0)
-        roots = _sign_roots(h22, 1e-9, 1 - 1e-9)
-        q22, q22_edge = ((roots[0], None) if roots
-                         else _edge_h22(m, h22, 1e-9, None))
-        return Landmarks(q12=0.0, q22=q22, q22_edge=q22_edge)
+        q22, q22_edge = 1.0, None
+        if s_of(m.p, m.s, m.lam) > 0.0:
+            roots = _sign_roots(h22, 1e-9, 1 - 1e-9)
+            q22, q22_edge = ((roots[0], None) if roots
+                             else _edge_h22(m, h22, 1e-9, None))
+        yield Landmarks(q12=0.0, q22=q22, q22_edge=q22_edge)
+        return
     tb = _sign_roots(lambda x: _tau(m, x), 1e-9, 1 - 1e-9)
     if not tb:
-        return Landmarks()
+        yield Landmarks()
+        return
     qbar1 = tb[0]
     qbar2 = tb[1] if len(tb) >= 2 else 1.0
     hi_in = qbar2 - _QBAR_INSET if qbar2 < 1 else 1 - 1e-9
@@ -576,26 +594,27 @@ def landmarks(m: Mixture) -> Landmarks:
     scan_h22 = scan_h21 and (qbar2 < 1 or s_of(m.p, m.s, m.lam) > 0)
     if scan_h11 or scan_h22:  # the one grid of every window scan
         xs = np.linspace(lo, hi_in, 4096)
-        k, z2 = _kernel(m, xs), {}
+        k, z2 = list(_kernel(m, xs, False)), {}
 
     def root(first, one):
         # the first root of h11 or h12 (one), the last of h21 or h22
         if first not in z2:
             z2[first] = _tilt(m, xs, k, first)
+        if not one and k[3] is None:
+            k[3] = _bfun(m, xs)
         f = h22 if not (first or one) else lambda x: _window(m, x, first, one)
         r = _grid_roots(f, xs, _window(m, xs, first, one, k, z2[first]))
         return (r[0] if one else r[-1]) if r else None
 
-    q11 = q12 = q21 = q22 = q22_edge = None
-    if scan_h11:
-        q11, q12 = root(True, True), root(False, True)
-    if scan_h21:
-        q21 = root(True, False) if qbar2 < 1 else 1.0
-        if scan_h22:
-            q22 = root(False, False)
-            if q22 is None and qbar2 == 1.0:
-                q22, q22_edge = _edge_h22(m, h22, lo, 1.0)
-        else:
-            q22 = 1.0
-    return Landmarks(qbar1=qbar1, qbar2=qbar2, q11=q11, q12=q12, q21=q21,
-                     q22=q22, q22_edge=q22_edge)
+    q12 = root(False, True) if scan_h11 else None
+    q22, q22_edge = (1.0 if scan_h21 else None), None
+    if scan_h22:
+        q22 = root(False, False)
+        if q22 is None and qbar2 == 1.0:
+            q22, q22_edge = _edge_h22(m, h22, lo, 1.0)
+    lm = Landmarks(qbar1=qbar1, qbar2=qbar2, q12=q12, q22=q22,
+                   q22_edge=q22_edge)
+    yield lm
+    yield replace(lm, q11=root(True, True) if scan_h11 else None,
+                  q21=(root(True, False) if qbar2 < 1 else 1.0)
+                  if scan_h21 else None)

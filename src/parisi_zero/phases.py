@@ -169,12 +169,13 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
     root: lambda_2to1 of Psi above l1, the lambda-quadratic's first root;
     lambda_1to2 of zeta's largest interior maximum, the one-step test's
     number, below l1; lambda_2to2F of the gap q22 - q12 in [l1,
-    lambda_2to1F], which counts q22 = 1.0 as the value 1 and so is
-    continuous up to lambda_2to1F; lambda_1to1F of p = 2's tilt equation
-    in z (see _p2_boundaries). The window pairs certify two of them: h11
-    and h21 at zeta's peak, h12 and h22 midway between q12 and q22 must
-    vanish within 1e-7. A failed solve raises RuntimeError. The
-    diagnostics hold each one's place, residual and evaluation count.
+    lambda_2to1F], read from landmarks' second pair alone, which counts
+    q22 = 1.0 as the value 1 and so is continuous up to lambda_2to1F;
+    lambda_1to1F of p = 2's tilt equation in z (see _p2_boundaries). The
+    window pairs certify two of them: h11 and h21 at zeta's peak, h12 and
+    h22 midway between q12 and q22 must vanish within 1e-7. A failed
+    solve raises RuntimeError. The diagnostics hold each one's place,
+    residual and evaluation count.
     """
     reg = regime(p, s)
     if reg.tag == "Pure" or reg.tag == "AllOneRSB":
@@ -201,10 +202,11 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
                "lambda_2to1": lam_2to1}
     if reg.tag == "FourPhase":
         lam_2to1f = criteria.s_roots(p, s).roots[0]
-        window = {}  # lambda -> landmarks there
+        window = {}  # lambda -> landmarks' second-pair record there
 
         def gap(t):
-            window[t] = lm = criteria.landmarks(make_mixture(p, s, t))
+            window[t] = lm = next(criteria._landmark_stages(
+                make_mixture(p, s, t)))
             # q22 = 1.0 is the value 1; a root that is absent reads as past it
             return 1.0 if None in (lm.q12, lm.q22) else lm.q22 - lm.q12
 
@@ -331,14 +333,18 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
     z = criteria.solve_z(m)
     if _one_step(m, z):
         return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
-    lm = criteria.landmarks(m)
+    stages = criteria._landmark_stages(m)
+    lm = next(stages)
     if lm.q22_edge is not None:
         raise ValueError(f"uncertified h22 edge root q22 = {lm.q22_edge!r}: "
                          f"h22 is at its rounding floor around it")
-    if _two_step_window(lm):
-        q, z1, z2 = _solve_two_step(m, lm)
-        return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",
-                        {"q": q, "z1": z1, "z2": z2}, tol)
+    # a two-step window needs q22 < q12; only then is the first pair read
+    if None in (lm.q12, lm.q22) or lm.q22 < lm.q12:
+        lm = next(stages, lm)
+        if _two_step_window(lm):
+            q, z1, z2 = _solve_two_step(m, lm)
+            return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",
+                            {"q": q, "z1": z1, "z2": z2}, tol)
     # landmarks reads q12 and q22 only where t < 0 (p = 2: q12 = 0); q22
     # inside (q12, 1) ends the full density, else it runs to 1 (None: h22
     # not scanned). The measure's shape names the phase

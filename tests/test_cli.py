@@ -140,6 +140,7 @@ def two_cores(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+    monkeypatch.setattr(cli, "_quota_cpus", lambda: None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     return asked
@@ -308,6 +309,7 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys,
         assert len(out.read_text().splitlines()) == 2 + count
 
     # the usable cores are the CPU affinity where the platform has one
+    monkeypatch.setattr(cli, "_quota_cpus", lambda: None)
     for cores, count, jobs, want in ((8, 3, 500, [3]), (8, 5, 2, [2]),
                                      (8, 1, 8, []), (1, 3, 500, []),
                                      (2, 3, 500, [2]), (2, 5, 2, [2]),
@@ -315,11 +317,55 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys,
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid, n=cores: set(range(n)), raising=False)
         check(count, jobs, want)
+    # capped by a cgroup CPU quota, in whole CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    for quota, want in ((1, []), (2, [2]), (3, [3]), (16, [5])):
+        monkeypatch.setattr(cli, "_quota_cpus", lambda q=quota: q)
+        check(5, 500, want)
     # else os.cpu_count(), and one core where even that is unknown
+    monkeypatch.setattr(cli, "_quota_cpus", lambda: None)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for cpus, want in ((3, [3]), (1, []), (None, [])):
         monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
         check(5, 500, want)
+    monkeypatch.setattr(cli, "_quota_cpus", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    check(5, 500, [2])
+
+
+@pytest.mark.parametrize("lines, files, want", [
+    # cgroup v2: cpu.max of the named cgroup, "max" for no cap
+    (["0::/job"], {"job/cpu.max": "150000 100000\n"}, 2),
+    (["0::/job"], {"job/cpu.max": "100000 100000\n"}, 1),
+    (["0::/"], {"cpu.max": "50000 100000\n"}, 1),
+    (["0::/job"], {"job/cpu.max": "max 100000\n"}, None),
+    # cgroup v1: the cpu controller's cfs quota over its period, -1 no cap
+    (["4:memory:/m", "2:cpu,cpuacct:/job"],
+     {"cpu,cpuacct/job/cpu.cfs_quota_us": "250000\n",
+      "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"}, 3),
+    (["1:cpu:/"], {"cpu/cpu.cfs_quota_us": "-1\n",
+                   "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    # a v1 quota on a hybrid host whose v2 group has no cpu.max
+    (["1:cpu:/", "0::/"], {"cpu/cpu.cfs_quota_us": "100000\n",
+                           "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+    # unreadable or garbled files: no cap
+    (["0::/job"], {}, None),
+    (["0::/job"], {"job/cpu.max": "oops\n"}, None),
+    (["0::/job"], {"job/cpu.max": "100000 0\n"}, None),
+    (["garbled"], {}, None),
+    (None, {}, None),
+])
+def test_cpu_quota_reader(tmp_path, lines, files, want):
+    # the reader only reads: a fake /proc/self/cgroup and cgroup tree
+    root = tmp_path / "cgroup"
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    proc = tmp_path / "self_cgroup"
+    if lines is not None:
+        proc.write_text("".join(line + "\n" for line in lines))
+    assert cli._quota_cpus(str(proc), str(root)) == want
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -616,6 +662,7 @@ from parisi_zero import cli
 
 multiprocessing.set_start_method("spawn")
 os.sched_getaffinity = lambda pid: {0, 1}  # a real pool on one core too
+cli._quota_cpus = lambda: None  # and under a one-CPU quota
 for jobs in ("1", "2"):
     assert cli.main(["sweep", "--p", "4", "--s", "38",
                      "--lambda-grid", "0.980:0.991:0.001", "--jobs", jobs,

@@ -538,22 +538,30 @@ def test_landmarks_refines_only_the_roots_it_reads(monkeypatch, lam, n_tau,
     # and h12, the last of h21 and h22 (q21 = 1.0 at 0.95 is no root); each
     # window function has one sign change here. Each refinement evaluates
     # only the function it brackets, so c, which only h21 and h22 (f2)
-    # need, runs on their grid values, in their refinements (the last n_f2
-    # brentq calls) and once in the h21 probe at qbar1, never for h11 or h12
+    # need, runs on their grid values, once an evaluation in their n_f2
+    # refinements and once in the h21 probe at qbar1, never for t, h11 or
+    # h12
     m = make_mixture(4, 38, lam)
-    evals, tilts = [], []
+    evals, tilts = [], []  # per brentq: [evaluations, scalar c calls]
+    refining = []  # the open brentq's entry
     real, real_c = criteria.brentq, criteria.c_log
 
     def counted(f, a, b, **kw):
-        evals.append(0)
+        evals.append([0, 0])
+        refining.append(evals[-1])
 
         def g(x):
-            evals[-1] += 1
+            evals[-1][0] += 1
             return f(x)
-        return real(g, a, b, **kw)
+        try:
+            return real(g, a, b, **kw)
+        finally:
+            refining.pop()
 
     def c_counted(z):
         tilts.append(np.ndim(z))
+        if refining and np.ndim(z) == 0:
+            refining[-1][1] += 1
         return real_c(z)
 
     monkeypatch.setattr(criteria, "brentq", counted)
@@ -563,8 +571,11 @@ def test_landmarks_refines_only_the_roots_it_reads(monkeypatch, lam, n_tau,
             if q is not None and q < 1.0]
     assert len(read) == n_read and (lm.qbar2 < 1.0) == (n_tau == 2)
     assert len(evals) == n_tau + n_read
+    f2 = [n for n, c in evals[n_tau:] if c]
+    assert len(f2) == n_f2 and all(c in (0, n) for n, c in evals)
+    assert not any(c for _, c in evals[:n_tau])
     assert tilts.count(1) == n_f2
-    assert tilts.count(0) == 1 + sum(evals[-n_f2:])
+    assert tilts.count(0) == 1 + sum(f2)
 
 
 @pytest.mark.parametrize("lam, grid", [(0.995, False), (0.95, True)])
@@ -576,15 +587,59 @@ def test_landmarks_builds_its_grid_only_to_read_a_root(monkeypatch, lam,
     m = make_mixture(4, 38, lam)
     dims, real = [], criteria._kernel
 
-    def counted(m, x):
+    def counted(m, x, *args):
         dims.append(np.ndim(x))
-        return real(m, x)
+        return real(m, x, *args)
 
     monkeypatch.setattr(criteria, "_kernel", counted)
     lm = landmarks(m)
     assert (lm.qbar2 == 1.0 and criteria.s_of(4, 38, lam) <= 0) == (not grid)
     assert (lm.q21 == lm.q22 == 1.0 and lm.q11 is None) == (not grid)
     assert dims.count(1) == int(grid)
+
+
+def _band_points(p, s):
+    # the middle of every band of the family's scenario
+    from parisi_zero.phases import boundary_lambdas
+
+    cuts = [0.0, *boundary_lambdas(boundaries(p, s)), 1.0]
+    return [(p, s, 0.5 * (lo + hi)) for lo, hi in zip(cuts, cuts[1:])]
+
+
+BAND_POINTS = [pt for fam in ((4, 38), (3, 20), (4, 28), (5, 57))
+               for pt in _band_points(*fam)]
+
+
+@pytest.mark.parametrize("p, s, lam", BAND_POINTS)
+def test_second_pair_stage_is_landmarks_record_bit_for_bit(p, s, lam):
+    # the first stage holds landmarks' window and second pair, and no first
+    # pair; the second stage is landmarks' record
+    m = make_mixture(p, s, lam)
+    lm = landmarks(m)
+    stages = criteria._landmark_stages(m)
+    first = next(stages)
+    keys = ("qbar1", "qbar2", "q12", "q22", "q22_edge")
+    assert [getattr(first, k) for k in keys] == [getattr(lm, k) for k in keys]
+    assert first.q11 is None and first.q21 is None
+    assert next(stages, first) == lm
+
+
+@pytest.mark.parametrize("p, s, lam", BAND_POINTS)
+def test_b_free_kernel_keeps_the_first_window_functions_bits(p, s, lam):
+    # scalar h11 and h12 build no B; at 50 points of the window they equal
+    # eval_h1's and eval_h2's, and the array kernel's xi, taken from its
+    # own powers, equals xi_deriv's, all with ==
+    m = make_mixture(p, s, lam)
+    lm = landmarks(m)
+    lo, hi = (0.05, 0.95) if lm.qbar1 is None else (lm.qbar1, lm.qbar2)
+    xs = np.linspace(lo, hi, 52)[1:-1]
+    for x in xs.tolist():
+        assert criteria._window(m, x, True, True) == eval_h1(m, x)[0], x
+        assert criteria._window(m, x, False, True) == eval_h2(m, x)[0], x
+    k = criteria._kernel(m, xs, False)
+    assert k[3] is None
+    assert np.array_equal(k[0], xi_deriv(m, xs))
+    assert np.array_equal(k[0], xi_deriv(m, xs.copy()))
 
 
 # ------------------------------------------- slope relations (used by c9 too)

@@ -116,15 +116,16 @@ def test_boundary_defining_equations_hold():
 
 
 def _cold_solve_counted(monkeypatch, p, s):
-    # a cold solve of (p, s), and the lambdas it scanned landmarks at
+    # a cold solve of (p, s), and the lambdas it scanned landmarks at (the
+    # lambda_2to2F gap reads their first stage, the second pair)
     calls = []
-    real = criteria.landmarks
+    real = criteria._landmark_stages
 
-    def counted(m, *args, **kwargs):
+    def counted(m):
         calls.append(m.lam)
-        return real(m, *args, **kwargs)
+        return real(m)
 
-    monkeypatch.setattr(criteria, "landmarks", counted)
+    monkeypatch.setattr(criteria, "_landmark_stages", counted)
     boundaries.cache_clear()
     return boundaries(p, s), calls
 
@@ -140,6 +141,59 @@ def test_cold_four_phase_solve_stays_within_its_landmark_budget(monkeypatch):
     assert g["lambda_2to2F"] == pytest.approx(0.9816846324246461, abs=1e-9)
     assert g["lambda_2to1F"] == pytest.approx(0.9871482060395593, abs=1e-9)
     assert g["lambda_2to1"] == pytest.approx(0.9899796410415966, abs=1e-9)
+
+
+def _array_calls(monkeypatch):
+    # the (first, one) of each window function evaluated on an array (h11:
+    # True, True; h21: True, False; h12: False, True; h22 by the grid: False,
+    # False), and the size of each B built on an array
+    windows, bs = [], []
+    real_w, real_b = criteria._window, criteria._bfun
+
+    def window(m, x, first, one, k=None, z2=None):
+        if np.ndim(x):
+            windows.append((first, one))
+        return real_w(m, x, first, one, k, z2)
+
+    def bfun(m, x):
+        if np.ndim(x):
+            bs.append(np.size(x))
+        return real_b(m, x)
+
+    monkeypatch.setattr(criteria, "_window", window)
+    monkeypatch.setattr(criteria, "_bfun", bfun)
+    return windows, bs
+
+
+@pytest.mark.parametrize("p, s, lam, phase", [
+    (4, 38, 0.984, "TwoFRSB"), (3, 20, 0.965, "TwoFRSB"),
+    (4, 38, 0.9886, "OneFRSB"), (3, 20, 0.983, "OneFRSB"),
+    (4, 38, 0.8, "TwoRSB")])
+def test_full_phases_scan_only_the_second_pair(monkeypatch, p, s, lam,
+                                               phase):
+    # q22 >= q12 rules out a two-step window, so a full phase scans no
+    # first-pair window function on the grid, and a OneFRSB point, whose
+    # h22 is not scanned, builds no B there; TwoRSB still scans all four
+    boundaries(p, s)
+    windows, bs = _array_calls(monkeypatch)
+    assert classify(p, s, lam).phase == phase
+    if phase == "TwoRSB":
+        assert sorted(set(windows)) == [(False, False), (False, True),
+                                        (True, False), (True, True)]
+        assert bs == [4096]
+    else:
+        assert windows and not any(first for first, _ in windows)
+        assert bs == ([] if phase == "OneFRSB" else [4096])
+
+
+def test_cold_four_phase_solve_scans_only_the_second_pair(monkeypatch):
+    # the lambda_2to2F gap reads q12 and q22 alone
+    windows, _ = _array_calls(monkeypatch)
+    b, calls = _cold_solve_counted(monkeypatch, 4, 38)
+    assert 0 < len(calls) <= 9 and len(windows) >= len(calls)
+    assert not any(first for first, _ in windows)
+    assert b.general["lambda_2to2F"] == pytest.approx(0.9816846324246461,
+                                                      abs=1e-9)
 
 
 def test_cold_two_phase_solve_stays_within_its_landmark_budget(monkeypatch):
@@ -203,20 +257,21 @@ def test_bracket_halvings_land_on_the_same_roots(monkeypatch, gaps):
     # Brent's method has no bracket or steps around the holes; the solve
     # must then fail or land on the same root, never hand back an
     # uncertified lambda
-    real, real_root, looks, gap_fns = criteria.landmarks, phases._root, [], []
+    real, real_root, looks, gap_fns = (criteria._landmark_stages,
+                                       phases._root, [], [])
 
-    def landmarks(m):
+    def stages(m):
         looks.append(m.lam)
-        lm = real(m)
-        return lm if gaps == "all" or (
-            gaps == "holes" and len(looks) % 3) else replace(lm, q22=None)
+        for lm in real(m):
+            yield lm if gaps == "all" or (
+                gaps == "holes" and len(looks) % 3) else replace(lm, q22=None)
 
     def root(key, f, lo, hi, **kw):
         if key == "2to2F":
             gap_fns.append(f)
         return real_root(key, f, lo, hi, **kw)
 
-    monkeypatch.setattr(criteria, "landmarks", landmarks)
+    monkeypatch.setattr(criteria, "_landmark_stages", stages)
     monkeypatch.setattr(phases, "_root", root)
     boundaries.cache_clear()
     try:
@@ -230,7 +285,7 @@ def test_bracket_halvings_land_on_the_same_roots(monkeypatch, gaps):
     assert _constants(b) == pytest.approx(_FROZEN[5, 57], abs=1e-11)
     if gaps == "all":
         top = b.general["lambda_2to1F"]
-        lm_top = real(make_mixture(5, 57, top))
+        lm_top = criteria.landmarks(make_mixture(5, 57, top))
         assert lm_top.q22 == 1.0 and 0.0 < 1.0 - lm_top.q12 < 1e-3
         assert gap_fns[0](top) == 1.0 - lm_top.q12
 
