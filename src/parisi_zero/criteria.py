@@ -16,8 +16,10 @@ exact arbitrarily close to x = 1. One kernel at x (xi, xi', D1, B and
 x xi' - xi) feeds f12 and all four window functions, so the identities
 tying the h's to f1/f2 hold by construction, not by transcription (B,
 which only f2 reads, is built only for an f2; the landmark scan reads
-the second pair first). On the fixed scan grids these lambda-free sums
-are built once per family.
+the second pair first). On the fixed scan grids (the shared 4096-point
+grid of the t scan and of p = 2's h22 scan) these lambda-free sums are
+built once per family; the other window roots are bracketed on a
+1024-point grid of the window and polished by Brent's method.
 
 All functions accept scalars or ndarrays in x and are pure.
 """
@@ -446,6 +448,9 @@ def _h22_floor(m: Mixture, x):
 
 _PLATEAU_TOL = 1e-6  # half-width of the bracket certifying an h22 root
 _QBAR_INSET = 1e-12  # landmarks scans the h's this far inside (qbar1, qbar2)
+# points of landmarks' h-grid, which only brackets roots for Brent: on 600
+# seeded points 4096 found the same roots to 4e-13, and 512 was no faster
+_H_GRID = 1024
 
 
 def _h22_root_certified(m: Mixture, q: float) -> bool:
@@ -555,13 +560,14 @@ def landmarks(m: Mixture) -> Landmarks:
     genuine change means t stays negative up to 1, so qbar2 := 1 (t(1) can
     read as +noise at the knife edge where the lambda-quadratic has a
     root). The h-roots are then isolated inside (qbar1, qbar2) on one
-    4096-point grid, following the case split on qbar2 and, for h22 with
-    qbar2 = 1, on the sign of the full-type onset quadratic; there, where
-    the grid holds no h22 root, the edge ladder looks closer to 1, and a
-    root from it that fails its certificate is reported as q22_edge, with
-    q22 None. The grid is built only when a root is read from it, and its
-    one kernel pass feeds only the scanned window functions, B only an
-    f2; the first root of h11 and h12 is read, the last of h21 and h22.
+    1024-point grid (_H_GRID; t's grid keeps 4096 points), following the
+    case split on qbar2 and, for h22 with qbar2 = 1, on the sign of the
+    full-type onset quadratic; there, where the grid holds no h22 root,
+    the edge ladder looks closer to 1, and a root from it that fails its
+    certificate is reported as q22_edge, with q22 None. The grid is
+    built only when a root is read from it, and its one kernel pass feeds
+    only the scanned window functions, B only an f2; the first root of
+    h11 and h12 is read, the last of h21 and h22.
     The second pair is found first (see _landmark_stages).
     """
     return list(_landmark_stages(m))[-1]
@@ -593,7 +599,7 @@ def _landmark_stages(m: Mixture):
     scan_h21 = _window(m, qbar1, True, False) > 0
     scan_h22 = scan_h21 and (qbar2 < 1 or s_of(m.p, m.s, m.lam) > 0)
     if scan_h11 or scan_h22:  # the one grid of every window scan
-        xs = np.linspace(lo, hi_in, 4096)
+        xs = np.linspace(lo, hi_in, _H_GRID)
         k, z2 = list(_kernel(m, xs, False)), {}
 
     def root(first, one):

@@ -642,6 +642,37 @@ def test_b_free_kernel_keeps_the_first_window_functions_bits(p, s, lam):
     assert np.array_equal(k[0], xi_deriv(m, xs.copy()))
 
 
+def test_coarse_h_grid_finds_the_fine_grids_roots(monkeypatch):
+    # the h-grid only brackets roots for brentq: at 200 seeded points and
+    # the band midpoints of three families, a 4096-point grid finds no root
+    # the coarse one misses, and every root agrees to 1e-12
+    rng = np.random.default_rng(31)
+    points = [pt for fam in ((4, 38), (3, 20), (4, 28))
+              for pt in _band_points(*fam)]
+    for _ in range(200):
+        p = int(rng.integers(3, 9))
+        points.append((p, int(rng.integers(p + 1, 61)),
+                       float(rng.uniform(0.5, 1.0))))
+    fields = ("qbar1", "qbar2", "q11", "q12", "q21", "q22", "q22_edge")
+
+    def records():
+        return [list(criteria._landmark_stages(make_mixture(*pt)))[-1]
+                for pt in points]
+
+    coarse, n = records(), criteria._H_GRID
+    monkeypatch.setattr(criteria, "_H_GRID", 4096)
+    fine = records()
+    scanned = 0
+    for pt, a, b in zip(points, coarse, fine):
+        for k in fields:
+            qa, qb = getattr(a, k), getattr(b, k)
+            assert (qa is None) == (qb is None), (pt, k)
+            if qa is not None:
+                assert abs(qa - qb) <= 1e-12, (pt, k, qa, qb)
+        scanned += a.q12 is not None
+    assert n < 4096 and scanned >= 50
+
+
 # ------------------------------------------- slope relations (used by c9 too)
 def _fd(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2 * h)

@@ -258,15 +258,17 @@ def test_refined_min_g_matches_a_bounded_minimiser():
 # phase, recorded before the certificate's array paths were rewritten
 # (numpy 2.4, x86-64 with AVX-512; numpy's SIMD power can move the last
 # bits on another CPU or numpy build); the entries that read q22 or a
-# band midpoint re-recorded when landmarks took q22 from its shared grid
+# band midpoint re-recorded when landmarks took q22 from its shared grid,
+# and the four that read a landmark root or a constant re-recorded when
+# that grid went from 4096 to 1024 points (roots moved by under 1e-12)
 _PINNED_REPORTS = {
-    "TwoFRSB construction": (8.8817841970012523e-16, -2.2204460492503131e-16,
-                             4.773959005888173e-15, True),
+    "TwoFRSB construction": (0.0, -4.440892098500626e-16,
+                             4.440892098500626e-16, True),
     "certified (4, 38, 0.95)": (8.8817841970012523e-16, -2.886579864025407e-15,
                                 2.886579864025407e-15, True),
     "certified (2, 8, 0.5)": (8.8817841970012523e-16, 0.0,
                               2.2204460492503131e-16, True),
-    "certified (3, 20, 0.9)": (0.0, 0.0, 3.3306690738754696e-16, True),
+    "certified (3, 20, 0.9)": (0.0, 0.0, 0.0, True),
     "wrong one-step (4, 38, 0.7955) in TwoRSB": (
         0.0, -0.03939897575233209, 0.0, False),
     "wrong one-step (4, 38, 0.9844) in TwoFRSB": (
@@ -291,11 +293,11 @@ _PINNED_REPORTS = {
     "certified (2, 4, 1.0)": (4.4408920985006262e-16, 0.0, 0.0, True),
     "certified (4, 38, 0.5)": (7.1054273576010019e-15, 0.0,
                                7.7715611723760958e-16, True),
-    "certified (4, 38, 0.985)": (8.8817841970012523e-16,
-                                 -2.2204460492503131e-16,
-                                 4.773959005888173e-15, True),
-    "certified (4, 38, 0.988)": (1.7763568394002505e-15, 0.0,
-                                 2.2204460492503131e-16, True),
+    "certified (4, 38, 0.985)": (0.0, -4.440892098500626e-16,
+                                 4.440892098500626e-16, True),
+    "certified (4, 38, 0.988)": (8.881784197001252e-16,
+                                 -2.220446049250313e-16,
+                                 7.771561172376096e-16, True),
     "certified (2, 8, 0.99)": (0.0, 0.0, 0.0, True),
 }
 
@@ -488,16 +490,17 @@ def test_off_calibration_full_segments_match_generic_quadrature(p, s, which,
 # measures above (the atom scaled), recorded when the energy had a segment
 # walk of its own (numpy 2.4, x86-64 with AVX-512, as _PINNED_REPORTS); the
 # TwoFRSB rows, at (4, 38)'s band midpoint in _BAND_MIDPOINTS, re-recorded
-# with the q22 entries there
+# with the q22 entries there, and with the (4, 38, 0.988) row when the
+# landmark grid went from 4096 to 1024 points
 _PINNED_ENERGIES = {
     (2, 2, 1.0, 1.0): 1.414213562373095,
     (4, 38, 0.5, 1.0): 2.354034396459024,
     (4, 38, 0.95, 1.0): 1.9363188216908118,
     (4, 38, 0.985, 1.0): 1.8456654254983598,
-    (4, 38, 0.988, 1.0): 1.836077245378361,
+    (4, 38, 0.988, 1.0): 1.8360772453783611,
     (2, 8, 0.99, 1.0): 1.434561758617329,
-    (4, 38, 0.9844164192320981, 1 + 1e-6): 1.8474879413642138,
-    (4, 38, 0.9844164192320981, 1.01): 1.8475088630991334,
+    (4, 38, 0.9844164192320981, 1 + 1e-6): 1.8474879413642145,
+    (4, 38, 0.9844164192320981, 1.01): 1.8475088630991339,
     (2, 8, 0.9, 1 + 1e-6): 1.5727095702517389,
     (2, 8, 0.9, 1.01): 1.5727397788562705,
 }

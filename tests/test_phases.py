@@ -180,10 +180,10 @@ def test_full_phases_scan_only_the_second_pair(monkeypatch, p, s, lam,
     if phase == "TwoRSB":
         assert sorted(set(windows)) == [(False, False), (False, True),
                                         (True, False), (True, True)]
-        assert bs == [4096]
+        assert bs == [criteria._H_GRID]
     else:
         assert windows and not any(first for first, _ in windows)
-        assert bs == ([] if phase == "OneFRSB" else [4096])
+        assert bs == ([] if phase == "OneFRSB" else [criteria._H_GRID])
 
 
 def test_cold_four_phase_solve_scans_only_the_second_pair(monkeypatch):

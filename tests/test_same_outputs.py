@@ -28,7 +28,11 @@ _RECORD = {
                "bits": {"z": 1.25, "energy": -1.5}},
               {"key": [4, 38, 0.95], "phase": "TwoRSB", "detail": None,
                "on_boundary": False, "low_s_unproven": False,
-               "bits": {"q": 0.95, "energy": -1.6}}],
+               "bits": {"q": 0.95, "energy": -1.6}},
+              {"key": [4, 38, 0.99], "phase": "Unresolved",
+               "detail": "no sign change on [0.9999999615639026, "
+                         "0.9999999807817984]",
+               "on_boundary": False, "low_s_unproven": False, "bits": {}}],
     "oracle": [],
 }
 
@@ -72,3 +76,22 @@ def test_diff_lists_a_changed_bit(same_outputs, tmp_path, capsys):
     at = out.index("bit changes:")
     assert out[at + 1:] == ["  probe: 1 points", "    [4, 38, 0.5]",
                             "    energy: 1 changed, largest |delta| 2.22e-16"]
+
+
+@pytest.mark.parametrize("detail_b, tag", [
+    ("no sign change on [0.9999999615639025, 0.9999999807817983]", True),
+    ("no sign change on [0.9999999615639025, 1e-07]", True),
+    ("no construction applies [0.9999999615639026, 0.9999999807817984]",
+     False),
+    ("no sign change on [0.9999999615639026, None]", False)])
+def test_diff_tags_a_detail_that_changed_only_in_its_numbers(
+        same_outputs, tmp_path, capsys, detail_b, tag):
+    # the tag marks the line; the change still counts and still fails
+    detail_a = _RECORD["probe"][2]["detail"]
+    rc, out = _diff(same_outputs, tmp_path, capsys,
+                    lambda b: b["probe"][2].update(detail=detail_b))
+    assert rc == 1
+    assert out[0] == "verdict or detail changes: 1"
+    assert out[1] == (f"  probe [4, 38, 0.99]: Unresolved ({detail_a}) -> "
+                      f"Unresolved ({detail_b})"
+                      + (" (numbers only)" if tag else ""))

@@ -26,8 +26,11 @@ writes four records:
 ``diff`` lists verdict or detail changes first (sweep phases and .dat
 phase indices, probe phase, detail and flags, constants that appear or
 vanish, oracle saturation levels), then bit changes: every changed row,
-and the largest |delta| in each column. It exits 1 when any verdict or
-detail changed, else 0.
+and the largest |delta| in each column. A probe detail that changed in
+its numbers alone (the two texts agree with every number masked, as
+``ladder`` reads a detail without its numbers) is tagged
+``(numbers only)`` and still counts as a detail change. It exits 1 when
+any verdict or detail changed, else 0.
 
 Run it on a copy of the parent commit (``git archive``) and on the
 change. A dump takes about 20 s on one core, the oracle record about 3 s
@@ -178,6 +181,16 @@ def _reason(detail):
     return re.split(r" [\[(=]|:", detail or "")[0]
 
 
+# a number standing alone in a detail; the digits of names like h22 stay
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|inf|nan)(?!\w)")
+
+
+def _numbers_only(a, b):
+    # whether two details read the same with their numbers masked
+    return None not in (a, b) and _NUMBER.sub("#", a) == _NUMBER.sub("#", b)
+
+
 def ladder():
     pz = _import(SRC)
     t0 = time.process_time()
@@ -324,8 +337,11 @@ def diff(path_a, path_b):
     verdict = ("phase", "detail", "on_boundary", "low_s_unproven")
     for ra, rb in zip(a["probe"], b["probe"]):
         if [ra[k] for k in verdict] != [rb[k] for k in verdict]:
+            numbers = all(ra[k] == rb[k] for k in verdict if k != "detail"
+                          ) and _numbers_only(ra["detail"], rb["detail"])
             verdicts.append(f"probe {ra['key']}: {ra['phase']} ({ra['detail']})"
-                            f" -> {rb['phase']} ({rb['detail']})")
+                            f" -> {rb['phase']} ({rb['detail']})"
+                            + (" (numbers only)" if numbers else ""))
         elif ra["bits"] != rb["bits"]:
             rows.append(f"    {ra['key']}")
             for k in ra["bits"].keys() | rb["bits"].keys():
