@@ -606,8 +606,30 @@ def _band_points(p, s):
     return [(p, s, 0.5 * (lo + hi)) for lo, hi in zip(cuts, cuts[1:])]
 
 
-BAND_POINTS = [pt for fam in ((4, 38), (3, 20), (4, 28), (5, 57))
-               for pt in _band_points(*fam)]
+# the band midpoints of four families, written out so that the test ids
+# stay put when a boundary moves in its last bits;
+# test_band_points_are_the_band_midpoints holds them to _band_points
+BAND_POINTS = [
+    (4, 38, 0.30468225824271666), (4, 38, 0.7955245744550248),
+    (4, 38, 0.9844164192320879), (4, 38, 0.988563923540578),
+    (4, 38, 0.9949898205207983),
+    (3, 20, 0.2823055532691574), (3, 20, 0.7584364883461381),
+    (3, 20, 0.9653625197401442), (3, 20, 0.983398645781318),
+    (3, 20, 0.9941670611181544),
+    (4, 28, 0.36555146395481536), (4, 28, 0.8529339362139311),
+    (4, 28, 0.9873824722591158),
+    (5, 57, 0.32233591652200194), (5, 57, 0.8173085125739252),
+    (5, 57, 0.9900720226703725), (5, 57, 0.99028190975305),
+    (5, 57, 0.9951824831346008),
+]
+
+
+def test_band_points_are_the_band_midpoints():
+    computed = [pt for fam in ((4, 38), (3, 20), (4, 28), (5, 57))
+                for pt in _band_points(*fam)]
+    assert [pt[:2] for pt in BAND_POINTS] == [pt[:2] for pt in computed]
+    for pinned, mid in zip(BAND_POINTS, computed):
+        assert abs(pinned[2] - mid[2]) < 1e-9, (pinned, mid)
 
 
 @pytest.mark.parametrize("p, s, lam", BAND_POINTS)
