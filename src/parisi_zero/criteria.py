@@ -16,10 +16,10 @@ exact arbitrarily close to x = 1. One kernel at x (xi, xi', D1, B and
 x xi' - xi) feeds f12 and all four window functions, so the identities
 tying the h's to f1/f2 hold by construction, not by transcription (B,
 which only f2 reads, is built only for an f2; the landmark scan reads
-the second pair first). On the fixed scan grids (the shared 4096-point
-grid of the t scan and of p = 2's h22 scan) these lambda-free sums are
-built once per family; the other window roots are bracketed on a
-1024-point grid of the window and polished by Brent's method.
+the second pair first). Every landmark root is bracketed on a grid of
+_H_GRID (1024) points and polished by Brent's method: t's and p = 2's
+h22 on one fixed grid of (0, 1), where these lambda-free sums are built
+once per family, and the other window roots on a grid of the window.
 
 All functions accept scalars or ndarrays in x and are pure.
 """
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._solve import brentq
-from .mixture import Mixture, _grid, _table, xi_deriv
+from .mixture import _H_GRID, Mixture, _grid, _table, xi_deriv
 
 __all__ = [
     "Landmarks",
@@ -109,7 +109,14 @@ def _horner(x, ns, weighted=False):
     scalar = isinstance(acc, float)
     for n in ns:
         d = n - done
-        if d > 0 and scalar and not weighted:
+        if d > 0 and scalar and weighted:
+            k = done + 1.0
+            for _ in range(d & 3):
+                acc, k = acc * x + k, k + 1.0
+            for _ in range(d >> 2):
+                acc = (((acc * x + k) * x + (k + 1.0)) * x + (k + 2.0)) * x + (k + 3.0)
+                k += 4.0
+        elif d > 0 and scalar:
             if d & 1:
                 acc = acc * x + 1.0
             if d & 2:
@@ -448,9 +455,9 @@ def _h22_floor(m: Mixture, x):
 
 _PLATEAU_TOL = 1e-6  # half-width of the bracket certifying an h22 root
 _QBAR_INSET = 1e-12  # landmarks scans the h's this far inside (qbar1, qbar2)
-# points of landmarks' h-grid, which only brackets roots for Brent: on 600
-# seeded points 4096 found the same roots to 4e-13, and 512 was no faster
-_H_GRID = 1024
+# grid values within this times max(1, the scan's largest |value|) of 0 have
+# no sign; the all-family ladder read the same table at x10 and /10
+_FIRM_FLOOR = 1e-14
 
 
 def _h22_root_certified(m: Mixture, q: float) -> bool:
@@ -489,9 +496,9 @@ def eval_aux(m: Mixture, x):
 # ---------------------------------------------------------------------------
 
 
-def _sign_roots(f, lo, hi, n=4096, falling=False):
-    """Roots of f on linspace(lo, hi, n), ascending (see _grid_roots)."""
-    xs = _grid(lo, hi, n)
+def _sign_roots(f, lo, hi, n=None, falling=False):
+    """Roots of f on linspace(lo, hi, n or _H_GRID) (see _grid_roots)."""
+    xs = _grid(lo, hi, _H_GRID if n is None else n)
     return _grid_roots(f, xs, np.asarray(f(xs), dtype=float), falling)
 
 
@@ -509,7 +516,7 @@ def _grid_roots(f, xs, vs, falling=False):
     rounding noise (several criteria cancel identically at 0) cannot
     fabricate one. Tangential touches therefore resolve to "absent".
     """
-    eps = 1e-14 * max(1.0, float(np.abs(vs).max()))
+    eps = _FIRM_FLOOR * max(1.0, float(np.abs(vs).max()))
     firm = np.nonzero(np.abs(vs) > eps)[0]
     a, b = firm[:-1], firm[1:]
     flip = vs[a] * vs[b] < 0.0
@@ -553,14 +560,14 @@ def landmarks(m: Mixture) -> Landmarks:
 
     Where xi''(0) > 0 (p = 2) no t window is scanned: q12 = 0.0, and below
     lambda_1Fto1 (onset quadratic > 0) q22 is h22's first root on the
-    4096-point grid of (0, 1), else the edge ladder's, else None; past it
-    q22 = 1.0.
+    fixed _H_GRID-point grid of (0, 1), else the edge ladder's, else None;
+    past it q22 = 1.0.
 
-    Otherwise qbar1/qbar2 are the sign changes of t in (0, 1); exactly one
-    genuine change means t stays negative up to 1, so qbar2 := 1 (t(1) can
-    read as +noise at the knife edge where the lambda-quadratic has a
-    root). The h-roots are then isolated inside (qbar1, qbar2) on one
-    1024-point grid (_H_GRID; t's grid keeps 4096 points), following the
+    Otherwise qbar1/qbar2 are the sign changes of t on that fixed grid;
+    exactly one genuine change means t stays negative up to 1, so qbar2 :=
+    1 (t(1) can read as +noise at the knife edge where the lambda-quadratic
+    has a root). The h-roots are then isolated inside (qbar1, qbar2) on one
+    grid of as many points, following the
     case split on qbar2 and, for h22 with qbar2 = 1, on the sign of the
     full-type onset quadratic; there, where the grid holds no h22 root,
     the edge ladder looks closer to 1, and a root from it that fails its

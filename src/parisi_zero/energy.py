@@ -28,6 +28,7 @@ search oracle probes, stay accurate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +81,12 @@ def _phi(y):
             return float(0.5 + y / 3 + y * y / 4 + np.power(y, 3) / 5)
         return float((-np.log1p(-y) - y) / (y * y))
     y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = np.abs(y) < 1e-4  # False for NaN, which takes the log form
-    s = y[small]
-    out[small] = 0.5 + s / 3 + s * s / 4 + s ** 3 / 5
-    big = ~small
-    b = y[big]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[big] = (-np.log1p(-b) - b) / (b * b)
+        out = np.asarray((-np.log1p(-y) - y) / (y * y))
+    small = np.abs(y) < 1e-4  # False for NaN, which keeps the log form
+    if small.any():
+        s = y[small]
+        out[small] = 0.5 + s / 3 + s * s / 4 + s ** 3 / 5
     return float(out) if out.ndim == 0 else out
 
 
@@ -128,7 +127,7 @@ class _Tables:
         self.nu = nu
         segs = nu.segments
         n = len(segs)
-        self.inner = np.array([seg.hi for seg in segs[:-1]])
+        self.inner = [seg.hi for seg in segs[:-1]]
         self.x1 = xi_deriv(m, 1.0)
         self.T = T = (*(tail_mass(nu, m, seg.lo) for seg in segs), nu.atom)
         self.C = C = [0.0] * n
@@ -186,13 +185,16 @@ class _Tables:
         """g at xs, a 1-D float array that must be ascending; an array back.
 
         g(u) = (xi(1) - xi(u)) - (J(1) - J(u)). J is taken on one slice of
-        xs a segment, cut by one searchsorted of the inner segment ends:
-        segment i gets (hi_{i-1}, hi_i], the last also any point past its end.
+        xs a segment: segment i gets (hi_{i-1}, hi_i], the last also any
+        point past its end. Points all in one segment go to it whole;
+        others are cut by one searchsorted of the inner segment ends.
         """
-        ends = (np.searchsorted(xs, self.inner, side="right").tolist()
-                if self.inner.size else [])  # one segment: no split
-        cuts = [0, *ends, xs.size]
         xi = xi_deriv(self.m, xs)
+        if xs.size and (i := bisect_left(self.inner, xs[0])) == bisect_left(
+                self.inner, xs[-1]):
+            return (self.x1 - xi) - (self.J[-1] - self._J_in(i, xs, xi))
+        cuts = [0, *np.searchsorted(xs, self.inner, side="right").tolist(),
+                xs.size]
         js = np.empty_like(xs)
         for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
             if a < b:  # _gauss takes no empty batch
@@ -265,12 +267,13 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
     nerr = abs(tab.I[-1] - xi_deriv(m, 1.0, 1))
     us = grid = _grid(0.0, 1.0, 2048)
     gv = g_grid = tab.g(grid)
-    min_g = float(gv.min())
+    i = int(np.argmin(gv))
+    min_g = float(gv[i])
     for _ in range(_ZOOM_ROUNDS):
-        i = int(np.argmin(gv))
         us = _zoom(us[max(0, i - 1)], us[min(us.size - 1, i + 1)])
         gv = tab.g(us)
-        min_g = min(min_g, float(gv.min()))
+        i = int(np.argmin(gv))
+        min_g = min(min_g, float(gv[i]))
     pts, n = _support_points(m, nu), grid.size - 1
     on = all(grid[round(x * n)] == x for x in pts)  # a one-step measure's 0.0
     g_sup = g_grid[[round(x * n) for x in pts]] if on else tab.g(np.sort(pts))

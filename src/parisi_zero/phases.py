@@ -38,6 +38,8 @@ __all__ = ["Regime", "PhaseBoundaries", "Classification", "regime",
 
 _ZETA_FLOOR = 1e-11  # zeta vanishes identically at both endpoints; the
 # interior maximum is tested against this, never against strict negativity
+_K1_FLOOR = 1e-12  # the one-step end test's slack on K(1) < 0, relative to
+# xi''(1), its terms' scale; the all-family ladder was the same at x10, /10
 _OWN_EPS = 1e-9
 _SYSTEM_TOL = 1e-7
 # the paper's scenarios: a regime's phases and boundary keys, in lambda order
@@ -326,7 +328,7 @@ def _one_step(m: Mixture, z: float) -> bool:
     # is -K(1)'s. Just past either end's boundary the peak is O(d^3), unseen
     k1, d2 = _k1(m, z)
     return ((1 + z) * xi_deriv(m, 0.0, 2) < xi_deriv(m, 1.0, 1)
-            and k1 >= -1e-12 * d2 and _zeta_max(m, z) <= _ZETA_FLOOR)
+            and k1 >= -_K1_FLOOR * d2 and _zeta_max(m, z) <= _ZETA_FLOOR)
 
 
 def _classify_general(m: Mixture, tol: float) -> Classification:

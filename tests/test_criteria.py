@@ -439,7 +439,7 @@ def test_landmarks_above_the_2to1F_root():
     assert lm.q12 is not None and lm.q12 < 1.0
 
 
-def _sign_roots_loop(f, lo, hi, n=4096):
+def _sign_roots_loop(f, lo, hi, n=criteria._H_GRID):
     # the element-by-element scan the vectorised one replaced, kept as the
     # reference it must match bit for bit
     xs = np.linspace(lo, hi, n)
@@ -455,7 +455,7 @@ def _sign_roots_loop(f, lo, hi, n=4096):
 
 
 def test_sign_roots_catches_a_root_on_a_grid_point():
-    x0 = np.linspace(0.0, 1.0, 4096)[1000]
+    x0 = np.linspace(0.0, 1.0, criteria._H_GRID)[250]
     # an exact zero or sub-floor noise of either sign there is bridged over
     for off in (0.0, 1e-16, -1e-16):
         roots = criteria._sign_roots(lambda x: x - x0 - off, 0.0, 1.0)
@@ -489,7 +489,7 @@ def test_sign_roots_match_the_loop_scan_and_the_grid_path():
     for f, lo, hi in cases:
         want = _sign_roots_loop(f, lo, hi)
         assert criteria._sign_roots(f, lo, hi) == want
-        xs = np.linspace(lo, hi, 4096)
+        xs = np.linspace(lo, hi, criteria._H_GRID)
         assert criteria._grid_roots(f, xs, f(xs)) == want
         found += len(want)
     assert found >= 20
@@ -518,7 +518,7 @@ def test_falling_roots_are_their_elements_of_the_full_list():
     assert len(cases) == 18
     mixed = 0
     for f, lo, hi in cases:
-        xs = np.linspace(lo, hi, 4096)
+        xs = np.linspace(lo, hi, criteria._H_GRID)
         vs = f(xs)
         full = criteria._grid_roots(f, xs, vs)
         falling = _falling_loop(f, xs, vs)
@@ -665,9 +665,10 @@ def test_b_free_kernel_keeps_the_first_window_functions_bits(p, s, lam):
 
 
 def test_coarse_h_grid_finds_the_fine_grids_roots(monkeypatch):
-    # the h-grid only brackets roots for brentq: at 200 seeded points and
-    # the band midpoints of three families, a 4096-point grid finds no root
-    # the coarse one misses, and every root agrees to 1e-12
+    # every scan grid only brackets roots for brentq: at 200 seeded points,
+    # the band midpoints of three families and 60 seeded p = 2 points (whose
+    # h22 scan, like t's, runs on the fixed grid), a 4096-point grid finds no
+    # root the coarse one misses, and every root agrees to 1e-12
     rng = np.random.default_rng(31)
     points = [pt for fam in ((4, 38), (3, 20), (4, 28))
               for pt in _band_points(*fam)]
@@ -675,6 +676,8 @@ def test_coarse_h_grid_finds_the_fine_grids_roots(monkeypatch):
         p = int(rng.integers(3, 9))
         points.append((p, int(rng.integers(p + 1, 61)),
                        float(rng.uniform(0.5, 1.0))))
+    for _ in range(60):
+        points.append((2, int(rng.integers(3, 61)), float(rng.uniform())))
     fields = ("qbar1", "qbar2", "q11", "q12", "q21", "q22", "q22_edge")
 
     def records():
@@ -684,15 +687,16 @@ def test_coarse_h_grid_finds_the_fine_grids_roots(monkeypatch):
     coarse, n = records(), criteria._H_GRID
     monkeypatch.setattr(criteria, "_H_GRID", 4096)
     fine = records()
-    scanned = 0
+    scanned = p2_roots = 0
     for pt, a, b in zip(points, coarse, fine):
         for k in fields:
             qa, qb = getattr(a, k), getattr(b, k)
             assert (qa is None) == (qb is None), (pt, k)
             if qa is not None:
                 assert abs(qa - qb) <= 1e-12, (pt, k, qa, qb)
-        scanned += a.q12 is not None
-    assert n < 4096 and scanned >= 50
+        scanned += a.q12 is not None and pt[0] > 2
+        p2_roots += pt[0] == 2 and a.q22 not in (None, 1.0)
+    assert n < 4096 and scanned >= 50 and p2_roots >= 40
 
 
 # ------------------------------------------- slope relations (used by c9 too)

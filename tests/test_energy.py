@@ -260,15 +260,15 @@ def test_refined_min_g_matches_a_bounded_minimiser():
 # bits on another CPU or numpy build); the entries that read q22 or a
 # band midpoint re-recorded when landmarks took q22 from its shared grid,
 # and the four that read a landmark root or a constant re-recorded when
-# that grid went from 4096 to 1024 points (roots moved by under 1e-12)
+# that grid went from 4096 to 1024 points (roots moved by under 1e-12), and
+# again, four of them, when the t scan's and p = 2's h22 scan's grid did
 _PINNED_REPORTS = {
-    "TwoFRSB construction": (0.0, -4.440892098500626e-16,
+    "TwoFRSB construction": (8.881784197001252e-16, -4.440892098500626e-16,
                              4.440892098500626e-16, True),
     "certified (4, 38, 0.95)": (8.8817841970012523e-16, -2.886579864025407e-15,
                                 2.886579864025407e-15, True),
-    "certified (2, 8, 0.5)": (8.8817841970012523e-16, 0.0,
-                              2.2204460492503131e-16, True),
-    "certified (3, 20, 0.9)": (0.0, 0.0, 0.0, True),
+    "certified (2, 8, 0.5)": (0.0, 0.0, 0.0, True),
+    "certified (3, 20, 0.9)": (0.0, 0.0, 3.3306690738754696e-16, True),
     "wrong one-step (4, 38, 0.7955) in TwoRSB": (
         0.0, -0.03939897575233209, 0.0, False),
     "wrong one-step (4, 38, 0.9844) in TwoFRSB": (
@@ -293,7 +293,8 @@ _PINNED_REPORTS = {
     "certified (2, 4, 1.0)": (4.4408920985006262e-16, 0.0, 0.0, True),
     "certified (4, 38, 0.5)": (7.1054273576010019e-15, 0.0,
                                7.7715611723760958e-16, True),
-    "certified (4, 38, 0.985)": (0.0, -4.440892098500626e-16,
+    "certified (4, 38, 0.985)": (8.881784197001252e-16,
+                                 -4.440892098500626e-16,
                                  4.440892098500626e-16, True),
     "certified (4, 38, 0.988)": (8.881784197001252e-16,
                                  -2.220446049250313e-16,
@@ -370,13 +371,16 @@ def _segment_patterns():
 def test_g_of_takes_any_order_and_shape(monkeypatch):
     # g_of on shuffled, 2-D, empty and scalar input equals _Tables.g on the
     # sorted points, and every point reaches J through its own segment:
-    # (hi_{i-1}, hi_i] for segment i, checked on a spy of _J_in
+    # (hi_{i-1}, hi_i] for segment i, checked on a spy of _J_in; each
+    # segment's own points (hi_i and the float below it among them) take
+    # one _J_in call and keep the spanning call's bits; no point, no call
     import parisi_zero.energy as energy_mod
 
-    reached = {}
+    reached, calls = {}, []
     j_in = energy_mod._Tables._J_in
 
     def spy(self, i, x, xi_x):
+        calls.append(i)
         for v in np.ravel(x):
             reached.setdefault(float(v), set()).add(i)
         return j_in(self, i, x, xi_x)
@@ -406,9 +410,19 @@ def test_g_of_takes_any_order_and_shape(monkeypatch):
                     got = g_of(m, nu, float(v))
                     assert type(got) is float, (name, v)
                     assert got == want[np.searchsorted(pts, v)], (name, v)
-        for v in pts:
-            seg = next(i for i, hi in enumerate(his) if v <= hi)
+        segs = np.array([next(i for i, hi in enumerate(his) if v <= hi)
+                         for v in pts])
+        for v, seg in zip(pts, segs):
             assert reached[float(v)] == {seg}, (name, v, reached[float(v)])
+        tab = energy_mod._Tables(m, nu)
+        for i, hi in enumerate(his):
+            own = segs == i
+            assert hi in pts[own] and np.nextafter(hi, -1.0) in pts[own]
+            calls.clear()
+            assert (tab.g(pts[own]) == want[own]).all(), (name, i)
+            assert calls == [i], (name, i, calls)
+        calls.clear()
+        assert tab.g(np.empty(0)).shape == (0,) and not calls, name
         reached.clear()
 
 
@@ -491,17 +505,18 @@ def test_off_calibration_full_segments_match_generic_quadrature(p, s, which,
 # walk of its own (numpy 2.4, x86-64 with AVX-512, as _PINNED_REPORTS); the
 # TwoFRSB rows, at (4, 38)'s band midpoint in _BAND_MIDPOINTS, re-recorded
 # with the q22 entries there, and with the (4, 38, 0.988) row when the
-# landmark grid went from 4096 to 1024 points
+# landmark grid went from 4096 to 1024 points; the (4, 38, 0.985) and
+# (2, 8, 0.9) rows re-recorded when the t and p = 2 h22 grids did
 _PINNED_ENERGIES = {
     (2, 2, 1.0, 1.0): 1.414213562373095,
     (4, 38, 0.5, 1.0): 2.354034396459024,
     (4, 38, 0.95, 1.0): 1.9363188216908118,
-    (4, 38, 0.985, 1.0): 1.8456654254983598,
+    (4, 38, 0.985, 1.0): 1.8456654254983593,
     (4, 38, 0.988, 1.0): 1.8360772453783611,
     (2, 8, 0.99, 1.0): 1.434561758617329,
     (4, 38, 0.9844164192320981, 1 + 1e-6): 1.8474879413642145,
     (4, 38, 0.9844164192320981, 1.01): 1.8475088630991339,
-    (2, 8, 0.9, 1 + 1e-6): 1.5727095702517389,
+    (2, 8, 0.9, 1 + 1e-6): 1.5727095702517386,
     (2, 8, 0.9, 1.01): 1.5727397788562705,
 }
 

@@ -577,16 +577,16 @@ def test_one_h22_grid_per_classification(monkeypatch, p, s, lam, phase,
     calls = []
     real = criteria._sign_roots
 
-    def counted(f, lo, hi, n=4096, **kw):
+    def counted(f, lo, hi, n=None, **kw):
         calls.append((lo, hi, n))
         return real(f, lo, hi, n, **kw)
 
     monkeypatch.setattr(criteria, "_sign_roots", counted)
     criteria.landmarks(make_mixture(p, s, lam))
-    assert calls == [(1e-9, 1 - 1e-9, 4096)]
+    assert calls == [(1e-9, 1 - 1e-9, None)]
     calls.clear()
     assert classify(p, s, lam).phase == phase
-    assert calls == [(0.0, 1.0, 1025)] * k_scan + [(1e-9, 1 - 1e-9, 4096)]
+    assert calls == [(0.0, 1.0, 1025)] * k_scan + [(1e-9, 1 - 1e-9, None)]
 
 
 def test_two_step_detail_names_the_sign_change_it_missed():

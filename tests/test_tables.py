@@ -13,7 +13,7 @@ from parisi_zero import (classify, criteria, energy, make_mixture, mixture,
 from parisi_zero.cli import main
 from parisi_zero.mixture import _grid
 
-GRIDS = [(1e-9, 1 - 1e-9, 4096), (0.0, 1.0, 1025), (0.0, 1.0, 2048)]
+GRIDS = [(1e-9, 1 - 1e-9, mixture._H_GRID), (0.0, 1.0, 1025), (0.0, 1.0, 2048)]
 FAMILIES = [(2, 3, 0.4), (2, 60, 0.3), (3, 20, 0.8), (4, 38, 0.95),
             (8, 60, 0.2), (5, 5, 1.0), (60, 60, 1.0)]
 
@@ -121,3 +121,18 @@ def test_sweep_rows_do_not_depend_on_the_tables(tmp_path, capsys):
         outs.append(out.read_text().splitlines())
     capsys.readouterr()
     assert outs[0] == outs[1] and len(outs[0]) == 17
+
+
+@pytest.mark.parametrize("p, s, lam, phase, key", [
+    (4, 38, 0.985, "TwoFRSB", "tau"), (2, 8, 0.9, "OneFRSB", "d1")])
+def test_a_full_phase_classify_fills_the_scan_grids_tables(p, s, lam, phase,
+                                                          key):
+    # t's scan (p = 2: h22's) reads its sums from the family's tables on the
+    # fixed grid of criteria's scan size, so a size criteria and mixture
+    # disagree on cannot drop the scan to an untabled linspace unseen
+    mixture._family_tables.cache_clear()
+    assert classify(p, s, lam).phase == phase
+    g = _grid(1e-9, 1 - 1e-9, criteria._H_GRID)
+    assert g.size == 1024 and not g.flags.writeable
+    tables = mixture._family_tables(p, s)[id(g), key]
+    assert tables and all(t.shape == g.shape for t in tables)
