@@ -197,10 +197,11 @@ def _c_series(z):
 def c_log(z):
     """c(z) = (1+z) log(1+z) / z^2 - 1/z, the strictly decreasing tilt map.
 
-    Defined on z > -1 with c(-1+) = 1, c(0) = 1/2, c(inf) = 0. The direct
-    form loses about eps/|z| to cancellation, so below |z| = 0.1 a degree-16
-    series takes over (truncation under 1e-19); both branches then hold c
-    to a few ulps, which the sign of h22 near x = 1 depends on.
+    Defined on z > -1 with c(-1+) = 1, c(0) = 1/2, c(inf) = 0, and convex.
+    The direct form loses about eps/|z| to cancellation, so below |z| = 0.1
+    a degree-16 series takes over (truncation under 1e-19); both branches
+    then hold c to a few ulps, which the sign of h22 near x = 1 depends
+    on. _c_slope repeats these operations for _c_inv's Newton steps.
     """
     if isinstance(z, float) and -1.0 < z < math.inf:
         # plain-float path, same operations and bits as a 0-d array;
@@ -218,21 +219,30 @@ def c_log(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _c_prime(z: float) -> float:
-    # c'(z) for a float z >= 0; -0.0 where z^3 overflows, past z ~ 5.6e102
-    if z < 1e-4:
-        return float(-1 / 6 + z / 6 - 3 * z * z / 20 + 2 * np.power(z, 3) / 15)
-    with np.errstate(over="ignore"):
-        return float((2 * z - (2 + z) * np.log1p(z)) / np.power(z, 3))
+def _c_slope(z):
+    # (c(z), c'(z)) for a float z >= 0, c with c_log's bits and both from
+    # one pass: the series and its term-by-term derivative (Horner's
+    # derivative loop) below 0.1, else one log1p; c' < 0 up to 2^512
+    if z < 0.1:
+        c = dc = 0.0
+        for coef in _C_SERIES:
+            dc = dc * z + c
+            c = c * z + coef
+        return c, dc
+    lg = float(np.log1p(z))
+    return (1 + z) * lg / (z * z) - 1 / z, (2 * z - (2 + z) * lg) / (z * z) / z
 
 
+_C_INV_STEPS = 24  # a backstop on _c_inv's Newton steps
 _c_doubling = lru_cache(maxsize=None)(c_log)  # c(2^k), kept as _c_inv meets it
 
 
 def _c_inv(y):
-    # unique z > 0 with c(z) = y, for y in (0, 1/2): Brent on [0, 2^k] from
-    # c(0) = 1/2 (exact) and the first kept c(2^k) <= y, then one Newton step
-    # from c at Brent's root, which tightens the residual to the floor
+    # unique z > 0 with c(z) = y, for y in (0, 1/2): Newton's method from the
+    # left end of the first doubling bracket [2^(k-1), 2^k] with c(2^k) <= y
+    # (from 0 for k = 0). c is convex and decreasing, so every iterate stays
+    # left of the root and climbs to it; stop once one fails to climb or
+    # c(z) <= y, after about 6 c's (at most 16 on 250k random y)
     if not 0.0 < y < 0.5:
         raise ValueError(f"c_inv needs y in (0, 1/2), got {y}")
     hi = 1.0
@@ -240,19 +250,18 @@ def _c_inv(y):
         hi *= 2
     if not c_hi > 0.0:  # z * z overflows in c from 2^512 on
         raise ValueError(f"c_inv needs y >= c(2^511) ~ 5.3e-152, got {y}")
-    cs = {0.0: 0.5, hi: c_hi}  # c at every point Brent reads
-
-    def f(t):
-        cs[t] = c = c_log(t)
-        return c - y
-
-    z = brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16, fa=0.5 - y, fb=c_hi - y)
-    dc = _c_prime(z)  # < 0, but 0 once z^3 overflows (z past ~5.6e102)
-    return z - (cs[z] - y) / dc if -math.inf < dc < 0.0 else z
+    z = hi / 2 if hi > 1.0 else 0.0
+    for _ in range(_C_INV_STEPS):
+        c, dc = _c_slope(z)
+        if c <= y or (t := z - (c - y) / dc) <= z:
+            break
+        z = t
+    return z
 
 
 def solve_z(m: Mixture) -> float:
-    """The tilt z >= 0 solving c(z) = 1/xi'(1); exactly 0 when xi'(1) <= 2."""
+    """The tilt z >= 0 solving c(z) = 1/xi'(1) to a few ulps by Newton's
+    method (see _c_inv); exactly 0 when xi'(1) <= 2."""
     a = xi_deriv(m, 1.0, 1)
     if a <= 2.0:
         return 0.0

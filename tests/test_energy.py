@@ -261,18 +261,21 @@ def test_refined_min_g_matches_a_bounded_minimiser():
 # band midpoint re-recorded when landmarks took q22 from its shared grid,
 # and the four that read a landmark root or a constant re-recorded when
 # that grid went from 4096 to 1024 points (roots moved by under 1e-12), and
-# again, four of them, when the t scan's and p = 2's h22 scan's grid did
+# again, four of them, when the t scan's and p = 2's h22 scan's grid did;
+# the six that read a tilt z re-recorded when c's inverse became Newton's
+# method
 _PINNED_REPORTS = {
     "TwoFRSB construction": (8.881784197001252e-16, -4.440892098500626e-16,
                              4.440892098500626e-16, True),
-    "certified (4, 38, 0.95)": (8.8817841970012523e-16, -2.886579864025407e-15,
-                                2.886579864025407e-15, True),
+    "certified (4, 38, 0.95)": (1.7763568394002505e-15, -3.552713678800501e-15,
+                                3.552713678800501e-15, True),
     "certified (2, 8, 0.5)": (0.0, 0.0, 0.0, True),
-    "certified (3, 20, 0.9)": (0.0, 0.0, 3.3306690738754696e-16, True),
+    "certified (3, 20, 0.9)": (0.0, 0.0, 5.551115123125783e-16, True),
     "wrong one-step (4, 38, 0.7955) in TwoRSB": (
         0.0, -0.03939897575233209, 0.0, False),
     "wrong one-step (4, 38, 0.9844) in TwoFRSB": (
-        0.0, -0.0003946390742779471, 4.440892098500626e-16, False),
+        8.881784197001252e-16, -0.0003946390742779471, 4.440892098500626e-16,
+        False),
     "wrong one-step (4, 38, 0.9886) in OneFRSB": (
         0.0, -1.0865910185509087e-05, 4.4408920985006262e-16, False),
     "wrong one-step (3, 20, 0.7584) in TwoRSB": (
@@ -282,14 +285,13 @@ _PINNED_REPORTS = {
         8.8817841970012523e-16, -0.0055437546389407455,
         2.2204460492503131e-16, False),
     "wrong one-step (3, 20, 0.9834) in OneFRSB": (
-        8.8817841970012523e-16, -0.00022547926182969746,
-        2.2204460492503131e-16, False),
+        0.0, -0.00022547926182958644, 3.3306690738754696e-16, False),
     "wrong one-step (2, 8, 0.6132) in OneFRSB": (
-        8.8817841970012523e-16, -0.026776395414653043,
-        1.1102230246251565e-16, False),
+        8.8817841970012523e-16, -0.0267763954146526,
+        6.661338147750939e-16, False),
     "wrong one-step (2, 8, 0.9786) in FRSB": (
-        4.4408920985006262e-16, -0.010157402810353711,
-        1.4432899320127035e-15, False),
+        4.4408920985006262e-16, -0.01015740281035482,
+        2.220446049250313e-16, False),
     "certified (2, 4, 1.0)": (4.4408920985006262e-16, 0.0, 0.0, True),
     "certified (4, 38, 0.5)": (7.1054273576010019e-15, 0.0,
                                7.7715611723760958e-16, True),
@@ -506,11 +508,12 @@ def test_off_calibration_full_segments_match_generic_quadrature(p, s, which,
 # TwoFRSB rows, at (4, 38)'s band midpoint in _BAND_MIDPOINTS, re-recorded
 # with the q22 entries there, and with the (4, 38, 0.988) row when the
 # landmark grid went from 4096 to 1024 points; the (4, 38, 0.985) and
-# (2, 8, 0.9) rows re-recorded when the t and p = 2 h22 grids did
+# (2, 8, 0.9) rows re-recorded when the t and p = 2 h22 grids did, and the
+# (4, 38, 0.95) row when the tilt inverse became Newton's method
 _PINNED_ENERGIES = {
     (2, 2, 1.0, 1.0): 1.414213562373095,
     (4, 38, 0.5, 1.0): 2.354034396459024,
-    (4, 38, 0.95, 1.0): 1.9363188216908118,
+    (4, 38, 0.95, 1.0): 1.9363188216908116,
     (4, 38, 0.985, 1.0): 1.8456654254983593,
     (4, 38, 0.988, 1.0): 1.8360772453783611,
     (2, 8, 0.99, 1.0): 1.434561758617329,

@@ -1,4 +1,4 @@
-"""Every boundary constant of eight families against its defining system.
+"""Every boundary constant of twelve families against its defining system.
 
 The references were solved with mpmath at 60 digits, outside the suite,
 and are held here as literals (30 digits shown; neither this module nor
@@ -53,6 +53,21 @@ REFERENCES = {
     (2, 30): ("P2Family", {
         "lambda_1to1F": 0.137223410213531636214071818773,
         "lambda_1Fto1": 0.995879120879120879120879120879}),
+    # s >= 50 and p >= 6: lambda_1to2 and lambda_1to1F read the tilt z
+    (5, 64): ("FourPhase", {
+        "lambda_1to2": 0.612305123446675387870895557335,
+        "lambda_2to2F": 0.990493025818386838096883028282,
+        "lambda_2to1F": 0.99200052503313885820978408133,
+        "lambda_2to1": 0.992888968159093695269117973981}),
+    (6, 52): ("TwoPhase", {
+        "lambda_1to2": 0.827137932897619548382126651126,
+        "lambda_2to1": 0.966846476703934285218292238122}),
+    (8, 78): ("TwoPhase", {
+        "lambda_1to2": 0.880132778095324795016845604302,
+        "lambda_2to1": 0.959679281996939662798721064481}),
+    (2, 55): ("P2Family", {
+        "lambda_1to1F": 0.113006462202463818539466847155,
+        "lambda_1Fto1": 0.998728279876251849496814585652}),
 }
 
 

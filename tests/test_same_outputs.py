@@ -95,3 +95,26 @@ def test_diff_tags_a_detail_that_changed_only_in_its_numbers(
     assert out[1] == (f"  probe [4, 38, 0.99]: Unresolved ({detail_a}) -> "
                       f"Unresolved ({detail_b})"
                       + (" (numbers only)" if tag else ""))
+
+
+@pytest.mark.parametrize("record", ["sweeps", "constants"])
+def test_diff_reports_a_family_in_one_dump_alone(same_outputs, tmp_path,
+                                                 capsys, record):
+    # one family dropped from the second dump and another added to it: both
+    # are verdict changes, whichever dump holds the family
+    sweep = {"rc": 0, "csv": ["# x", "lambda,phase"], "dat": ["# x"]}
+    const = {"regime": "TwoPhase", "lambda_1to2": 0.73, "lambda_2to1": 0.97}
+    first = copy.deepcopy(_RECORD)
+    first["sweeps"]["4,38"] = sweep
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    second = copy.deepcopy(first)
+    del second[record]["4,38"]
+    second[record]["4,28"] = sweep if record == "sweeps" else const
+    for path, doc in ((a, first), (b, second)):
+        path.write_text(json.dumps(doc))
+    rc = same_outputs.main(["diff", str(a), str(b)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert out[:3] == ["verdict or detail changes: 2",
+                       f"  {record} (4,38): only in the first dump",
+                       f"  {record} (4,28): only in the second dump"]

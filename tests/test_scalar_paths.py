@@ -8,11 +8,11 @@ inputs, so a fast path that used ** would fail here.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from parisi_zero import criteria, energy, make_mixture, phases, xi_deriv
-from parisi_zero._solve import brentq
 from parisi_zero.measure import ParisiMeasure, Segment
 
 FAMILIES = [(2, 3, 0.4), (2, 4, 0.7), (2, 30, 0.2), (3, 20, 0.8),
@@ -242,67 +242,115 @@ def test_scan_bracket_ends_are_the_functions_values(monkeypatch):
             if z > 0.0:
                 phases._zeta_max(m, z)
             for f, a, b, kw in calls:
-                if f.__qualname__.startswith("_c_inv"):
-                    continue  # the tilt inversion, tested below
                 for x, fx in ((a, kw["fa"]), (b, kw["fb"])):
                     assert fx == f(float(x)), (p, s, lam, x)
                     seen.add(_scan_of(m, float(x), fx, z))
     assert seen == {"tau", "K", "h11", "h12", "h21", "h22"}
 
 
-def _c_inv_before(y):
-    # criteria._c_inv as it was before it kept c(2^k) and reused c at the
-    # root: every doubling and both bracket ends evaluated on each call
-    if not 0.0 < y < 0.5:
-        raise ValueError(f"c_inv needs y in (0, 1/2), got {y}")
-    hi = 1.0
-    while criteria.c_log(hi) > y:
-        hi *= 2
-    z = brentq(lambda t: criteria.c_log(t) - y, 0.0, hi, xtol=1e-15,
-               rtol=8.9e-16)
-    # one Newton step tightens the residual to the floor
-    z -= (criteria.c_log(z) - y) / criteria._c_prime(z)
-    return z
-
-
-def _outcome(f, y):
-    try:
-        return f(y)
-    except (ValueError, ZeroDivisionError) as exc:
-        return type(exc)
-
-
-def test_c_inv_matches_its_previous_version_bit_for_bit():
+def _c_inv_ys():
     rng = np.random.default_rng(19)
-    ys = [*map(float, rng.uniform(0.0, 0.5, 8000)),
-          *map(float, 10.0 ** -rng.uniform(1.0, 120.0, 1000)),
-          *map(float, 0.5 - 10.0 ** -rng.uniform(1.0, 16.0, 1000)),
-          *map(float, np.geomspace(0.5, 5e-324, 1000)),
-          np.nextafter(0.5, 0.0), 0.25, 1.0 / 3.0, 5e-324, 1e-300]
-    for y in ys:
-        before = _outcome(_c_inv_before, y)
-        got = _outcome(criteria._c_inv, y)
-        if before is not ZeroDivisionError:
-            assert got == before, y
-            continue
-        # below about 1e-100 z^3 overflows and the previous Newton step
-        # divided by c' = 0: now Brent's root stands, and below c(2^511)
-        # the bracket's overflow is refused
-        assert got is ValueError or (
-            math.isfinite(got)
-            and abs(criteria.c_log(got) - y) <= 4 * math.ulp(y)), y
+    return [*map(float, rng.uniform(0.0, 0.5, 8000)),
+            *map(float, 10.0 ** -rng.uniform(1.0, 120.0, 1000)),
+            *map(float, 0.5 - 10.0 ** -rng.uniform(1.0, 16.0, 1000)),
+            *map(float, np.geomspace(0.5, 5e-324, 1000)),
+            float(np.nextafter(0.5, 0.0)), 0.25, 1.0 / 3.0, 5e-324, 1e-300]
+
+
+_C_FLOOR = criteria.c_log(2.0 ** 511)  # the smallest y _c_inv takes
+
+
+@pytest.fixture(scope="module")
+def c_inv_runs():
+    # y -> (z, every z the Newton loop evaluated c at) over _c_inv_ys, or
+    # y -> None where the y is refused
+    runs = {}
+    real = criteria._c_slope
+    seen = []
+
+    def rec(z):
+        seen.append(z)
+        return real(z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "_c_slope", rec)
+        for y in _c_inv_ys():
+            seen.clear()
+            try:
+                runs[y] = criteria._c_inv(y), list(seen)
+            except ValueError:
+                runs[y] = None
+    return runs
+
+
+def test_c_inv_backward_error_is_no_larger_than_brents(c_inv_runs):
+    # |c(z) - y| with c at 60 digits, in ulps of y; the Brent solve plus one
+    # Newton step that _c_inv replaced reached 55.84 ulp(y) on this set (at
+    # y ~ 0.48, z ~ 0.12, where c_log's direct form cancels), median 0.70
+    errs = []
+    with mpmath.workdps(60):
+        for y, run in c_inv_runs.items():
+            assert (run is None) == (not _C_FLOOR <= y < 0.5), y
+            if run is None:
+                continue
+            z = mpmath.mpf(run[0])
+            c = (1 + z) * mpmath.log1p(z) / (z * z) - 1 / z if z else 0.5
+            errs.append(float(abs(c - y)) / math.ulp(y))
+    assert len(errs) > 10000
+    assert max(errs) <= 55.84 and np.median(errs) < 1.0
     for y in (0.0, 0.5, -1.0, math.nan):
         with pytest.raises(ValueError):
             criteria._c_inv(y)
 
 
+def test_c_inv_evaluates_c_at_most_15_times(c_inv_runs):
+    # 5.9 c's a call on average on this set: about one a Newton step from
+    # the doubling bracket's left end, and the last one to stop
+    counts = [len(run[1]) for run in c_inv_runs.values() if run]
+    assert np.mean(counts) < 6.5 and max(counts) <= 15
+
+
+def test_c_inv_iterates_climb_to_the_root(c_inv_runs):
+    # from the doubling bracket's left end (0 when c(1) <= y) each Newton
+    # iterate rises and all but the last lie left of the root: c(z) > y
+    for y, run in c_inv_runs.items():
+        if run is None:
+            continue
+        z, zs = run
+        hi = 1.0
+        while criteria.c_log(hi) > y:
+            hi *= 2
+        assert zs[0] == (hi / 2 if hi > 1.0 else 0.0) and z == zs[-1], y
+        assert all(a < b for a, b in zip(zs, zs[1:])) and z < hi, y
+        assert all(criteria.c_log(t) > y for t in zs[:-1]), y
+
+
+def test_c_slope_is_c_log_and_its_derivative():
+    # c with c_log's bits, and c' within 2 ulps of its 80-digit value: the
+    # series below 0.1, and above it the direct form, within 2 ulps of its
+    # terms 2z and (2 + z) log1p(z), whose difference cancels (their sum is
+    # 2600 times it at z = 0.1, 1.8 times at z = 1e3)
+    eps = np.finfo(float).eps
+    for z in map(float, np.geomspace(1e-8, 1e3, 801)):
+        c, dc = criteria._c_slope(z)
+        assert c == criteria.c_log(z), z
+        with mpmath.workdps(80):
+            t = mpmath.mpf(z)
+            lg = mpmath.log1p(t)
+            want = (2 * t - (2 + t) * lg) / t ** 3
+            scale = (1 if z < 0.1 else
+                     (2 * t + (2 + t) * lg) / abs(want * t ** 3))
+            assert abs(dc - want) <= 2 * eps * scale * abs(want), z
+
+
 @pytest.mark.filterwarnings("error")
 def test_c_inv_of_a_tiny_y_is_a_root_or_refused():
-    # a numpy scalar takes the same path as a float; past z ~ 5.6e102
-    # (y ~ 1e-100) z^3 overflows in c' with no warning, and Brent's root
-    # stands
-    assert criteria._c_prime(5e102) < 0.0 and criteria._c_prime(6e102) == 0.0
-    for y in (1e-101, 1e-120, 1e-150, np.float64(1e-120)):
+    # a numpy scalar takes the same path as a float; past z ~ 5.6e102 (y ~
+    # 1e-100) z^3 would overflow, but the slope divides by z * z, then z,
+    # so it stays finite and negative up to 2^511 and Newton's root holds
+    for z in (5e102, 6e102, 2.0 ** 511):
+        assert -math.inf < criteria._c_slope(z)[1] < 0.0, z
+    for y in (1e-101, 1e-120, 1e-150, _C_FLOOR, np.float64(1e-120)):
         z = criteria._c_inv(y)
         assert math.isfinite(z)
         assert abs(criteria.c_log(float(z)) - y) <= 4 * math.ulp(y), y

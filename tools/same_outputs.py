@@ -25,12 +25,12 @@ writes four records:
 
 ``diff`` lists verdict or detail changes first (sweep phases and .dat
 phase indices, probe phase, detail and flags, constants that appear or
-vanish, oracle saturation levels), then bit changes: every changed row,
-and the largest |delta| in each column. A probe detail that changed in
-its numbers alone (the two texts agree with every number masked, as
-``ladder`` reads a detail without its numbers) is tagged
-``(numbers only)`` and still counts as a detail change. It exits 1 when
-any verdict or detail changed, else 0.
+vanish, a sweep or constants family in one dump alone, oracle saturation
+levels), then bit changes: every changed row, and the largest |delta| in
+each column. A probe detail that changed in its numbers alone (the two
+texts agree with every number masked, as ``ladder`` reads a detail
+without its numbers) is tagged ``(numbers only)`` and still counts as a
+detail change. It exits 1 when any verdict or detail changed, else 0.
 
 Run it on a copy of the parent commit (``git archive``) and on the
 change. A dump takes about 20 s on one core, the oracle record about 3 s
@@ -282,12 +282,21 @@ class _Delta:
                 for c, (n, w) in sorted(self.cols.items())]
 
 
+def _shared(record, a, b, verdicts):
+    # the families of a sweeps or constants record in both dumps, in A's
+    # order; a family in one dump alone is a verdict change
+    for where, x, y in (("first", a, b), ("second", b, a)):
+        verdicts += [f"{record} ({fam}): only in the {where} dump"
+                     for fam in x[record] if fam not in y[record]]
+    return [fam for fam in a[record] if fam in b[record]]
+
+
 def diff(path_a, path_b):
     with open(path_a) as fa, open(path_b) as fb:
         a, b = json.load(fa), json.load(fb)
     verdicts, bits = [], []
 
-    for fam in a["sweeps"]:
+    for fam in _shared("sweeps", a, b, verdicts):
         sa, sb = a["sweeps"][fam], b["sweeps"][fam]
         if sa["rc"] != sb["rc"] or len(sa["csv"]) != len(sb["csv"]):
             verdicts.append(f"sweep ({fam}): exit code or row count changed")
@@ -316,8 +325,8 @@ def diff(path_a, path_b):
                      *delta.lines()]
 
     delta, rows = _Delta(), []
-    for fam, ca in a["constants"].items():
-        cb = b["constants"][fam]
+    for fam in _shared("constants", a, b, verdicts):
+        ca, cb = a["constants"][fam], b["constants"][fam]
         if ca.keys() != cb.keys() or ca["regime"] != cb["regime"] or any(
                 (ca[k] is None) != (cb[k] is None) for k in ca):
             verdicts.append(f"constants ({fam}): {ca} -> {cb}")
