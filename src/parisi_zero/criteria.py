@@ -26,13 +26,14 @@ All functions accept scalars or ndarrays in x and are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._solve import brentq
-from .mixture import _H_GRID, Mixture, _grid, _table, xi_deriv
+from .mixture import (_H_GRID, Mixture, _exponents, _grid, _powers, _table,
+                      xi_deriv)
 
 __all__ = [
     "Landmarks",
@@ -170,8 +171,10 @@ def _tau(m, x):
     # - xi''), D1r = (xi''(1) - D1) / (1 - x), D12 = (xi''(1) - xi'') / (1 - x)
     lam, mu = m.lam, 1.0 - m.lam
     ns, nh = (m.p - 2, m.p - 1, m.s - 2, m.s - 1), (m.p - 2, m.s - 2)
-    g2p, g1p, g2s, g1s = _table(m, x, "tau", _horner, x, ns)
-    hp, hs = _table(m, x, "tau_h", _horner, x, nh, True)
+    g2p, g1p, g2s, g1s = (_horner(x, ns) if isinstance(x, float) else
+                          _table(m, x, "tau", _horner, x, ns))
+    hp, hs = (_horner(x, nh, True) if isinstance(x, float) else
+              _table(m, x, "tau_h", _horner, x, nh, True))
     d1r = m.p * lam * hp + m.s * mu * hs
     d12 = m.p * (m.p - 1) * lam * g2p + m.s * (m.s - 1) * mu * g2s
     d1 = m.p * lam * g1p + m.s * mu * g1s
@@ -199,9 +202,11 @@ def c_log(z):
 
     Defined on z > -1 with c(-1+) = 1, c(0) = 1/2, c(inf) = 0, and convex.
     The direct form loses about eps/|z| to cancellation, so below |z| = 0.1
-    a degree-16 series takes over (truncation under 1e-19); both branches
-    then hold c to a few ulps, which the sign of h22 near x = 1 depends
-    on. _c_slope repeats these operations for _c_inv's Newton steps.
+    a degree-16 series takes over (truncation under 1e-19), good to half an
+    ulp. Past the seam the direct form's terms still cancel 20-fold: off by
+    up to 58 ulp near z = 0.11 (against 60-digit mpmath), under 20 below
+    -0.1 and under 7 above z = 1; the sign of h22 near x = 1 rests on these.
+    _c_slope repeats these operations for _c_inv's Newton steps.
     """
     if isinstance(z, float) and -1.0 < z < math.inf:
         # plain-float path, same operations and bits as a 0-d array;
@@ -215,7 +220,8 @@ def c_log(z):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray((1 + z) * np.log1p(z) / (z * z) - 1 / z)
     small = np.abs(z) < 0.1
-    out[small] = _c_series(z[small])
+    if small.any():
+        out[small] = _c_series(z[small])
     return float(out) if out.ndim == 0 else out
 
 
@@ -362,26 +368,20 @@ def _check_q(q):
         raise ValueError(f"q must lie in (0, 1), got {q}")
 
 
-# a float's powers p, s, p-1, s-1 in one np.power call, all >= 3 (mixture's rule)
-_kernel_exps = lru_cache(maxsize=None)(
-    lambda p, s: np.array([p, s, p - 1, s - 1], float))
-
-
 def _kernel(m: Mixture, q, f2=True):
     # (xi, xi', D1, B, q xi' - xi) at q, all that f12 reads of q (B, which
     # only f2 reads, is None without f2); the last is assembled term-by-term
     # so it vanishes cleanly at 0
     _check_q(q)
-    if isinstance(q, float) and not m.is_pure and m.p >= 4:  # xi_deriv's bits
-        qp, qs, qp1, qs1 = np.power(q, _kernel_exps(m.p, m.s)).tolist()
-        ((c0, _), (d0, _)), ((c1, _), (d1, _)) = m.terms[:2]
-        xq, x1 = c0 * qp + d0 * qs, c1 * qp1 + d1 * qs1
+    lam, mu = m.lam, 1.0 - m.lam
+    if isinstance(q, float):  # mixture's scalar rule: xi_deriv's bits
+        qp, qs, qp1, qs1 = _powers(q, _exponents((m.p, m.s, m.p - 1, m.s - 1)))
+        xq, x1 = lam * qp + mu * qs, m.p * lam * qp1 + m.s * mu * qs1
     else:  # on arrays xi_deriv's pow is np.power from exponent 3 on
         qp, qs = np.power(q, m.p), np.power(q, m.s)
-        xq = (m.lam * qp + (1.0 - m.lam) * qs
-              if isinstance(q, np.ndarray) and m.p >= 3 else xi_deriv(m, q))
+        xq = lam * qp + mu * qs if m.p >= 3 else xi_deriv(m, q)
         x1 = xi_deriv(m, q, 1)
-    qxp = m.lam * (m.p - 1) * qp + (1.0 - m.lam) * (m.s - 1) * qs
+    qxp = lam * (m.p - 1) * qp + mu * (m.s - 1) * qs
     return xq, x1, _d1(m, q), _bfun(m, q) if f2 else None, qxp
 
 
@@ -634,9 +634,9 @@ def _landmark_stages(m: Mixture):
         q22 = root(False, False)
         if q22 is None and qbar2 == 1.0:
             q22, q22_edge = _edge_h22(m, h22, lo, 1.0)
-    lm = Landmarks(qbar1=qbar1, qbar2=qbar2, q12=q12, q22=q22,
-                   q22_edge=q22_edge)
-    yield lm
-    yield replace(lm, q11=root(True, True) if scan_h11 else None,
-                  q21=(root(True, False) if qbar2 < 1 else 1.0)
-                  if scan_h21 else None)
+    yield Landmarks(qbar1=qbar1, qbar2=qbar2, q12=q12, q22=q22,
+                    q22_edge=q22_edge)
+    yield Landmarks(qbar1=qbar1, qbar2=qbar2,
+                    q11=root(True, True) if scan_h11 else None, q12=q12,
+                    q21=(root(True, False) if qbar2 < 1 else 1.0)
+                    if scan_h21 else None, q22=q22, q22_edge=q22_edge)

@@ -223,20 +223,19 @@ def cs_energy(m: Mixture, nu: ParisiMeasure) -> float:
     return _Tables(m, nu).energy
 
 
-def _support_points(m: Mixture, nu: ParisiMeasure) -> list[float]:
+def _support_points(m: Mixture, nu: ParisiMeasure) -> np.ndarray:
     # density-part support: constant-segment left edges where the value jumps,
-    # plus a dense sample of every full segment
-    pts: list[float] = []
-    prev = 0.0
+    # plus a dense sample of every full segment, as one array
+    parts, prev = [], 0.0
     for seg in nu.segments:
         if seg.kind == "const":
             if seg.value > prev + 1e-14:
-                pts.append(seg.lo)
+                parts.append([seg.lo])
             prev = seg.value
         else:
-            pts.extend(np.linspace(seg.lo, seg.hi - 1e-10, 64))
-            prev = float(wtilde(m, min(seg.hi, 1.0) - 1e-12))
-    return pts
+            parts.append(np.linspace(seg.lo, seg.hi - 1e-10, 64))
+            prev = wtilde(m, min(seg.hi, 1.0) - 1e-12)
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def _zoom(a, b):
@@ -274,9 +273,10 @@ def verify_parisi(m: Mixture, nu: ParisiMeasure,
         gv = tab.g(us)
         i = int(np.argmin(gv))
         min_g = min(min_g, float(gv[i]))
-    pts, n = _support_points(m, nu), grid.size - 1
-    on = all(grid[round(x * n)] == x for x in pts)  # a one-step measure's 0.0
-    g_sup = g_grid[[round(x * n) for x in pts]] if on else tab.g(np.sort(pts))
+    pts = _support_points(m, nu)
+    at = np.rint(pts * (grid.size - 1)).astype(int)
+    on = bool((grid[at] == pts).all())  # a one-step measure's 0.0
+    g_sup = g_grid[at] if on else tab.g(np.sort(pts))
     sres = float(np.abs(g_sup).max(initial=0.0))
     return VerificationReport(
         normalization_error=float(nerr),

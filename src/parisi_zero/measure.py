@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
+# the cone's slacks; the all-family ladder read the same table with each x10, /10
+_PLATEAU_SLACK = 1e-12  # between O(1) closed forms, good to a few hundred eps
+_FULL_SLACK = 1e-9  # relative: read via xi''^-1.5; the curvature cancels as it flattens
+_END_INSET = 1e-12  # a full segment ending at 1 is read this far inside; smooth there
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,9 @@ def wtilde(m: Mixture, x):
     d3 = xi_deriv(m, x, 3)
     if np.ndim(d3) == 0 and float(d3) == 0.0:
         return 0.0  # x = 0 with p > 3: the zero numerator wins
-    return 0.5 * d3 * xi_deriv(m, x, 2) ** -1.5
+    # np.power, not a float's **: a float gets the array path's bits
+    w = 0.5 * d3 * np.power(xi_deriv(m, x, 2), -1.5)
+    return float(w) if np.ndim(w) == 0 else w
 
 
 def _check_partition(segs, atom) -> None:
@@ -98,22 +104,20 @@ def _structure_check(nu: ParisiMeasure, m: Mixture):
     prev_val = 0.0
     for seg in nu.segments:
         if seg.kind == "const":
-            if seg.value < prev_val - 1e-12:
+            if seg.value < prev_val - _PLATEAU_SLACK:
                 raise ValueError("density must be nondecreasing")
             prev_val = seg.value
             continue
-        ends = np.array([seg.lo, min(seg.hi, 1 - 1e-12)])
-        vals = wtilde(m, ends)
-        if vals[0] < prev_val - 1e-9 * max(1.0, prev_val):
+        ends = (seg.lo, min(seg.hi, 1 - _END_INSET))
+        if wtilde(m, ends[0]) < prev_val - _FULL_SLACK * max(1.0, prev_val):
             raise ValueError("density must be nondecreasing into a full segment")
         # increasing inside iff 2 xi'' xi'''' >= 3 xi'''^2, tested at the
         # two ends only (exact, see the module docstring)
-        curv = (2 * xi_deriv(m, ends, 2) * xi_deriv(m, ends, 4)
-                - 3 * xi_deriv(m, ends, 3) ** 2)
-        scale = max(1.0, float(np.abs(curv).max()))
-        if float(curv.min()) < -1e-9 * scale:
+        ds = [[xi_deriv(m, x, k) for k in (2, 3, 4)] for x in ends]
+        curv = [2 * d2 * d4 - 3 * (d3 * d3) for d2, d3, d4 in ds]
+        if min(curv) < -_FULL_SLACK * max(1.0, *map(abs, curv)):
             raise ValueError("full density is not increasing on this span")
-        prev_val = float(vals[-1])
+        prev_val = wtilde(m, ends[1])
     return nu
 
 
@@ -143,7 +147,7 @@ def density(nu: ParisiMeasure, m: Mixture, x):
         raise ValueError(f"x must lie in [0, 1), got {x}")
     for seg in nu.segments:
         if x < seg.hi:
-            return seg.value if seg.kind == "const" else float(wtilde(m, x))
+            return seg.value if seg.kind == "const" else wtilde(m, x)
     raise ValueError(f"no segment covers {x}")  # unreachable on valid measures
 
 

@@ -14,10 +14,11 @@ loop numpy dispatches to CPU-specific SIMD code; on this path it differs
 from the C library's ``pow`` (Python's ``**``) in the last bit for a few
 percent of inputs. So values are not bit-reproducible across CPUs or
 numpy builds. What holds is that a scalar input and the same value in an
-array give the same bits on one numpy build and one CPU: the plain-float
-path for scalars calls ``np.power`` too, never ``**``: one call over an
-order's exponents if all are at least 3 (numpy's vectorised power at 2
-is not its square), else one a term; xi at 1 is summed once per mixture.
+array give the same bits on one numpy build and one CPU, by one scalar
+rule: exponents of 3 and more take one ``np.power`` call, never ``**``,
+and 0, 1 and 2 are 1.0, x and x*x in plain floats, the bits of the array
+path's ``**`` fast paths (numpy's vectorised power at 2 is not its
+square); xi at 1 is summed once per mixture.
 """
 from __future__ import annotations
 
@@ -50,7 +51,8 @@ class Mixture:
     def __post_init__(self):
         terms = tuple(_terms(self, order) for order in range(5))
         object.__setattr__(self, "terms", terms)  # _exps, _at1: not fields
-        object.__setattr__(self, "_exps", _exponents(*(k for _, k in terms[0])))
+        object.__setattr__(self, "_exps", tuple(
+            _exponents(tuple(k for _, k in t)) for t in terms))
         object.__setattr__(self, "_at1",
                            tuple(sum((c for c, _ in t), 0.0) for t in terms))
 
@@ -86,11 +88,20 @@ def _table(m: Mixture, x, key, build, *args):
 
 
 @lru_cache(maxsize=None)
-def _exponents(*ks):
-    # xi's exponents by order, None where one is 2 or less (np.power(1.0, k)
-    # is 1.0, so xi at 1 is the sum of coefficients)
-    es = (np.array([k - o for k in ks if k >= o], float) for o in range(5))
-    return tuple(e if (e >= 3).all() else None for e in es)
+def _exponents(ks):
+    # the scalar rule's plan for x**k, k in ks: each k below 3 with its
+    # place, and the others in one array for one np.power call
+    return (tuple((i, k) for i, k in enumerate(ks) if k < 3),
+            np.array([k for k in ks if k >= 3], float))
+
+
+def _powers(x, plan):
+    # x**k for each exponent k of the plan, x a float (see _exponents)
+    small, big = plan
+    vs = np.power(x, big).tolist()
+    for i, k in small:
+        vs.insert(i, x * x if k == 2 else x if k else 1.0)
+    return vs
 
 
 def _as_int(name, value):
@@ -150,20 +161,16 @@ def xi_deriv(m: Mixture, x, order: int = 0):
     if order not in (0, 1, 2, 3, 4):
         raise ValueError(f"order must be in 0..4, got {order}")
     if isinstance(x, float):
-        # plain-float path (np.float64 is a float too): the same operations
-        # as on a 0-d array, without its overhead; np.power, not **, keeps
-        # the array path's bits
+        # plain-float path (np.float64 is a float too): the scalar rule's
+        # bits without a 0-d array's overhead (np.power(1.0, k) is 1.0, so
+        # xi at 1 is the sum of coefficients)
         if not x >= 0:
             raise ValueError("x must be >= 0")
         if x == 1.0:
             return m._at1[order]
-        out, exps = 0.0, m._exps[order]
-        if exps is None:
-            for c, k in m.terms[order]:
-                out = out + c * np.power(x, k)
-        else:
-            for (c, _), v in zip(m.terms[order], np.power(x, exps).tolist()):
-                out = out + c * v
+        out = 0.0
+        for (c, _), v in zip(m.terms[order], _powers(x, m._exps[order])):
+            out = out + c * v
         return float(out)
     x = np.asarray(x, dtype=float)
     if not (x >= 0).all():

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -304,7 +304,7 @@ def _solve_two_step(m: Mixture, lm: criteria.Landmarks):
     return q, z1, z2
 
 
-def _certify(m, nu, phase, params, tol):
+def _certify(m, nu, phase, params, tol, place):
     rep = verify_parisi(m, nu, tol)
     if not rep.passed:
         return Classification(
@@ -312,8 +312,8 @@ def _certify(m, nu, phase, params, tol):
             detail=(f"{phase} candidate failed certification: "
                     f"normalization {rep.normalization_error:.2e}, "
                     f"min g {rep.min_g:.2e}, "
-                    f"support {rep.support_residual:.2e}"))
-    return Classification(phase, params, nu, rep.energy, rep)
+                    f"support {rep.support_residual:.2e}"), **place)
+    return Classification(phase, params, nu, rep.energy, rep, **place)
 
 
 def _k1(m: Mixture, z: float):
@@ -331,10 +331,10 @@ def _one_step(m: Mixture, z: float) -> bool:
             and k1 >= -_K1_FLOOR * d2 and _zeta_max(m, z) <= _ZETA_FLOOR)
 
 
-def _classify_general(m: Mixture, tol: float) -> Classification:
+def _classify_general(m: Mixture, tol: float, place: dict) -> Classification:
     z = criteria.solve_z(m)
     if _one_step(m, z):
-        return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol)
+        return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol, place)
     stages = criteria._landmark_stages(m)
     lm = next(stages)
     if lm.q22_edge is not None:
@@ -346,7 +346,7 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
         if _two_step_window(lm):
             q, z1, z2 = _solve_two_step(m, lm)
             return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",
-                            {"q": q, "z1": z1, "z2": z2}, tol)
+                            {"q": q, "z1": z1, "z2": z2}, tol, place)
     # landmarks reads q12 and q22 only where t < 0 (p = 2: q12 = 0); q22
     # inside (q12, 1) ends the full density, else it runs to 1 (None: h22
     # not scanned). The measure's shape names the phase
@@ -360,7 +360,7 @@ def _classify_general(m: Mixture, tol: float) -> Classification:
                                         "variant": "density-below"}),
             (False, False): ("FRSB", {}),
         }[q1 > 0.0, q2 < 1.0]
-        return _certify(m, build_mixed(m, q1, q2), phase, params, tol)
+        return _certify(m, build_mixed(m, q1, q2), phase, params, tol, place)
     raise ValueError(
         f"no construction applies (one-step certificate "
         f"{_zeta_max(m, z):.2e}, K(1) {_k1(m, z)[0]:.2e}, landmarks {lm})")
@@ -382,7 +382,7 @@ def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
     """
     m = make_mixture(p, s, lam)
     if m.is_pure and m.exponent == 2:
-        return _certify(m, build_rs(m), "RS", {}, tol)
+        return _certify(m, build_rs(m), "RS", {}, tol, {})
     place = {"low_s_unproven": not m.is_pure and (p, s) == (2, 3)}
     try:
         if not m.is_pure and (cuts := _interior(boundaries(p, s))):
@@ -392,8 +392,7 @@ def classify(p: int, s: int, lam: float, tol: float = 1e-7) -> Classification:
             if abs(lam - lb) <= _OWN_EPS:
                 m = make_mixture(p, s, lb - 1e-10)
                 place["on_boundary"] = True
-        cl = _classify_general(m, tol)
+        return _classify_general(m, tol, place)
     except (ValueError, RuntimeError) as exc:
         return Classification("Unresolved", {}, None, None, None,
                               detail=str(exc), **place)
-    return replace(cl, **place)

@@ -576,7 +576,7 @@ def _verify_before(m, nu, tol=1e-7):
         gv = tab.g(us)
         min_g = min(min_g, float(gv.min()))
     sup_pts = energy._support_points(m, nu)
-    sres = float(np.abs(tab.g(np.sort(sup_pts))).max()) if sup_pts else 0.0
+    sres = float(np.abs(tab.g(np.sort(sup_pts))).max()) if len(sup_pts) else 0.0
     return energy.VerificationReport(
         normalization_error=float(nerr),
         min_g=min_g,

@@ -415,7 +415,8 @@ def _two_end_verdict(m, lo, hi):
     return True
 
 
-def test_two_end_monotonicity_matches_a_dense_grid_and_classify():
+def _monotonicity_draws():
+    # (p, s, lam, lo, hi) of full segments, about half of them decreasing
     rng = np.random.default_rng(20221)
     draws = [(2, 3, 0.7, 0.0, 1.0), (2, 3, 0.2, 0.0, 0.6), (2, 4, 0.9, 0.0, 1.0)]
     for _ in range(400):
@@ -428,6 +429,11 @@ def test_two_end_monotonicity_matches_a_dense_grid_and_classify():
         if rng.random() < 0.3:
             hi = 1.0
         draws.append((p, s, lam, max(lo, 1e-3 if p > 2 else 0.0), hi))
+    return draws
+
+
+def test_two_end_monotonicity_matches_a_dense_grid_and_classify():
+    draws = _monotonicity_draws()
     verdicts = []
     for p, s, lam, lo, hi in draws:
         m = make_mixture(p, s, lam)
@@ -446,3 +452,81 @@ def test_two_end_monotonicity_matches_a_dense_grid_and_classify():
         assert build_mixed(m, q1, q2) == nu, phase
         shapes.add((q1 > 0, q2 < 1))
     assert len(shapes) == 4
+
+
+def _array_cone_check(nu, m):
+    # the reference: the cone check with a full segment's two ends read
+    # from one two-element array, as it was before it read them as floats
+    from parisi_zero.measure import _check_partition
+
+    _check_partition(nu.segments, nu.atom)
+    prev_val = 0.0
+    for seg in nu.segments:
+        if seg.kind == "const":
+            if seg.value < prev_val - 1e-12:
+                raise ValueError("density must be nondecreasing")
+            prev_val = seg.value
+            continue
+        ends = np.array([seg.lo, min(seg.hi, 1 - 1e-12)])
+        vals = wtilde(m, ends)
+        if vals[0] < prev_val - 1e-9 * max(1.0, prev_val):
+            raise ValueError("density must be nondecreasing into a full segment")
+        curv = (2 * xi_deriv(m, ends, 2) * xi_deriv(m, ends, 4)
+                - 3 * xi_deriv(m, ends, 3) ** 2)
+        scale = max(1.0, float(np.abs(curv).max()))
+        if float(curv.min()) < -1e-9 * scale:
+            raise ValueError("full density is not increasing on this span")
+        prev_val = float(vals[-1])
+    return nu
+
+
+def _cone_verdict(check, nu, m):
+    try:
+        check(nu, m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_cone_check_matches_its_array_reference(monkeypatch):
+    from parisi_zero import measure
+
+    rng = np.random.default_rng(20222)
+    cases = []
+    for p, s, lam, lo, hi in _monotonicity_draws():
+        m = make_mixture(p, s, lam)
+        # as in _two_end_verdict, then with plateaus drawn across the
+        # slacks: up to 2e-9 (relative) above the density into the segment,
+        # up to 2e-12 below it after the segment
+        for below, above in ((0.0, 1e300), (None, None)):
+            if below is None:
+                w_lo = wtilde(m, lo)
+                below = w_lo + rng.uniform(-1e-9, 2e-9) * max(1.0, w_lo)
+                above = wtilde(m, hi) + rng.uniform(-2e-12, 1e-12)
+            segs = [Segment(lo, hi, "full")]
+            if lo > 0:
+                segs.insert(0, Segment(0.0, lo, "const", max(below, 0.0)))
+            if hi < 1:
+                segs.append(Segment(hi, 1.0, "const", max(above, 0.0)))
+            cases.append((ParisiMeasure(tuple(segs), 1.0), m))
+    # every measure classify builds at the ladder rows whose full density
+    # is not increasing (lambda_2to1F - 10**-k), and just above them
+    built = []
+    real = measure._structure_check
+    monkeypatch.setattr(measure, "_structure_check",
+                        lambda nu, m: built.append((nu, m)) or real(nu, m))
+    for p, s, k in ((3, 20, 6), (3, 20, 7), (3, 20, 8), (4, 38, 8),
+                    (5, 57, 7)):
+        lb = boundaries(p, s).general["lambda_2to1F"]
+        for lam in (lb - 10.0 ** -k, lb + 10.0 ** -k):
+            classify(p, s, lam)
+    monkeypatch.undo()
+    assert any(seg.kind == "full" for nu, _ in built for seg in nu.segments)
+    seen = set()
+    for nu, m in cases + built:
+        got = _cone_verdict(real, nu, m)
+        assert got == _cone_verdict(_array_cone_check, nu, m), (m, nu)
+        seen.add(got)
+    assert seen == {None, "density must be nondecreasing",
+                    "density must be nondecreasing into a full segment",
+                    "full density is not increasing on this span"}

@@ -703,6 +703,35 @@ def test_unresolved_when_tolerance_is_impossible():
     assert "certification" in c.detail
 
 
+def _placed(key, d):
+    # (p, s, lambda) at lambda_<key> + d for (4, 38) and (3, 20)
+    fam = (3, 20) if key == "lambda_2to1F" else (4, 38)
+    return (*fam, boundaries(*fam).general[key] + d)
+
+
+@pytest.mark.parametrize("point, tol, phase, key, shifted, low_s", [
+    ((4, 38, 0.95), 1e-7, "TwoRSB", "lambda_2to2F", False, False),
+    ((2, 3, 0.5), 1e-7, "OneRSB", None, False, True),
+    (("lambda_2to2F", 5e-10), 1e-7, "TwoRSB", "lambda_2to2F", True, False),
+    (("lambda_2to1F", -1e-7), 1e-7, "Unresolved", "lambda_2to1F", False,
+     False),
+    ((4, 38, 0.95), 1e-30, "Unresolved", "lambda_2to2F", False, False),
+], ids=["certified", "certified-low-s", "ownership-shift",
+        "unresolved-chain", "unresolved-certificate"])
+def test_the_record_carries_its_placement(point, tol, phase, key, shifted,
+                                          low_s):
+    # every kind of record names its nearest boundary and the exact signed
+    # distance to it, its ownership shift and the low-s flag
+    p, s, lam = _placed(*point) if isinstance(point[0], str) else point
+    c = classify(p, s, lam, tol=tol)
+    assert c.phase == phase, c
+    assert (c.phase == "Unresolved") == (c.detail is not None), c
+    dist = (None if key is None else
+            lam - phases._interior(boundaries(p, s))[key])
+    assert (c.boundary, c.boundary_distance) == (key, dist)
+    assert (c.on_boundary, c.low_s_unproven) == (shifted, low_s)
+
+
 def test_rejects_bad_exponents():
     with pytest.raises(ValueError):
         boundaries(4, 3)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from parisi_zero import criteria, energy, make_mixture, phases, xi_deriv
-from parisi_zero.measure import ParisiMeasure, Segment
+from parisi_zero.measure import ParisiMeasure, Segment, wtilde
 
 FAMILIES = [(2, 3, 0.4), (2, 4, 0.7), (2, 30, 0.2), (3, 20, 0.8),
             (4, 38, 0.61), (4, 28, 0.9), (8, 60, 0.3), (5, 5, 1.0)]
@@ -42,6 +42,16 @@ def test_xi_deriv_scalar_path_matches_array_path(p, s, lam):
     for order in range(5):
         for x in _xs():
             _same_as_array(lambda v: xi_deriv(m, v, order), x)
+
+
+@pytest.mark.parametrize("p, s, lam", FAMILIES)
+def test_wtilde_scalar_path_matches_array_path(p, s, lam):
+    # a float's xi''^-1.5 is np.power's, as an array's is; a float's ** (the
+    # C library's pow) gave other bits on about 5% of inputs. x = 0 is left
+    # out: there xi'' = 0 for p > 2, and an array reads 0 * inf
+    m = make_mixture(p, s, lam)
+    for x in _xs()[1:]:
+        _same_as_array(lambda v: wtilde(m, v), x)
 
 
 def test_xi_deriv_scalar_path_rejects_negative_x():
@@ -117,7 +127,8 @@ def test_window_functions_scalar_path_matches_array_path(p, s, lam):
 
 def _xi_reference(m, x, order):
     # one np.power call per term, as the scalar path made before it took
-    # one call over all exponents
+    # one call over the exponents of 3 and more (np.power's bits at 0, 1
+    # and 2 are 1.0, x and x*x on a scalar)
     out = 0.0
     for c, k in m.terms[order]:
         out = out + c * np.power(x, k)
@@ -361,8 +372,10 @@ def test_c_inv_of_a_tiny_y_is_a_root_or_refused():
 
 @pytest.mark.parametrize("p, s, lam", FAMILIES)
 def test_kernel_scalar_path_matches_array_path(p, s, lam):
-    # for p >= 4 a float's xi, xi' and q xi' - xi come from one np.power
-    # call: the same bits as the array path
+    # a float's powers p, s, p - 1 and s - 1 follow mixture's scalar rule
+    # (exponents of 3 and more from one np.power call, 0, 1 and 2 as 1.0,
+    # q and q*q), pure models and p = 2 and 3 included: its xi, xi' and
+    # q xi' - xi have the array path's bits
     m = make_mixture(p, s, lam)
     xs = np.array(_unit_xs())
     want = list(zip(*(v.tolist() for v in criteria._kernel(m, xs))))

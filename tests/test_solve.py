@@ -51,7 +51,7 @@ def test_package_root_solves_match_scipy(monkeypatch):
     boundaries.__wrapped__(2, 8)
     for p, s, lam in ((4, 38, 0.95), (4, 38, 0.985), (4, 38, 0.988),
                       (3, 20, 0.9), (2, 8, 0.5), (2, 4, 0.93)):
-        phases._classify_general(make_mixture(p, s, lam), 1e-7)
+        phases._classify_general(make_mixture(p, s, lam), 1e-7, {})
     assert len(phs) >= 4 and len(crit) >= 50
     # the two-step phi and the p = 2 root in z are among the recorded solves
     assert any(kw.get("xtol") == 1e-14 and f.__name__ == "phi"
