@@ -8,18 +8,18 @@ auxiliary polynomials, and the landmark roots cut out of them.
 
 Numerical backbone: each h-function is a rational-log expression whose
 raw form loses every digit as x -> 1 because numerator and denominator
-share powers of (1 - x). Instead of switching to local expansions near
-the endpoint, all expressions are assembled from exact divided
-differences of xi at 1 (partial geometric sums, every length of which
-comes from one Horner pass, in place on arrays), which remain O(1) and
-exact arbitrarily close to x = 1. One kernel at x (xi, xi', D1, B and
-x xi' - xi) feeds f12 and all four window functions, so the identities
-tying the h's to f1/f2 hold by construction, not by transcription (B,
-which only f2 reads, is built only for an f2; the landmark scan reads
-the second pair first). Every landmark root is bracketed on a grid of
-_H_GRID (1024) points and polished by Brent's method: t's and p = 2's
-h22 on one fixed grid of (0, 1), where these lambda-free sums are built
-once per family, and the other window roots on a grid of the window.
+share powers of (1 - x). All expressions are instead assembled from
+exact divided differences of xi at 1 (partial geometric sums, every
+length of which comes from one Horner pass, in place on arrays), O(1)
+and exact arbitrarily close to x = 1; h22's (1 - x)^4 is divided out the
+same way (_f22). One kernel at x (xi, xi', D1, B and x xi' - xi) feeds
+f12 and all four window functions, so the identities tying the h's to
+f1/f2 hold by construction, not by transcription (B, which only f2
+reads, is built only for an f2). Every landmark root is bracketed on a
+grid of _H_GRID (1024) points and polished by Brent's method: t's and
+p = 2's h22 on one fixed grid of (0, 1), where these lambda-free sums
+are built once per family, the other window roots on a grid of the
+window, and an h22 root collapsing onto 1 on a log grid of 1 - x.
 
 All functions accept scalars or ndarrays in x and are pure.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,14 +59,11 @@ class Landmarks:
 
     qbar1/qbar2 bound the interval where the first window function
     decreases; the four q's are the zeros of h11, h12, h21, h22 used by
-    the two-level and full-type constructions, all found on one grid.
-    Only the two-step test, which needs q22 < q12, reads the first pair
-    (q11, q21); the full phases and the lambda_2to2F gap read q12, q22.
-    With qbar2 = 1, q21 = q22 = 1.0 stand for "no root below 1", and
-    every reader takes them as the value x = 1; p = 2 sets only
-    q12 = 0.0 (its full density starts at 0) and q22. q22_edge
-    holds an h22 root that the edge ladder found pressed against 1 but
-    that h22's rounding floor leaves uncertified; q22 is None then.
+    the two-level and full-type constructions. Only the two-step test,
+    which needs q22 < q12, reads the first pair (q11, q21); the full
+    phases and the lambda_2to2F gap read q12, q22. With qbar2 = 1, q21 =
+    q22 = 1.0 stand for "no root below 1", read as the value x = 1; p = 2
+    sets only q12 = 0.0 (its full density starts at 0) and q22.
     """
 
     qbar1: float | None = None
@@ -74,7 +72,6 @@ class Landmarks:
     q12: float | None = None
     q21: float | None = None
     q22: float | None = None
-    q22_edge: float | None = None
 
 
 @dataclass(frozen=True)
@@ -157,6 +154,12 @@ def _d1(m, x):
     return m.p * lam * gp + m.s * mu * gs
 
 
+def _nfun(m, x):
+    # N = (D1 - xi'') / (1 - x), exact; equals xi'''(1)/2 at x=1
+    lam, mu = m.lam, 1.0 - m.lam
+    return m.p * lam * _wsum(m.p - 2, x) + m.s * mu * _wsum(m.s - 2, x)
+
+
 def _bfun(m, x):
     # (xi'(x) - A(x)) / (x - 1); equals xi''(1)/2 at x=1
     lam, mu = m.lam, 1.0 - m.lam
@@ -190,10 +193,11 @@ def _tau(m, x):
 _C_SERIES = [(-1) ** n / ((n + 1) * (n + 2)) for n in range(16, -1, -1)]
 
 
-def _c_series(z):
-    acc = 0.0 * z
-    for coef in _C_SERIES:
-        acc = acc * z + coef
+def _poly(cs, x):
+    # Horner on the highest-power-first cs
+    acc = 0.0 * x
+    for c in cs:
+        acc = acc * x + c
     return acc
 
 
@@ -205,14 +209,14 @@ def c_log(z):
     a degree-16 series takes over (truncation under 1e-19), good to half an
     ulp. Past the seam the direct form's terms still cancel 20-fold: off by
     up to 58 ulp near z = 0.11 (against 60-digit mpmath), under 20 below
-    -0.1 and under 7 above z = 1; the sign of h22 near x = 1 rests on these.
+    -0.1 and under 7 above z = 1; _c2 divides this error by z^2.
     _c_slope repeats these operations for _c_inv's Newton steps.
     """
     if isinstance(z, float) and -1.0 < z < math.inf:
         # plain-float path, same operations and bits as a 0-d array;
         # NaN, inf and z <= -1 go on to the array path
         if abs(z) < 0.1:
-            return _c_series(float(z))
+            return _poly(_C_SERIES, float(z))
         return float((1 + z) * np.log1p(z) / (z * z) - 1 / z)
     z = np.asarray(z, dtype=float)
     if not np.all(z > -1):
@@ -221,7 +225,7 @@ def c_log(z):
         out = np.asarray((1 + z) * np.log1p(z) / (z * z) - 1 / z)
     small = np.abs(z) < 0.1
     if small.any():
-        out[small] = _c_series(z[small])
+        out[small] = _poly(_C_SERIES, z[small])
     return float(out) if out.ndim == 0 else out
 
 
@@ -451,35 +455,65 @@ def _h22(m: Mixture, x):
     return _f2(x, d1 / xi_deriv(m, x, 2) - 1.0, d1, _bfun(m, x))
 
 
-def _h22_floor(m: Mixture, x):
-    """A bound on the rounding error of eval_h2's h22 at x.
+@lru_cache(maxsize=8)
+def _g1_parts(p, s):
+    # 12 G1's lam^2, lam mu and mu^2 parts (see _f22), ascending, one length
+    tri = lambda n: n * (n + 1) // 2
 
-    h22 = (1-x)^2 (D1 c(z2) - B) with c held to a few ulps; against a
-    60-digit transcription the error stayed below 7 eps (1-x)^2 (|D1|+|B|)
-    on p = 2 families near the plateau edge, so this allows 32.
+    def cross(k, n):
+        # 12 E_k xi_n'' - 2 D1_k N_n of the terms x^k, x^n: E_k's x^j coefficient
+        # is (j+1)(k-j-2)/2, gsum(k-1) wsum(n-2)'s x^m sums i + 1 over i < n - 2
+        # with m - k + 1 < i <= m
+        out = [-2 * k * n * (tri(min(n - 2, m + 1)) - tri(max(0, m - k + 2)))
+               for m in range(k + n - 4)] + [0] * (2 * s - k - n)
+        for j in range(k - 2):
+            out[n - 2 + j] += 6 * n * (n - 1) * (j + 1) * (k - j - 2)
+        return out
+
+    # G1 = G / (1 - x): partial sums, the last (G at 1) being 0
+    return tuple(list(accumulate(cs))[:-1] for cs in (
+        cross(p, p), [a + b for a, b in zip(cross(p, s), cross(s, p))],
+        cross(s, s)))
+
+
+@lru_cache(maxsize=64)
+def _g1_coeffs(p, s, lam):
+    # G1's coefficients at this lambda, highest power first
+    l2, lm, m2 = lam * lam, lam * (1.0 - lam), (1.0 - lam) ** 2
+    return [(l2 * a + lm * b + m2 * c) / 12
+            for a, b, c in reversed(list(zip(*_g1_parts(p, s))))]
+
+
+def _c2(z):
+    # (c(z) - 1/2 + z/6) / z^2, z >= 0: c's series less two terms below 0.1
+    if isinstance(z, float):
+        return (_poly(_C_SERIES[:-2], z) if z < 0.1
+                else (c_log(z) - 0.5 + z / 6) / (z * z))
+    out, big = np.empty_like(z), z >= 0.1
+    out[~big], zb = _poly(_C_SERIES[:-2], z[~big]), z[big]
+    out[big] = (c_log(zb) - 0.5 + zb / 6) / (zb * zb)
+    return out
+
+
+def _f22(m: Mixture, x):
+    """F = h22 / (1 - x)^4 = (D1 c(z2) - B) / (1 - x)^2 on (0, 1], exact.
+
+    With u = 1 - x, w = N / xi'' (N = _nfun, z2 = u w), e = (D1/2 - B) / u and
+    G = e xi'' - D1 N / 6, F = G1 / xi'' + D1 w^2 c2(u w) with G1 = G / u,
+    whose coefficients are exact partial sums (_g1_parts): no term cancels
+    as x -> 1. F(1) = -S / (144 xi''(1)), S = s_of.
     """
-    scale = np.abs(_d1(m, x)) + np.abs(_bfun(m, x))
-    return 32 * np.finfo(float).eps * ((1 - x) * (1 - x)) * scale
+    x2 = xi_deriv(m, x, 2)
+    w = _nfun(m, x) / x2
+    return (_poly(_g1_coeffs(m.p, m.s, m.lam), x) / x2
+            + _d1(m, x) * (w * w) * _c2((1 - x) * w))
 
 
-_PLATEAU_TOL = 1e-6  # half-width of the bracket certifying an h22 root
 _QBAR_INSET = 1e-12  # landmarks scans the h's this far inside (qbar1, qbar2)
 # grid values within this times max(1, the scan's largest |value|) of 0 have
 # no sign; the all-family ladder read the same table at x10 and /10
 _FIRM_FLOOR = 1e-14
-
-
-def _h22_root_certified(m: Mixture, q: float) -> bool:
-    """Whether h22 reads firm opposite signs either side of its root q.
-
-    Near 1, h22 sits only a few orders above its rounding floor, so an
-    edge ladder root counts only where h22 clears _h22_floor, with
-    opposite signs, at both ends of a bracket within _PLATEAU_TOL of q.
-    """
-    ends = [max(q - _PLATEAU_TOL, 0.5 * q),
-            min(q + _PLATEAU_TOL, 0.5 * (1.0 + q))]  # plain floats
-    (va, fa), (vb, fb) = [(_h22(m, x), _h22_floor(m, x)) for x in ends]
-    return bool(va * vb < 0 and abs(va) > fa and abs(vb) > fb)
+_EDGE_U = np.geomspace(1e-2, 1e-15, 53)  # 1 - x on _f22's edge scan
 
 
 def eval_aux(m: Mixture, x):
@@ -535,73 +569,44 @@ def _grid_roots(f, xs, vs, falling=False):
                    fa=vs[a[i]], fb=vs[b[i]]) for i in np.nonzero(flip)[0]]
 
 
-def _edge_root(f, lo):
-    """A root collapsed against x = 1, below the sign scan's firmness floor.
-
-    Within ~4e-4 of the collapse every value past the root is smaller than
-    the scan floor; walk a geometric ladder toward 1 and hand the first
-    sign disagreement to brentq. Those values can sit at their own rounding
-    floor, where the sign is noise, so _edge_h22 certifies the root.
-    """
-    a, fa = lo, float(f(lo))
-    for k in range(2, 9):
-        x = 1.0 - 10.0 ** -k
-        if x <= a:
-            continue
-        fx = float(f(x))
-        if fa != 0.0 and fx != 0.0 and (fa > 0.0) != (fx > 0.0):
-            return brentq(f, a, x, xtol=1e-14, rtol=8.9e-16, fa=fa, fb=fx)
-        a, fa = x, fx
-    return None
-
-
-def _edge_h22(m: Mixture, h22, lo, default):
-    # (q22, q22_edge) from the edge ladder past lo: (default, None) where it
-    # finds no root, (None, root) where the root fails its certificate
-    q = _edge_root(h22, lo)
-    if q is None:
-        return default, None
-    return (q, None) if _h22_root_certified(m, q) else (None, q)
-
-
 def landmarks(m: Mixture) -> Landmarks:
     """Locate the landmark roots; absent landmarks come back as None.
 
-    Where xi''(0) > 0 (p = 2) no t window is scanned: q12 = 0.0, and below
-    lambda_1Fto1 (onset quadratic > 0) q22 is h22's first root on the
-    fixed _H_GRID-point grid of (0, 1), else the edge ladder's, else None;
-    past it q22 = 1.0.
-
-    Otherwise qbar1/qbar2 are the sign changes of t on that fixed grid;
-    exactly one genuine change means t stays negative up to 1, so qbar2 :=
-    1 (t(1) can read as +noise at the knife edge where the lambda-quadratic
-    has a root). The h-roots are then isolated inside (qbar1, qbar2) on one
-    grid of as many points, following the
-    case split on qbar2 and, for h22 with qbar2 = 1, on the sign of the
-    full-type onset quadratic; there, where the grid holds no h22 root,
-    the edge ladder looks closer to 1, and a root from it that fails its
-    certificate is reported as q22_edge, with q22 None. The grid is
-    built only when a root is read from it, and its one kernel pass feeds
-    only the scanned window functions, B only an f2; the first root of
-    h11 and h12 is read, the last of h21 and h22.
-    The second pair is found first (see _landmark_stages).
+    p = 2 (xi''(0) > 0) has no t window: q12 = 0.0, and below lambda_1Fto1
+    (onset quadratic > 0) q22 is h22's first root on the fixed
+    _H_GRID-point grid of (0, 1), else the edge scan's, else None; past it
+    q22 = 1.0. Otherwise qbar1/qbar2 are t's sign changes on that grid; with
+    one change t stays negative up to 1, so qbar2 := 1 (t(1) can read as
+    +noise where the lambda-quadratic has a root). The h-roots are isolated
+    inside (qbar1, qbar2) on one grid of as many points, built only when a
+    root is read from it, following the case split on qbar2 and, for h22
+    with qbar2 = 1, on the onset quadratic's sign: the first root of h11
+    and h12, the last of h21 and h22, the second pair first (see
+    _landmark_stages). Where no grid holds h22's root, the edge scan takes
+    the root nearest 1 of h22 / (1 - x)^4 (_f22, exact as the root
+    collapses onto 1) on a log grid of 1 - x from 1e-2 down, x = 1 included.
     """
     return list(_landmark_stages(m))[-1]
 
 
 def _landmark_stages(m: Mixture):
-    """landmarks' record with the window and second pair alone, then whole,
-    its first pair read on the same grid and kernel. p = 2 and an empty
-    window have no first pair and yield once: read on with next(it, first).
+    """landmarks' record with the window and second pair alone (q22 from the
+    edge scan where no grid holds it), then whole, its first pair on the same
+    grid and kernel. p = 2 and an empty window yield once: next(it, first).
     """
     h22 = lambda x: _h22(m, x)
+
+    def edge(lo, default):  # _f22's root nearest 1 on the edge scan above lo
+        xs = np.append(1.0 - _EDGE_U[_EDGE_U < 1.0 - lo], 1.0)
+        r = _grid_roots(lambda x: _f22(m, x), xs, _f22(m, xs))
+        return r[-1] if r else default
+
     if xi_deriv(m, 0.0, 2) > 0.0:  # p = 2: no t window, q12 = 0
-        q22, q22_edge = 1.0, None
+        q22 = 1.0
         if s_of(m.p, m.s, m.lam) > 0.0:
             roots = _sign_roots(h22, 1e-9, 1 - 1e-9)
-            q22, q22_edge = ((roots[0], None) if roots
-                             else _edge_h22(m, h22, 1e-9, None))
-        yield Landmarks(q12=0.0, q22=q22, q22_edge=q22_edge)
+            q22 = roots[0] if roots else edge(1e-9, None)
+        yield Landmarks(q12=0.0, q22=q22)
         return
     tb = _sign_roots(lambda x: _tau(m, x), 1e-9, 1 - 1e-9)
     if not tb:
@@ -629,14 +634,11 @@ def _landmark_stages(m: Mixture):
         return (r[0] if one else r[-1]) if r else None
 
     q12 = root(False, True) if scan_h11 else None
-    q22, q22_edge = (1.0 if scan_h21 else None), None
-    if scan_h22:
-        q22 = root(False, False)
-        if q22 is None and qbar2 == 1.0:
-            q22, q22_edge = _edge_h22(m, h22, lo, 1.0)
-    yield Landmarks(qbar1=qbar1, qbar2=qbar2, q12=q12, q22=q22,
-                    q22_edge=q22_edge)
+    # h22's root lies inside the window, never at 0: `or` reads "not found"
+    q22 = ((root(False, False) or (edge(lo, 1.0) if qbar2 == 1.0 else None))
+           if scan_h22 else 1.0 if scan_h21 else None)
+    yield Landmarks(qbar1=qbar1, qbar2=qbar2, q12=q12, q22=q22)
     yield Landmarks(qbar1=qbar1, qbar2=qbar2,
                     q11=root(True, True) if scan_h11 else None, q12=q12,
                     q21=(root(True, False) if qbar2 < 1 else 1.0)
-                    if scan_h21 else None, q22=q22, q22_edge=q22_edge)
+                    if scan_h21 else None, q22=q22)

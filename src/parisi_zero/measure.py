@@ -70,11 +70,14 @@ class ParisiMeasure:
 
 def wtilde(m: Mixture, x):
     """The full-kind density 0.5 * xi'''(x) * xi''(x)**-1.5."""
-    d3 = xi_deriv(m, x, 3)
+    return _wtilde(xi_deriv(m, x, 2), xi_deriv(m, x, 3))
+
+
+def _wtilde(d2, d3):
     if np.ndim(d3) == 0 and float(d3) == 0.0:
         return 0.0  # x = 0 with p > 3: the zero numerator wins
     # np.power, not a float's **: a float gets the array path's bits
-    w = 0.5 * d3 * np.power(xi_deriv(m, x, 2), -1.5)
+    w = 0.5 * d3 * np.power(d2, -1.5)
     return float(w) if np.ndim(w) == 0 else w
 
 
@@ -109,15 +112,16 @@ def _structure_check(nu: ParisiMeasure, m: Mixture):
             prev_val = seg.value
             continue
         ends = (seg.lo, min(seg.hi, 1 - _END_INSET))
-        if wtilde(m, ends[0]) < prev_val - _FULL_SLACK * max(1.0, prev_val):
+        ds = [[xi_deriv(m, x, k) for k in (2, 3, 4)] for x in ends]
+        w_lo, w_hi = (_wtilde(d2, d3) for d2, d3, _ in ds)
+        if w_lo < prev_val - _FULL_SLACK * max(1.0, prev_val):
             raise ValueError("density must be nondecreasing into a full segment")
         # increasing inside iff 2 xi'' xi'''' >= 3 xi'''^2, tested at the
         # two ends only (exact, see the module docstring)
-        ds = [[xi_deriv(m, x, k) for k in (2, 3, 4)] for x in ends]
         curv = [2 * d2 * d4 - 3 * (d3 * d3) for d2, d3, d4 in ds]
         if min(curv) < -_FULL_SLACK * max(1.0, *map(abs, curv)):
             raise ValueError("full density is not increasing on this span")
-        prev_val = wtilde(m, ends[1])
+        prev_val = w_hi
     return nu
 
 
@@ -190,13 +194,11 @@ def build_2rsb(m: Mixture, q: float, z1: float, z2: float) -> ParisiMeasure:
     if not (abs(f1) <= _RESIDUAL_TOL and abs(f2) <= _RESIDUAL_TOL):
         raise ValueError(f"(q, z2) does not solve the two-level system: "
                          f"residuals {f1:.2e}, {f2:.2e}")
-    wa = xi_deriv(m, 1.0, 1) * q / k[1]
-    wb = k[2] / xi_deriv(m, q, 2)
-    if not (wa < 1 + z2 < wb):
+    a = xi_deriv(m, 1.0, 1)
+    if not (a * q / k[1] < 1 + z2 < k[2] / xi_deriv(m, q, 2)):
         raise ValueError("tilt z2 falls outside the admissible window at q")
     if not z1 > 0:
         raise ValueError(f"two-step construction needs z1 > 0, got {z1}")
-    a = xi_deriv(m, 1.0, 1)
     delta = math.sqrt((q / ((1 + z2) * (1 + z1 + z2)) + (1 - q) / (1 + z2)) / a)
     k1 = z1 * delta / q
     k2 = z2 * delta / (1 - q)
@@ -213,20 +215,21 @@ def build_mixed(m: Mixture, q1: float, q2: float) -> ParisiMeasure:
     0 <= q1 < q2 <= 1. q1 = 0 drops the lower plateau, which only p = 2
     allows (xi''(0) = 0 otherwise); q2 = 1 drops the upper one, and the
     atom is then xi''(1)**-0.5. A lower plateau needs h12(q1) = 0 and an
-    open window at q1, an upper one h22(q2) = 0; the closed forms for the
-    plateaus and the atom then calibrate the tail to xi''(x)**-0.5 across
-    [q1, q2], an identity in q2 that the verifier's tables judge.
+    open window at q1, an upper one h22(q2) = 0, its value N / (D1
+    sqrt(xi''(q2))) and the atom sqrt(xi''(q2)) / D1 read from criteria's
+    exact D1 and N = (D1 - xi'') / (1 - q2), which do not cancel as q2 -> 1;
+    these closed forms calibrate the tail to xi''(x)**-0.5 across [q1, q2],
+    an identity in q2 that the verifier's tables judge.
     """
     if not 0.0 <= q1 < q2 <= 1.0:
         raise ValueError(f"need 0 <= q1 < q2 <= 1, got {q1}, {q2}")
-    a = xi_deriv(m, 1.0, 1)
     segs = []
     if q1 > 0.0:
         h12 = criteria._window(m, q1, first=False, one=True)
         if not abs(h12) <= _RESIDUAL_TOL:
             raise ValueError(f"q1 does not solve its defining equation: {h12:.2e}")
         x1, x2 = xi_deriv(m, q1, 1), xi_deriv(m, q1, 2)
-        if not criteria._d1(m, q1) / x2 > a * q1 / x1:
+        if not criteria._d1(m, q1) / x2 > xi_deriv(m, 1.0, 1) * q1 / x1:
             raise ValueError("window closed at q1; no mixed measure here")
         segs.append(Segment(0.0, q1, "const",
                             (q1 * x2 - x1) / (q1 * x1 * math.sqrt(x2))))
@@ -237,10 +240,9 @@ def build_mixed(m: Mixture, q1: float, q2: float) -> ParisiMeasure:
         h22 = criteria._h22(m, q2)
         if not abs(h22) <= _RESIDUAL_TOL:
             raise ValueError(f"q2 does not solve its defining equation: {h22:.2e}")
-        x1, x2 = xi_deriv(m, q2, 1), xi_deriv(m, q2, 2)
-        atom = math.sqrt(x2) * (1 - q2) / (a - x1)
-        k2 = (a - x1 - x2 * (1 - q2)) / (math.sqrt(x2) * (a - x1) * (1 - q2))
-        segs.append(Segment(q2, 1.0, "const", k2))
+        r2, d1 = math.sqrt(xi_deriv(m, q2, 2)), criteria._d1(m, q2)
+        atom = r2 / d1
+        segs.append(Segment(q2, 1.0, "const", criteria._nfun(m, q2) / (r2 * d1)))
     else:
         atom = xi_deriv(m, 1.0, 2) ** -0.5
     return _structure_check(ParisiMeasure(tuple(segs), atom), m)

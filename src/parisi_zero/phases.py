@@ -277,8 +277,7 @@ def _zeta_peak(m: Mixture, z: float):
 
 def _zeta_max(m: Mixture, z: float) -> float:
     """zeta's maximum on [0, 1], 0 at least (zeta(0) = zeta(1) = 0)."""
-    peak = _zeta_peak(m, z)
-    return 0.0 if peak is None else max(0.0, peak[0])
+    return max(0.0, (_zeta_peak(m, z) or (0.0,))[0])
 
 
 def _solve_two_step(m: Mixture, lm: criteria.Landmarks):
@@ -337,9 +336,6 @@ def _classify_general(m: Mixture, tol: float, place: dict) -> Classification:
         return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol, place)
     stages = criteria._landmark_stages(m)
     lm = next(stages)
-    if lm.q22_edge is not None:
-        raise ValueError(f"uncertified h22 edge root q22 = {lm.q22_edge!r}: "
-                         f"h22 is at its rounding floor around it")
     # a two-step window needs q22 < q12; only then is the first pair read
     if None in (lm.q12, lm.q22) or lm.q22 < lm.q12:
         lm = next(stages, lm)

@@ -5,6 +5,8 @@ written out term by term, no shared kernels) so that agreement with
 eval_h1/eval_h2 is a genuine two-route check rather than a tautology.
 """
 import math
+import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -107,7 +109,8 @@ def test_h_family_stable_at_the_right_edge():
 def test_h22_stays_within_its_rounding_floor_near_one():
     # h22 at 1 - u just below lambda_1Fto1 of (2, 4) and (2, 8), where it
     # cancels down to ~1e-25; references from a 60-digit mpmath
-    # transcription of (1-x)^2 (D1 c(z2) - B)
+    # transcription of (1-x)^2 (D1 c(z2) - B). Against them the error stayed
+    # below 7 eps (1-x)^2 (|D1| + |B|); the bound allows 32
     refs = {
         (4, 0.923066923077): [1.811419408305458e-17, 3.035651812990708e-20,
                               -3.559634999616682e-23, -1.4516369693185464e-24,
@@ -121,7 +124,138 @@ def test_h22_stays_within_its_rounding_floor_near_one():
         m = make_mixture(2, s, lam)
         for u, w in zip(us, want):
             x = 1 - u
-            assert abs(eval_h2(m, x)[1] - w) <= criteria._h22_floor(m, x)
+            floor = 32 * np.finfo(float).eps * u * u * (
+                abs(criteria._d1(m, x)) + abs(criteria._bfun(m, x)))
+            assert abs(eval_h2(m, x)[1] - w) <= floor
+
+
+def _f22_reference(p, s, lam, x):
+    # (D1 c(z2) - B) / (1 - x)^2, z2 = D1 / xi'' - 1, at 60 digits, D1 and B
+    # summed from their definitions
+    with mpmath.workdps(60):
+        lam, x = mpmath.mpf(lam), mpmath.mpf(x)
+        mu = 1 - lam
+
+        def ws(n):
+            return mpmath.fsum((i + 1) * x ** i for i in range(n))
+
+        d1 = (p * lam * mpmath.fsum(x ** j for j in range(p - 1))
+              + s * mu * mpmath.fsum(x ** j for j in range(s - 1)))
+        b = lam * ws(p - 1) + mu * ws(s - 1)
+        z = d1 / (lam * p * (p - 1) * x ** (p - 2)
+                  + mu * s * (s - 1) * x ** (s - 2)) - 1
+        c = (1 + z) * mpmath.log1p(z) / (z * z) - 1 / z
+        return (d1 * c - b) / (1 - x) ** 2
+
+
+def _f22_terms(m, x):
+    # F's two terms, G1 / xi'' and D1 w^2 c2(u w), and z = u w
+    x2 = xi_deriv(m, x, 2)
+    w = criteria._nfun(m, x) / x2
+    z = (1 - x) * w
+    return (criteria._poly(criteria._g1_coeffs(m.p, m.s, m.lam), x) / x2,
+            criteria._d1(m, x) * w * w * criteria._c2(z), z)
+
+
+# about 1e-6 below each family's collapse onto x = 1 (lambda_2to1F, or
+# lambda_1Fto1 for p = 2), where F has a root near 1 - 1e-5
+_F22_FAMILIES = [(4, 38, 0.98714720604), (3, 20, 0.978462169326),
+                 (5, 57, 0.990197853237), (2, 8, 0.957263957265),
+                 (2, 30, 0.995878120879), (2, 200, 0.999900014824)]
+
+
+@pytest.mark.parametrize("p, s, lam", _F22_FAMILIES)
+def test_f22_matches_a_60_digit_h22_over_u4(p, s, lam):
+    # error bounded by the size of F's two terms: 8 eps of it where c2 is
+    # its series (z < 0.1; at most 5.9 eps seen), plus, on c2's direct
+    # branch, c_log's error (under 58 ulp of c < 1/2 from z = 0.1 on, so
+    # 16 eps) divided by z^2 (up to 6700 eps of the terms seen, at (4, 38))
+    eps = np.finfo(float).eps
+    for lm in (lam, 0.5):
+        m = make_mixture(p, s, lm)
+        for k in range(1, 13):
+            x = 1 - 10.0 ** -k
+            t1, t2, z = _f22_terms(m, x)
+            bound = 8 * eps * (abs(t1) + abs(t2))
+            if z >= 0.1:
+                bound += 16 * eps * criteria._d1(m, x) / (1 - x) ** 2
+            err = abs(criteria._f22(m, x) - _f22_reference(p, s, lm, x))
+            assert err <= bound, (lm, k, float(err), bound)
+
+
+def test_f22_at_one_is_minus_s_over_144_xi2():
+    # F(1) = -S / (144 xi''(1)), S = 3 xi'''(1)^2 - 2 xi''(1) xi''''(1), here
+    # in Fractions; F's two terms at x = 1 bound the error
+    eps = np.finfo(float).eps
+    for p, s, lam in _F22_FAMILIES + [(4, 38, 0.5), (2, 4, 0.3), (8, 60, 0.7),
+                                      (6, 6, 1.0)]:
+        m = make_mixture(p, s, lam)
+        fl, mu = Fraction(m.lam), 1 - Fraction(m.lam)
+        d2, d3, d4 = (fl * math.perm(p, k) + mu * math.perm(s, k)
+                      for k in (2, 3, 4))
+        want = -(3 * d3 * d3 - 2 * d2 * d4) / (144 * d2)
+        t1, t2, _ = _f22_terms(m, 1.0)
+        err = abs(Fraction(criteria._f22(m, 1.0)) - want)
+        assert err <= 8 * eps * (abs(t1) + abs(t2)), (p, s, lam)
+
+
+def _poly_div_one_minus_x(cs):
+    # cs / (1 - x) for integer cs (ascending) that vanish at 1, by synthetic
+    # division; the remainder must be 0
+    q, r = [], 0
+    for c in cs:
+        r += c
+        q.append(r)
+    assert not q or q.pop() == 0
+    return q
+
+
+def test_g1_tables_match_a_direct_polynomial_product():
+    # 12 G1 from its definition, 12 G = 12 e xi'' - 2 D1 N with 12 e =
+    # (6 D1 - 12 B) / (1 - x), each product an exact int64 convolution, for
+    # every family with p <= 8 and s <= 60
+    def parts(k):  # xi'', D1, B and N of the pure term x^k, ascending
+        x2 = np.zeros(k - 1, np.int64)
+        x2[k - 2] = k * (k - 1)
+        return (x2, k * np.ones(k - 1, np.int64),
+                np.arange(1, k, dtype=np.int64), k * np.arange(1, k - 1, dtype=np.int64))
+
+    def add(a, b):
+        out = np.zeros(max(len(a), len(b)), np.int64)
+        out[:len(a)] += a
+        out[:len(b)] += b
+        return out
+
+    def conv(a, b):
+        return np.convolve(a, b) if len(a) and len(b) else np.zeros(0, np.int64)
+
+    def cross(k, n):  # the x^k, x^n cross term of 12 G
+        (_, dk, bk, _), (x2n, _, _, nn) = parts(k), parts(n)
+        e12 = np.array(_poly_div_one_minus_x((6 * dk - 12 * bk).tolist()),
+                       np.int64)
+        return add(conv(e12, x2n), -2 * conv(dk, nn))
+
+    def trim(cs):
+        cs = [int(c) for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    for p in range(2, 9):
+        for s in range(p + 1, 61):
+            want = [cross(p, p), add(cross(p, s), cross(s, p)), cross(s, s)]
+            got = criteria._g1_parts(p, s)
+            for w, g in zip(want, got):
+                assert trim(_poly_div_one_minus_x(trim(w))) == trim(g), (p, s)
+
+
+def test_g1_tables_build_in_linear_work():
+    # each coefficient of gsum * wsum is a difference of two triangular
+    # numbers, so no convolution: (3, 20000) builds in well under a second
+    t0 = time.process_time()
+    parts = criteria._g1_parts.__wrapped__(3, 20000)
+    assert time.process_time() - t0 < 0.5
+    assert [len(c) for c in parts] == [2 * 20000 - 5] * 3
 
 
 def test_h22_nonnegative_at_zero_past_entry():
@@ -367,7 +501,8 @@ def test_no_kernel_call_modifies_the_callers_x():
              lambda: criteria._bfun(m, xs), lambda: criteria._tau(m, xs),
              lambda: criteria._kernel(m, xs), lambda: f12(m, xs, 0.5 + 0 * xs),
              lambda: eval_h1(m, xs), lambda: eval_h2(m, xs),
-             lambda: criteria._h22(m, xs), lambda: criteria._h22_floor(m, xs)]
+             lambda: criteria._h22(m, xs), lambda: criteria._nfun(m, xs),
+             lambda: criteria._f22(m, xs)]
     for call in calls:
         call()
         assert np.array_equal(xs, keep)
@@ -664,7 +799,7 @@ def test_second_pair_stage_is_landmarks_record_bit_for_bit(p, s, lam):
     lm = landmarks(m)
     stages = criteria._landmark_stages(m)
     first = next(stages)
-    keys = ("qbar1", "qbar2", "q12", "q22", "q22_edge")
+    keys = ("qbar1", "qbar2", "q12", "q22")
     assert [getattr(first, k) for k in keys] == [getattr(lm, k) for k in keys]
     assert first.q11 is None and first.q21 is None
     assert next(stages, first) == lm
@@ -702,7 +837,7 @@ def test_coarse_h_grid_finds_the_fine_grids_roots(monkeypatch):
                        float(rng.uniform(0.5, 1.0))))
     for _ in range(60):
         points.append((2, int(rng.integers(3, 61)), float(rng.uniform())))
-    fields = ("qbar1", "qbar2", "q11", "q12", "q21", "q22", "q22_edge")
+    fields = ("qbar1", "qbar2", "q11", "q12", "q21", "q22")
 
     def records():
         return [list(criteria._landmark_stages(make_mixture(*pt)))[-1]

@@ -263,13 +263,14 @@ def test_refined_min_g_matches_a_bounded_minimiser():
 # that grid went from 4096 to 1024 points (roots moved by under 1e-12), and
 # again, four of them, when the t scan's and p = 2's h22 scan's grid did;
 # the six that read a tilt z re-recorded when c's inverse became Newton's
-# method
+# method; the (2, 8, 0.5) row, whose upper plateau and atom build_mixed now
+# takes from the exact D1 and N, re-recorded then
 _PINNED_REPORTS = {
     "TwoFRSB construction": (8.881784197001252e-16, -4.440892098500626e-16,
                              4.440892098500626e-16, True),
     "certified (4, 38, 0.95)": (1.7763568394002505e-15, -3.552713678800501e-15,
                                 3.552713678800501e-15, True),
-    "certified (2, 8, 0.5)": (0.0, 0.0, 0.0, True),
+    "certified (2, 8, 0.5)": (8.881784197001252e-16, 0.0, 0.0, True),
     "certified (3, 20, 0.9)": (0.0, 0.0, 5.551115123125783e-16, True),
     "wrong one-step (4, 38, 0.7955) in TwoRSB": (
         0.0, -0.03939897575233209, 0.0, False),
@@ -508,16 +509,18 @@ def test_off_calibration_full_segments_match_generic_quadrature(p, s, which,
 # TwoFRSB rows, at (4, 38)'s band midpoint in _BAND_MIDPOINTS, re-recorded
 # with the q22 entries there, and with the (4, 38, 0.988) row when the
 # landmark grid went from 4096 to 1024 points; the (4, 38, 0.985) and
-# (2, 8, 0.9) rows re-recorded when the t and p = 2 h22 grids did, and the
-# (4, 38, 0.95) row when the tilt inverse became Newton's method
+# (2, 8, 0.9) rows re-recorded when the t and p = 2 h22 grids did, the
+# (4, 38, 0.95) row when the tilt inverse became Newton's method, and the
+# (4, 38, 0.985) and (4, 38, 0.98441..., 1 + 1e-6) rows when build_mixed
+# took the upper plateau and atom from the exact D1 and N
 _PINNED_ENERGIES = {
     (2, 2, 1.0, 1.0): 1.414213562373095,
     (4, 38, 0.5, 1.0): 2.354034396459024,
     (4, 38, 0.95, 1.0): 1.9363188216908116,
-    (4, 38, 0.985, 1.0): 1.8456654254983593,
+    (4, 38, 0.985, 1.0): 1.8456654254983595,
     (4, 38, 0.988, 1.0): 1.8360772453783611,
     (2, 8, 0.99, 1.0): 1.434561758617329,
-    (4, 38, 0.9844164192320981, 1 + 1e-6): 1.8474879413642145,
+    (4, 38, 0.9844164192320981, 1 + 1e-6): 1.8474879413642142,
     (4, 38, 0.9844164192320981, 1.01): 1.8475088630991339,
     (2, 8, 0.9, 1 + 1e-6): 1.5727095702517386,
     (2, 8, 0.9, 1.01): 1.5727397788562705,

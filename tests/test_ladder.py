@@ -32,16 +32,16 @@ RUNGS = range(3, 10)  # d = 10**-k
 
 _NO_SIGN_CHANGE = ("Unresolved: two-step stationarity function has no "
                    "sign change")
-_EDGE_ROOT = "Unresolved: uncertified h22 edge root"
-_NO_CONSTRUCTION = "Unresolved: no construction applies"
 
 # (p, s, boundary, +-k) -> the verdict at lambda_boundary +- 10**-k today:
 # a phase, or "Unresolved: " and the start of its detail
 KNOWN_DEFECTS = {
     # Just below lambda_2to1 the two-step bracket [max(q11, q22),
     # min(q21, q12)] closes on x = 1 (within about 4d) and float64 loses
-    # phi's sign change there (ROADMAP item 1). K(1) < 0 refuses the
-    # one-step measure, so these read Unresolved, not a wrong OneRSB.
+    # phi's sign change there (ROADMAP item 1c). K(1) < 0 refuses the
+    # one-step measure, so these read Unresolved, not a wrong OneRSB. The
+    # collapse of h22's root onto 1 below lambda_1Fto1 and lambda_2to1F
+    # is found on h22 / (1 - x)^4, and those rows certify.
     (3, 14, "2to1", -7): _NO_SIGN_CHANGE,
     (3, 14, "2to1", -8): _NO_SIGN_CHANGE,
     (4, 28, "2to1", -7): _NO_SIGN_CHANGE,
@@ -50,36 +50,6 @@ KNOWN_DEFECTS = {
     (5, 40, "2to1", -8): _NO_SIGN_CHANGE,
     (6, 50, "2to1", -7): _NO_SIGN_CHANGE,
     (6, 50, "2to1", -8): _NO_SIGN_CHANGE,
-    # Below lambda_1Fto1 (p = 2) the plateau point collapses onto x = 1
-    # and float64 loses it (ROADMAP item 1): the edge ladder's root fails
-    # its certificate, or the ladder finds none and no measure is built.
-    (2, 4, "1Fto1", -4): _EDGE_ROOT,
-    (2, 4, "1Fto1", -5): _EDGE_ROOT,
-    (2, 4, "1Fto1", -6): _NO_CONSTRUCTION,
-    (2, 4, "1Fto1", -7): _NO_CONSTRUCTION,
-    (2, 4, "1Fto1", -8): _NO_CONSTRUCTION,
-    (2, 8, "1Fto1", -5): _EDGE_ROOT,
-    (2, 8, "1Fto1", -6): _EDGE_ROOT,
-    (2, 8, "1Fto1", -7): _NO_CONSTRUCTION,
-    (2, 8, "1Fto1", -8): _NO_CONSTRUCTION,
-    (2, 30, "1Fto1", -6): _EDGE_ROOT,
-    (2, 30, "1Fto1", -7): _EDGE_ROOT,
-    (2, 30, "1Fto1", -8): _EDGE_ROOT,
-    (2, 60, "1Fto1", -7): _EDGE_ROOT,
-    (2, 60, "1Fto1", -8): _EDGE_ROOT,
-    (2, 200, "1Fto1", -8): _NO_CONSTRUCTION,
-    # Below lambda_2to1F the last h22 root q22 collapses onto x = 1: the
-    # default q22 = 1 builds a measure outside the cone, or the edge root
-    # fails its certificate (ROADMAP item 1).
-    (3, 20, "2to1F", -6): "Unresolved: full density is not increasing",
-    (3, 20, "2to1F", -7): "Unresolved: full density is not increasing",
-    (3, 20, "2to1F", -8): "Unresolved: full density is not increasing",
-    (4, 38, "2to1F", -8): "Unresolved: full density is not increasing",
-    (5, 57, "2to1F", -7): "Unresolved: full density is not increasing",
-    (4, 38, "2to1F", -6): _EDGE_ROOT,
-    (4, 38, "2to1F", -7): _EDGE_ROOT,
-    (5, 57, "2to1F", -6): _EDGE_ROOT,
-    (5, 57, "2to1F", -8): _EDGE_ROOT,
 }
 
 

@@ -375,32 +375,26 @@ _PLATEAU_REF = {
     (30, 1e-5): 0.999855127929423,
     (60, 1e-5): 0.999732907517575,
     (60, 1e-6): 0.999973184828707,
-    # h22 sits too close to its rounding floor to certify these yet
     (4, 1e-4): 0.998827561312822,
     (4, 1e-5): 0.999882650624628,
     (8, 1e-5): 0.999932106980943,
     (8, 1e-6): 0.999993209909108,
     (30, 1e-6): 0.999985497488643,
 }
-_PLATEAU_CERTIFIED = [(4, 1e-3), (8, 1e-4), (30, 1e-5), (60, 1e-5), (60, 1e-6)]
 
 
 @pytest.mark.parametrize("s, d", sorted(_PLATEAU_REF))
 def test_p2_plateau_point_pressed_against_one(s, d):
     # as d shrinks the plateau point of h22 moves past the sign scan's
-    # firmness floor (from d = 1e-4 here), so the edge ladder has to find
-    # it; a q_P that comes back must match the reference, else the point
-    # stays Unresolved
+    # firmness floor (from d = 1e-4 here), so the edge scan has to find it
+    # on h22 / (1 - x)^4; every row certifies, with q_P at the reference
+    # (1e-11: (4, 1e-3) is polished on h22 itself, 9.6e-12 off)
     lam = boundaries(2, s).p2["lambda_1Fto1"] - d
     c = classify(2, s, lam)
-    if c.phase == "Unresolved":
-        assert (s, d) not in _PLATEAU_CERTIFIED, c.detail
-        return
     assert c.phase == "OneFRSB", c.detail
     assert c.report.passed and not c.on_boundary
     assert c.params["variant"] == "density-below"
-    assert c.params["q_P"] == pytest.approx(_PLATEAU_REF[s, d],
-                                            abs=criteria._PLATEAU_TOL)
+    assert c.params["q_P"] == pytest.approx(_PLATEAU_REF[s, d], abs=1e-11)
 
 
 def test_p2_plateau_point_near_zero_just_past_entry():
@@ -414,42 +408,28 @@ def test_p2_plateau_point_near_zero_just_past_entry():
 
 def test_plateau_point_rejects_an_edge_root_in_rounding_noise():
     # h22 < 0 on all of (0, 1) here (-3.7e-25 at 1 - 1e-4 by the 60-digit
-    # transcription) but reads +2e-24 there in floats, so the edge ladder
-    # brackets rounding noise; landmarks must turn that root down, and not
-    # fall back to q22 = 1, a full density running to 1
+    # transcription) but reads +2e-24 there in floats, so a scan of h22
+    # near 1 brackets rounding noise; h22 / (1 - x)^4 keeps its sign on the
+    # whole edge scan, so landmarks finds no root and does not fall back
+    # to q22 = 1, a full density running to 1
     m = make_mixture(2, 3, 1 - 1e-4)
-    assert criteria._edge_root(lambda x: eval_h2(m, x)[1], 1e-9) is not None
+    assert eval_h2(m, 1 - 1e-4)[1] > 0.0
+    xs = np.append(1.0 - criteria._EDGE_U, 1.0)
+    assert (criteria._f22(m, xs) < 0.0).all()
     lm = criteria.landmarks(m)
-    assert (lm.q12, lm.q22) == (0.0, None) and lm.q22_edge is not None
+    assert (lm.q12, lm.q22) == (0.0, None)
 
 
-def test_edge_ladder_skips_the_rungs_at_or_below_its_start():
-    # started past 1 - 1e-4, the ladder reads none of its first three
-    # rungs and brackets the root between its start and 1 - 1e-5
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return x - (1 - 3e-6)
-
-    assert criteria._edge_root(f, 0.99995) == pytest.approx(1 - 3e-6,
-                                                            abs=1e-14)
-    assert seen[:2] == [0.99995, 1 - 1e-5]
-
-
-def test_landmarks_turn_down_an_uncertified_edge_root():
-    # 1e-7 below lambda_2to1F in (4, 38) the edge ladder brackets h22 at
-    # 0.9999999874, but h22 1e-6 either side of it reads 1.8e-27 and
-    # -1.4e-31, under its rounding floor (the 60-digit root is
-    # 0.9999996136); landmarks must not pass that root on as q22, and
-    # classify must name it as the reason the point stays Unresolved
+def test_landmarks_find_the_h22_root_pressed_against_one():
+    # 1e-7 below lambda_2to1F in (4, 38) h22's root sits 3.9e-7 below 1,
+    # where h22 itself is at its rounding floor; the edge scan finds it on
+    # h22 / (1 - x)^4 at the 60-digit root, and classify certifies TwoFRSB
     lam = boundaries(4, 38).general["lambda_2to1F"] - 1e-7
     lm = criteria.landmarks(make_mixture(4, 38, lam))
-    assert lm.q22 is None
-    assert lm.q22_edge == pytest.approx(0.9999999874, abs=1e-9)
+    assert abs(lm.q22 - 0.99999961361332998) <= 4e-15
     c = classify(4, 38, lam)
-    assert c.phase == "Unresolved"
-    assert "uncertified h22 edge root" in c.detail
+    assert c.phase == "TwoFRSB", c.detail
+    assert c.params["q2"] == lm.q22
 
 
 def _old_one_frsb_rescan(m, lm):
@@ -477,7 +457,7 @@ def test_one_frsb_decision_matches_the_old_rescan(family):
         if phases._one_step(m, z):
             continue
         lm = criteria.landmarks(m)
-        if lm.q22_edge is not None or phases._two_step_window(lm):
+        if phases._two_step_window(lm):
             continue
         if lm.q12 is None or not criteria.eval_aux(m, lm.q12)[0] < 0:
             continue
@@ -703,9 +683,8 @@ def test_unresolved_when_tolerance_is_impossible():
     assert "certification" in c.detail
 
 
-def _placed(key, d):
-    # (p, s, lambda) at lambda_<key> + d for (4, 38) and (3, 20)
-    fam = (3, 20) if key == "lambda_2to1F" else (4, 38)
+def _placed(key, d, fam=(4, 38)):
+    # (p, s, lambda) at lambda_<key> + d
     return (*fam, boundaries(*fam).general[key] + d)
 
 
@@ -713,8 +692,8 @@ def _placed(key, d):
     ((4, 38, 0.95), 1e-7, "TwoRSB", "lambda_2to2F", False, False),
     ((2, 3, 0.5), 1e-7, "OneRSB", None, False, True),
     (("lambda_2to2F", 5e-10), 1e-7, "TwoRSB", "lambda_2to2F", True, False),
-    (("lambda_2to1F", -1e-7), 1e-7, "Unresolved", "lambda_2to1F", False,
-     False),
+    (("lambda_2to1", -1e-8, (4, 28)), 1e-7, "Unresolved", "lambda_2to1",
+     False, False),
     ((4, 38, 0.95), 1e-30, "Unresolved", "lambda_2to2F", False, False),
 ], ids=["certified", "certified-low-s", "ownership-shift",
         "unresolved-chain", "unresolved-certificate"])

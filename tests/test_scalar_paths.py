@@ -201,19 +201,20 @@ def test_single_window_functions_equal_their_pair_components(p, s, lam):
 
 
 @pytest.mark.parametrize("p, s, lam", FAMILIES)
-def test_h22_floor_scalar_path_matches_array_path(p, s, lam):
-    # a float squares (1 - x) by multiplying, as an array does; with ** it
-    # called pow, which read 6.339273394163732e-29 below at (2, 4) where
-    # the array path reads 6.339273394163731e-29
+def test_f22_scalar_path_matches_array_path(p, s, lam):
+    # h22 / (1 - x)^4 and its c2 on plain floats, against one-element
+    # arrays, on (0, 1), its edge scan and x = 1, both of c2's branches
     m = make_mixture(p, s, lam)
-    for x in _unit_xs():
-        want = criteria._h22_floor(m, np.array([x]))[0]
-        assert criteria._h22_floor(m, x) == want, x
-        assert criteria._h22_floor(m, np.float64(x)) == want, x
-    m = make_mixture(2, 4, 0.088515112500023)
-    x = 0.9999999768672516
-    assert criteria._h22_floor(m, x) == 6.339273394163731e-29
-    assert criteria._h22_floor(m, np.array([x]))[0] == 6.339273394163731e-29
+    xs = _unit_xs() + (1.0 - criteria._EDGE_U).tolist() + [1.0]
+    for x in xs:
+        want = criteria._f22(m, np.array([x]))[0]
+        got = criteria._f22(m, x)
+        assert type(got) is float and got == want, (x, got, want)
+        assert criteria._f22(m, np.float64(x)) == want, x
+    for z in (0.0, 1e-9, 0.05, 0.0999, 0.1, 0.37, 3.0, 1e6):
+        want = criteria._c2(np.array([z]))[0]
+        assert type(criteria._c2(z)) is float and criteria._c2(z) == want, z
+        assert criteria._c2(np.float64(z)) == want, z
 
 
 def _scan_of(m, x, fx, z):
