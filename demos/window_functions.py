@@ -19,8 +19,8 @@ for x in np.linspace(0.05, 0.999, 12):
 print()
 
 lm = landmarks(m)
-print("landmarks (roots of the h components, None when the root is absent):")
-for name in ("qbar1", "qbar2", "q11", "q12", "q21", "q22"):
+print("landmarks (t's window and the second pair's roots, None when absent):")
+for name in ("qbar1", "qbar2", "q12", "q22"):
     print(f"  {name:<6s} {getattr(lm, name)}")
 print()
 

@@ -58,19 +58,16 @@ class Landmarks:
     """Root landmarks of the window functions, None when absent.
 
     qbar1/qbar2 bound the interval where the first window function
-    decreases; the four q's are the zeros of h11, h12, h21, h22 used by
-    the two-level and full-type constructions. Only the two-step test,
-    which needs q22 < q12, reads the first pair (q11, q21); the full
-    phases and the lambda_2to2F gap read q12, q22. With qbar2 = 1, q21 =
-    q22 = 1.0 stand for "no root below 1", read as the value x = 1; p = 2
+    decreases; q12 and q22 are the zeros of the second pair h12, h22. The
+    two-step test brackets its root on [q22, q12] where q22 < q12; the full
+    phases and the lambda_2to2F gap read the same two. With qbar2 = 1,
+    q22 = 1.0 stands for "no root below 1", read as the value x = 1; p = 2
     sets only q12 = 0.0 (its full density starts at 0) and q22.
     """
 
     qbar1: float | None = None
     qbar2: float | None = None
-    q11: float | None = None
     q12: float | None = None
-    q21: float | None = None
     q22: float | None = None
 
 
@@ -79,9 +76,9 @@ class QuadraticRoots:
     """A quadratic a*lam**2 + b*lam + c with its real roots, if any.
 
     ``roots`` is an ordered pair present only when the discriminant is
-    strictly positive (tangencies count as no roots). ``shortcut`` is a
-    compact printed form of the discriminant kept for diagnostics; the
-    sign decision uses b*b - 4*a*c in floats, which large s can cancel.
+    strictly positive (tangencies count as no roots). ``shortcut`` is the
+    discriminant's compact factor: b*b - 4*a*c is a positive integer times
+    it, so its sign, taken in integers before the float cast, decides.
     """
 
     a: float
@@ -321,11 +318,14 @@ def _q_coeffs(p, s):
     return float(a), float(b), float(c)
 
 
-def _quad_roots(a, b, c):
-    # stable quadratic roots, ordered; None unless two distinct real roots
-    disc = b * b - 4 * a * c
-    if a == 0.0 or disc <= 0.0:
+def _quad_roots(a, b, c, exact):
+    # stable quadratic roots, ordered; None unless the exact integer
+    # discriminant is positive, whose value stands in for b*b - 4*a*c
+    # where that cancels to <= 0 in floats
+    if a == 0.0 or exact <= 0:
         return None
+    disc = b * b - 4 * a * c
+    disc = disc if disc > 0.0 else float(exact)
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     r1, r2 = q / a, c / q
     return (r1, r2) if r1 < r2 else (r2, r1)
@@ -334,12 +334,14 @@ def _quad_roots(a, b, c):
 def lambda_stars(p: int, s: int) -> QuadraticRoots:
     """The lambda-quadratic whose roots bracket the Psi sign change.
 
-    The compact discriminant s^2 - 6(p-1)s + (p-1)(p+7) is attached as a
-    diagnostic; the root decision uses b^2 - 4ac, taken in floats.
+    b^2 - 4ac = p^2 s^2 (p - s)^2 times the compact discriminant
+    s^2 - 6(p-1)s + (p-1)(p+7), whose sign, taken in integers, decides.
     """
     a, b, c = _q_coeffs(p, s)
-    shortcut = float(s * s - 6 * (p - 1) * s + (p - 1) * (p + 7))
-    return QuadraticRoots(a, b, c, roots=_quad_roots(a, b, c), shortcut=shortcut)
+    shortcut = s * s - 6 * (p - 1) * s + (p - 1) * (p + 7)
+    exact = (p * s * (p - s)) ** 2 * shortcut
+    return QuadraticRoots(a, b, c, roots=_quad_roots(a, b, c, exact),
+                          shortcut=float(shortcut))
 
 
 def _s_coeffs(p, s):
@@ -358,11 +360,14 @@ def s_of(p: int, s: int, lam: float) -> float:
 
 
 def s_roots(p: int, s: int) -> QuadraticRoots:
-    """Roots of the full-type onset quadratic (smaller root first)."""
+    """Roots of the full-type onset quadratic (smaller root first); b^2 - 4ac
+    is 4 (p s (p - 1) (p - s) (s - 1))^2 times the compact discriminant."""
     a, b, c = _s_coeffs(p, s)
-    shortcut = float(s * s - 6 * (p - 1) * s + (p - 1) * (p + 7)
-                     + 2 * (p - 2) * (s - 2))
-    return QuadraticRoots(a, b, c, roots=_quad_roots(a, b, c), shortcut=shortcut)
+    shortcut = (s * s - 6 * (p - 1) * s + (p - 1) * (p + 7)
+                + 2 * (p - 2) * (s - 2))
+    exact = 4 * (p * s * (p - 1) * (p - s) * (s - 1)) ** 2 * shortcut
+    return QuadraticRoots(a, b, c, roots=_quad_roots(a, b, c, exact),
+                          shortcut=float(shortcut))
 
 
 def _check_q(q):
@@ -577,22 +582,13 @@ def landmarks(m: Mixture) -> Landmarks:
     _H_GRID-point grid of (0, 1), else the edge scan's, else None; past it
     q22 = 1.0. Otherwise qbar1/qbar2 are t's sign changes on that grid; with
     one change t stays negative up to 1, so qbar2 := 1 (t(1) can read as
-    +noise where the lambda-quadratic has a root). The h-roots are isolated
+    +noise where the lambda-quadratic has a root). q12 and q22 are isolated
     inside (qbar1, qbar2) on one grid of as many points, built only when a
-    root is read from it, following the case split on qbar2 and, for h22
-    with qbar2 = 1, on the onset quadratic's sign: the first root of h11
-    and h12, the last of h21 and h22, the second pair first (see
-    _landmark_stages). Where no grid holds h22's root, the edge scan takes
-    the root nearest 1 of h22 / (1 - x)^4 (_f22, exact as the root
+    root is read from it, following the sign of h11 at qbar2 and of h21 at
+    qbar1 and, for h22 with qbar2 = 1, the onset quadratic's: the first root
+    of h12, the last of h22. Where no grid holds h22's root, the edge scan
+    takes the root nearest 1 of h22 / (1 - x)^4 (_f22, exact as the root
     collapses onto 1) on a log grid of 1 - x from 1e-2 down, x = 1 included.
-    """
-    return list(_landmark_stages(m))[-1]
-
-
-def _landmark_stages(m: Mixture):
-    """landmarks' record with the window and second pair alone (q22 from the
-    edge scan where no grid holds it), then whole, its first pair on the same
-    grid and kernel. p = 2 and an empty window yield once: next(it, first).
     """
     h22 = lambda x: _h22(m, x)
 
@@ -606,12 +602,10 @@ def _landmark_stages(m: Mixture):
         if s_of(m.p, m.s, m.lam) > 0.0:
             roots = _sign_roots(h22, 1e-9, 1 - 1e-9)
             q22 = roots[0] if roots else edge(1e-9, None)
-        yield Landmarks(q12=0.0, q22=q22)
-        return
+        return Landmarks(q12=0.0, q22=q22)
     tb = _sign_roots(lambda x: _tau(m, x), 1e-9, 1 - 1e-9)
     if not tb:
-        yield Landmarks()
-        return
+        return Landmarks()
     qbar1 = tb[0]
     qbar2 = tb[1] if len(tb) >= 2 else 1.0
     hi_in = qbar2 - _QBAR_INSET if qbar2 < 1 else 1 - 1e-9
@@ -621,24 +615,17 @@ def _landmark_stages(m: Mixture):
     scan_h22 = scan_h21 and (qbar2 < 1 or s_of(m.p, m.s, m.lam) > 0)
     if scan_h11 or scan_h22:  # the one grid of every window scan
         xs = np.linspace(lo, hi_in, _H_GRID)
-        k, z2 = list(_kernel(m, xs, False)), {}
+        k = _kernel(m, xs, scan_h22)
+        z2 = _tilt(m, xs, k, False)
 
-    def root(first, one):
-        # the first root of h11 or h12 (one), the last of h21 or h22
-        if first not in z2:
-            z2[first] = _tilt(m, xs, k, first)
-        if not one and k[3] is None:
-            k[3] = _bfun(m, xs)
-        f = h22 if not (first or one) else lambda x: _window(m, x, first, one)
-        r = _grid_roots(f, xs, _window(m, xs, first, one, k, z2[first]))
+    def root(one):
+        # the first root of h12 (one), the last of h22
+        f = (lambda x: _window(m, x, False, True)) if one else h22
+        r = _grid_roots(f, xs, _window(m, xs, False, one, k, z2))
         return (r[0] if one else r[-1]) if r else None
 
-    q12 = root(False, True) if scan_h11 else None
+    q12 = root(True) if scan_h11 else None
     # h22's root lies inside the window, never at 0: `or` reads "not found"
-    q22 = ((root(False, False) or (edge(lo, 1.0) if qbar2 == 1.0 else None))
+    q22 = ((root(False) or (edge(lo, 1.0) if qbar2 == 1.0 else None))
            if scan_h22 else 1.0 if scan_h21 else None)
-    yield Landmarks(qbar1=qbar1, qbar2=qbar2, q12=q12, q22=q22)
-    yield Landmarks(qbar1=qbar1, qbar2=qbar2,
-                    q11=root(True, True) if scan_h11 else None, q12=q12,
-                    q21=(root(True, False) if qbar2 < 1 else 1.0)
-                    if scan_h21 else None, q22=q22)
+    return Landmarks(qbar1=qbar1, qbar2=qbar2, q12=q12, q22=q22)

@@ -110,11 +110,6 @@ def regime(p: int, s: int) -> Regime:
 # ---------------------------------------------------------------------------
 
 
-def _two_step_window(lm: criteria.Landmarks) -> bool:
-    return (None not in (lm.q11, lm.q21, lm.q12, lm.q22)
-            and lm.q21 > lm.q11 and lm.q22 < lm.q12)
-
-
 def _root(key, f, lo, hi, **kw):
     # brentq on the defining function of lambda_<key>: a bracket without a
     # sign change is a failed solve, which classify reports as Unresolved
@@ -204,11 +199,10 @@ def boundaries(p: int, s: int) -> PhaseBoundaries:
                "lambda_2to1": lam_2to1}
     if reg.tag == "FourPhase":
         lam_2to1f = criteria.s_roots(p, s).roots[0]
-        window = {}  # lambda -> landmarks' second-pair record there
+        window = {}  # lambda -> landmarks' record there
 
         def gap(t):
-            window[t] = lm = next(criteria._landmark_stages(
-                make_mixture(p, s, t)))
+            window[t] = lm = criteria.landmarks(make_mixture(p, s, t))
             # q22 = 1.0 is the value 1; a root that is absent reads as past it
             return 1.0 if None in (lm.q12, lm.q22) else lm.q22 - lm.q12
 
@@ -289,10 +283,7 @@ def _solve_two_step(m: Mixture, lm: criteria.Landmarks):
         seen[q] = z2, k
         return criteria._f1(q, z2, k)
 
-    lo = max(lm.q11, lm.q22) + 1e-13
-    hi = min(lm.q21, lm.q12) - 1e-13
-    if not lo < hi:
-        raise ValueError("two-step bracket is empty")
+    lo, hi = lm.q22, lm.q12
     f_lo, f_hi = phi(lo), phi(hi)
     if f_lo * f_hi > 0:
         raise ValueError(f"two-step stationarity function has no sign change "
@@ -334,15 +325,11 @@ def _classify_general(m: Mixture, tol: float, place: dict) -> Classification:
     z = criteria.solve_z(m)
     if _one_step(m, z):
         return _certify(m, build_1rsb(m, z), "OneRSB", {"z": z}, tol, place)
-    stages = criteria._landmark_stages(m)
-    lm = next(stages)
-    # a two-step window needs q22 < q12; only then is the first pair read
-    if None in (lm.q12, lm.q22) or lm.q22 < lm.q12:
-        lm = next(stages, lm)
-        if _two_step_window(lm):
-            q, z1, z2 = _solve_two_step(m, lm)
-            return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",
-                            {"q": q, "z1": z1, "z2": z2}, tol, place)
+    lm = criteria.landmarks(m)
+    if None not in (lm.q12, lm.q22) and lm.q22 < lm.q12:  # a two-step window
+        q, z1, z2 = _solve_two_step(m, lm)
+        return _certify(m, build_2rsb(m, q, z1, z2), "TwoRSB",
+                        {"q": q, "z1": z1, "z2": z2}, tol, place)
     # landmarks reads q12 and q22 only where t < 0 (p = 2: q12 = 0); q22
     # inside (q12, 1) ends the full density, else it runs to 1 (None: h22
     # not scanned). The measure's shape names the phase

@@ -375,13 +375,20 @@ def test_lambda_stars_against_numpy_roots():
 
 
 def test_discriminant_factorization():
-    # disc(Q) = s^2 (s-p)^2 p^2 * (s^2 - 6(p-1)s + (p-1)(p+7))
-    for p, s in [(4, 18), (4, 28), (4, 38), (3, 20), (5, 40), (3, 8)]:
-        q = lambda_stars(p, s)
-        lhs = q.b * q.b - 4 * q.a * q.c
-        rhs = s**2 * (s - p) ** 2 * p**2 * q.shortcut
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert (q.roots is not None) == (lhs > 0)
+    # in exact integers, for every family with p <= 8 and s <= 60 (whose
+    # coefficients are exact in floats): b^2 - 4ac = p^2 s^2 (p - s)^2
+    # shortcut for lambda_stars and 4 p^2 s^2 (p - 1)^2 (p - s)^2 (s - 1)^2
+    # shortcut for s_roots; there the float discriminant has the same sign
+    for p in range(2, 9):
+        for s in range(p + 1, 61):
+            for q, k in ((lambda_stars(p, s), (p * s * (p - s)) ** 2),
+                         (s_roots(p, s),
+                          4 * (p * s * (p - 1) * (p - s) * (s - 1)) ** 2)):
+                a, b, c, sh = (int(v) for v in (q.a, q.b, q.c, q.shortcut))
+                assert (a, b, c, sh) == (q.a, q.b, q.c, q.shortcut)
+                assert b * b - 4 * a * c == k * sh, (p, s)
+                assert (q.roots is not None) == (sh > 0) == (
+                    q.b * q.b - 4 * q.a * q.c > 0), (p, s)
 
 
 def test_s_roots_closed_forms():
@@ -578,17 +585,15 @@ def test_m_third_derivative_sign_flips_at_the_s_root():
 def test_landmarks_absent_in_the_one_step_family():
     for lam in (0.2, 0.5, 0.8):
         lm = landmarks(make_mixture(4, 18, lam))
-        assert lm.q11 is None
+        assert lm.q12 is None and lm.q22 is None
 
 
 def test_landmarks_mid_two_step_window():
     b = boundaries(4, 38).general
     lam = 0.5 * (b["lambda_1to2"] + b["lambda_2to2F"])
     lm = landmarks(make_mixture(4, 38, lam))
-    assert None not in (lm.qbar1, lm.qbar2, lm.q11, lm.q12, lm.q21, lm.q22)
-    assert lm.qbar1 < lm.q11 < lm.q21 < lm.qbar2
-    assert lm.q11 < lm.q12 and lm.q22 < lm.q12
-    assert lm.q21 > lm.q11 and lm.q22 < lm.q12
+    assert None not in (lm.qbar1, lm.qbar2, lm.q12, lm.q22)
+    assert lm.qbar1 < lm.q22 < lm.q12 < lm.qbar2
 
 
 def test_landmarks_above_the_2to1F_root():
@@ -689,15 +694,14 @@ def test_falling_roots_are_their_elements_of_the_full_list():
     assert mixed >= 5
 
 
-@pytest.mark.parametrize("lam, n_tau, n_read, n_f2", [(0.95, 1, 3, 1),
-                                                   (0.8, 2, 4, 2)])
+@pytest.mark.parametrize("lam, n_tau, n_read, n_f2", [(0.95, 1, 2, 1),
+                                                   (0.8, 2, 2, 1)])
 def test_landmarks_refines_only_the_roots_it_reads(monkeypatch, lam, n_tau,
                                                    n_read, n_f2):
-    # one brentq per root landmarks reads: every root of t, the first of h11
-    # and h12, the last of h21 and h22 (q21 = 1.0 at 0.95 is no root); each
-    # window function has one sign change here. Each refinement evaluates
-    # only the function it brackets, so c, which only h21 and h22 (f2)
-    # need, runs on their grid values, once an evaluation in their n_f2
+    # one brentq per root landmarks reads: every root of t, the first of h12
+    # and the last of h22; each has one sign change here. Each refinement
+    # evaluates only the function it brackets, so c, which only h21 and h22
+    # (f2) need, runs on h22's grid values, once an evaluation in its n_f2
     # refinements and once in the h21 probe at qbar1, never for t, h11 or
     # h12
     m = make_mixture(4, 38, lam)
@@ -726,8 +730,7 @@ def test_landmarks_refines_only_the_roots_it_reads(monkeypatch, lam, n_tau,
     monkeypatch.setattr(criteria, "brentq", counted)
     monkeypatch.setattr(criteria, "c_log", c_counted)
     lm = landmarks(m)
-    read = [q for q in (lm.q11, lm.q12, lm.q21, lm.q22)
-            if q is not None and q < 1.0]
+    read = [q for q in (lm.q12, lm.q22) if q is not None and q < 1.0]
     assert len(read) == n_read and (lm.qbar2 < 1.0) == (n_tau == 2)
     assert len(evals) == n_tau + n_read
     f2 = [n for n, c in evals[n_tau:] if c]
@@ -741,8 +744,9 @@ def test_landmarks_refines_only_the_roots_it_reads(monkeypatch, lam, n_tau,
 def test_landmarks_builds_its_grid_only_to_read_a_root(monkeypatch, lam,
                                                       grid):
     # at (4, 38, 0.995) only h21's probe is positive, qbar2 = 1 and the
-    # onset quadratic is not positive, so q21 = q22 = 1.0 without a scan
-    # and the kernel runs on scalars alone; at 0.95 the grid is scanned
+    # onset quadratic is not positive, so q22 = 1.0 without a scan, q12 is
+    # not read and the kernel runs on scalars alone; at 0.95 the grid is
+    # scanned
     m = make_mixture(4, 38, lam)
     dims, real = [], criteria._kernel
 
@@ -753,7 +757,7 @@ def test_landmarks_builds_its_grid_only_to_read_a_root(monkeypatch, lam,
     monkeypatch.setattr(criteria, "_kernel", counted)
     lm = landmarks(m)
     assert (lm.qbar2 == 1.0 and criteria.s_of(4, 38, lam) <= 0) == (not grid)
-    assert (lm.q21 == lm.q22 == 1.0 and lm.q11 is None) == (not grid)
+    assert (lm.q22 == 1.0 and lm.q12 is None) == (not grid)
     assert dims.count(1) == int(grid)
 
 
@@ -792,20 +796,6 @@ def test_band_points_are_the_band_midpoints():
 
 
 @pytest.mark.parametrize("p, s, lam", BAND_POINTS)
-def test_second_pair_stage_is_landmarks_record_bit_for_bit(p, s, lam):
-    # the first stage holds landmarks' window and second pair, and no first
-    # pair; the second stage is landmarks' record
-    m = make_mixture(p, s, lam)
-    lm = landmarks(m)
-    stages = criteria._landmark_stages(m)
-    first = next(stages)
-    keys = ("qbar1", "qbar2", "q12", "q22")
-    assert [getattr(first, k) for k in keys] == [getattr(lm, k) for k in keys]
-    assert first.q11 is None and first.q21 is None
-    assert next(stages, first) == lm
-
-
-@pytest.mark.parametrize("p, s, lam", BAND_POINTS)
 def test_b_free_kernel_keeps_the_first_window_functions_bits(p, s, lam):
     # scalar h11 and h12 build no B; at 50 points of the window they equal
     # eval_h1's and eval_h2's, and the array kernel's xi, taken from its
@@ -837,11 +827,10 @@ def test_coarse_h_grid_finds_the_fine_grids_roots(monkeypatch):
                        float(rng.uniform(0.5, 1.0))))
     for _ in range(60):
         points.append((2, int(rng.integers(3, 61)), float(rng.uniform())))
-    fields = ("qbar1", "qbar2", "q11", "q12", "q21", "q22")
+    fields = ("qbar1", "qbar2", "q12", "q22")
 
     def records():
-        return [list(criteria._landmark_stages(make_mixture(*pt)))[-1]
-                for pt in points]
+        return [criteria.landmarks(make_mixture(*pt)) for pt in points]
 
     coarse, n = records(), criteria._H_GRID
     monkeypatch.setattr(criteria, "_H_GRID", 4096)

@@ -264,14 +264,16 @@ def test_refined_min_g_matches_a_bounded_minimiser():
 # again, four of them, when the t scan's and p = 2's h22 scan's grid did;
 # the six that read a tilt z re-recorded when c's inverse became Newton's
 # method; the (2, 8, 0.5) row, whose upper plateau and atom build_mixed now
-# takes from the exact D1 and N, re-recorded then
+# takes from the exact D1 and N, re-recorded then; the (3, 20, 0.9) row,
+# whose two-step root is now bracketed on [q22, q12], re-recorded then
 _PINNED_REPORTS = {
     "TwoFRSB construction": (8.881784197001252e-16, -4.440892098500626e-16,
                              4.440892098500626e-16, True),
     "certified (4, 38, 0.95)": (1.7763568394002505e-15, -3.552713678800501e-15,
                                 3.552713678800501e-15, True),
     "certified (2, 8, 0.5)": (8.881784197001252e-16, 0.0, 0.0, True),
-    "certified (3, 20, 0.9)": (0.0, 0.0, 5.551115123125783e-16, True),
+    "certified (3, 20, 0.9)": (0.0, -2.220446049250313e-16,
+                               2.220446049250313e-16, True),
     "wrong one-step (4, 38, 0.7955) in TwoRSB": (
         0.0, -0.03939897575233209, 0.0, False),
     "wrong one-step (4, 38, 0.9844) in TwoFRSB": (

@@ -36,20 +36,12 @@ _NO_SIGN_CHANGE = ("Unresolved: two-step stationarity function has no "
 # (p, s, boundary, +-k) -> the verdict at lambda_boundary +- 10**-k today:
 # a phase, or "Unresolved: " and the start of its detail
 KNOWN_DEFECTS = {
-    # Just below lambda_2to1 the two-step bracket [max(q11, q22),
-    # min(q21, q12)] closes on x = 1 (within about 4d) and float64 loses
-    # phi's sign change there (ROADMAP item 1c). K(1) < 0 refuses the
-    # one-step measure, so these read Unresolved, not a wrong OneRSB. The
-    # collapse of h22's root onto 1 below lambda_1Fto1 and lambda_2to1F
-    # is found on h22 / (1 - x)^4, and those rows certify.
-    (3, 14, "2to1", -7): _NO_SIGN_CHANGE,
-    (3, 14, "2to1", -8): _NO_SIGN_CHANGE,
-    (4, 28, "2to1", -7): _NO_SIGN_CHANGE,
+    # 1e-8 below lambda_2to1 the two-step bracket [q22, q12] ends at
+    # 1 - q12 ~ 1.7d, where the stationarity function is O(d^2) and reads
+    # at rounding level, so float64 loses its sign change (ROADMAP item
+    # 1c). K(1) < 0 refuses the one-step measure, so this reads
+    # Unresolved, not a wrong OneRSB.
     (4, 28, "2to1", -8): _NO_SIGN_CHANGE,
-    (5, 40, "2to1", -7): _NO_SIGN_CHANGE,
-    (5, 40, "2to1", -8): _NO_SIGN_CHANGE,
-    (6, 50, "2to1", -7): _NO_SIGN_CHANGE,
-    (6, 50, "2to1", -8): _NO_SIGN_CHANGE,
 }
 
 

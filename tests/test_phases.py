@@ -39,6 +39,19 @@ def test_regime_tags():
     assert regime(7, 7).tag == "Pure"
 
 
+def test_regime_decides_each_discriminant_in_integers():
+    # at (3, 19102) the onset quadratic's b^2 - 4ac cancels to <= 0 in
+    # floats while the exact value, a positive integer times the compact
+    # discriminant, is positive: the family has both onset roots and is
+    # FourPhase. (4, 10000)'s float discriminant keeps its sign
+    a, b, c = criteria._s_coeffs(3, 19102)
+    sr = s_roots(3, 19102)
+    assert b * b - 4 * a * c <= 0.0 < sr.shortcut
+    assert sr.roots is not None and 0.0 < sr.roots[0] < sr.roots[1]
+    assert regime(3, 19102).tag == "FourPhase"
+    assert regime(4, 10000).tag == "FourPhase"
+
+
 def test_regime_diagnostics_frozen():
     d18 = regime(4, 18).diagnostics
     assert d18["discriminant_compact"] == 33.0
@@ -117,15 +130,15 @@ def test_boundary_defining_equations_hold():
 
 def _cold_solve_counted(monkeypatch, p, s):
     # a cold solve of (p, s), and the lambdas it scanned landmarks at (the
-    # lambda_2to2F gap reads their first stage, the second pair)
+    # lambda_2to2F gap reads their second pair)
     calls = []
-    real = criteria._landmark_stages
+    real = criteria.landmarks
 
     def counted(m):
         calls.append(m.lam)
         return real(m)
 
-    monkeypatch.setattr(criteria, "_landmark_stages", counted)
+    monkeypatch.setattr(criteria, "landmarks", counted)
     boundaries.cache_clear()
     return boundaries(p, s), calls
 
@@ -171,19 +184,14 @@ def _array_calls(monkeypatch):
     (4, 38, 0.8, "TwoRSB")])
 def test_full_phases_scan_only_the_second_pair(monkeypatch, p, s, lam,
                                                phase):
-    # q22 >= q12 rules out a two-step window, so a full phase scans no
-    # first-pair window function on the grid, and a OneFRSB point, whose
-    # h22 is not scanned, builds no B there; TwoRSB still scans all four
+    # landmarks reads the second pair alone, so no phase scans a first-pair
+    # window function on the grid, and a OneFRSB point, whose h22 is not
+    # scanned, builds no B there
     boundaries(p, s)
     windows, bs = _array_calls(monkeypatch)
     assert classify(p, s, lam).phase == phase
-    if phase == "TwoRSB":
-        assert sorted(set(windows)) == [(False, False), (False, True),
-                                        (True, False), (True, True)]
-        assert bs == [criteria._H_GRID]
-    else:
-        assert windows and not any(first for first, _ in windows)
-        assert bs == ([] if phase == "OneFRSB" else [criteria._H_GRID])
+    assert windows and not any(first for first, _ in windows)
+    assert bs == ([] if phase == "OneFRSB" else [criteria._H_GRID])
 
 
 def test_cold_four_phase_solve_scans_only_the_second_pair(monkeypatch):
@@ -257,21 +265,20 @@ def test_bracket_halvings_land_on_the_same_roots(monkeypatch, gaps):
     # Brent's method has no bracket or steps around the holes; the solve
     # must then fail or land on the same root, never hand back an
     # uncertified lambda
-    real, real_root, looks, gap_fns = (criteria._landmark_stages,
-                                       phases._root, [], [])
+    real, real_root, looks, gap_fns = criteria.landmarks, phases._root, [], []
 
-    def stages(m):
+    def landmarks(m):
         looks.append(m.lam)
-        for lm in real(m):
-            yield lm if gaps == "all" or (
-                gaps == "holes" and len(looks) % 3) else replace(lm, q22=None)
+        lm = real(m)
+        return lm if gaps == "all" or (
+            gaps == "holes" and len(looks) % 3) else replace(lm, q22=None)
 
     def root(key, f, lo, hi, **kw):
         if key == "2to2F":
             gap_fns.append(f)
         return real_root(key, f, lo, hi, **kw)
 
-    monkeypatch.setattr(criteria, "_landmark_stages", stages)
+    monkeypatch.setattr(criteria, "landmarks", landmarks)
     monkeypatch.setattr(phases, "_root", root)
     boundaries.cache_clear()
     try:
@@ -457,7 +464,7 @@ def test_one_frsb_decision_matches_the_old_rescan(family):
         if phases._one_step(m, z):
             continue
         lm = criteria.landmarks(m)
-        if phases._two_step_window(lm):
+        if None not in (lm.q12, lm.q22) and lm.q22 < lm.q12:
             continue
         if lm.q12 is None or not criteria.eval_aux(m, lm.q12)[0] < 0:
             continue
@@ -570,21 +577,35 @@ def test_one_h22_grid_per_classification(monkeypatch, p, s, lam, phase,
 
 
 def test_two_step_detail_names_the_sign_change_it_missed():
-    # on lambda_2to2F of (5, 60) the two-step bracket is 1.3e-10 wide and
-    # the stationarity function has one sign across it; the detail says so
+    # 1e-8 below lambda_2to1 of (4, 28) the two-step bracket [q22, q12]
+    # ends at 1 - 1.7e-8, where the stationarity function is at rounding
+    # level and reads one sign across the bracket; the detail says so
     # rather than passing on the root finder's generic bracket message
-    lam = boundaries(5, 60).general["lambda_2to2F"]
-    c = classify(5, 60, lam)
-    assert c.phase == "Unresolved" and c.on_boundary
+    lam = boundaries(4, 28).general["lambda_2to1"] - 1e-8
+    c = classify(4, 28, lam)
+    assert c.phase == "Unresolved" and not c.on_boundary
     assert c.detail.startswith(
         "two-step stationarity function has no sign change on ["), c.detail
 
 
-def test_two_step_refuses_an_empty_bracket():
-    # the two-step root lies above q11 and q22 and below q21 and q12
-    lm = criteria.Landmarks(q11=0.5, q21=0.6, q12=0.4, q22=0.3)
-    with pytest.raises(ValueError, match="^two-step bracket is empty$"):
-        phases._solve_two_step(make_mixture(4, 38, 0.95), lm)
+@pytest.mark.parametrize("family, rate", [((4, 28), 1.6939), ((3, 14), 2.4153),
+                                          ((5, 40), 1.0255)])
+def test_two_step_collapse_is_linear_below_lambda_2to1(family, rate):
+    # d below lambda_2to1 the two-step q and q12 run into 1 and z2 into 0
+    # linearly in d, while q22 stays off 1: (1 - q)/d, (1 - q12)/d and z2/d
+    # agree across three decades, and each point certifies TwoRSB
+    lb = boundaries(*family).general["lambda_2to1"]
+    rates = []
+    for d in (1e-5, 1e-6, 1e-7):
+        c = classify(*family, lb - d)
+        assert c.phase == "TwoRSB", (family, d, c.detail)
+        lm = criteria.landmarks(make_mixture(*family, lb - d))
+        assert 1.0 - lm.q22 > 1e-2, (family, d, lm)
+        rates.append(np.array([1.0 - c.params["q"], 1.0 - lm.q12,
+                               c.params["z2"]]) / d)
+    for r in rates[1:]:
+        assert np.allclose(r, rates[0], rtol=1e-3, atol=0.0), (family, rates)
+    assert rates[-1][0] == pytest.approx(rate, rel=1e-3)
 
 
 def test_phase_map_matches_interval_prediction():

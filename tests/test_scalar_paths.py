@@ -257,7 +257,8 @@ def test_scan_bracket_ends_are_the_functions_values(monkeypatch):
                 for x, fx in ((a, kw["fa"]), (b, kw["fb"])):
                     assert fx == f(float(x)), (p, s, lam, x)
                     seen.add(_scan_of(m, float(x), fx, z))
-    assert seen == {"tau", "K", "h11", "h12", "h21", "h22"}
+    # landmarks reads the second pair alone: no h11 or h21 bracket
+    assert seen == {"tau", "K", "h12", "h22"}
 
 
 def _c_inv_ys():
